@@ -77,9 +77,7 @@ from .lensing import (
     likelihood_score,
     make_dataset,
     prior_score,
-    rsde_sample,
     rsde_sample_batch,
-    sigma_t,
     simulate,
 )
 

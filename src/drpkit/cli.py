@@ -221,18 +221,19 @@ def _run_lensing(args, parser) -> int:
     schedule = VeSchedule(steps=args.steps)
     dataset = make_dataset(model, args.n_sims, seed=args.seed)
     sampler = DiffusionPosteriorSampler(model, schedule, args.estimator)
+    # the grids summarise the draws the test ranks, so nothing is sampled twice
+    moments = {}
 
-    curve = drp_test(dataset, sampler, n_post=args.n_post,
-                     policy=lensing_prior_policy(model), seed=args.seed)
+    def keep_moments(sid, draws):
+        moments[sid] = (draws.mean(axis=0), draws.std(axis=0))
+
+    curve = drp_test(dataset, sampler, n_post=args.n_post, policy=lensing_prior_policy(model),
+                     seed=args.seed, on_draws=keep_moments)
     write_coverage_csv(os.path.join(args.out, f"{args.estimator}.csv"), curve,
                        seed=args.seed, policy="prior", metric="euclidean")
-
-    root = SeededRng(args.seed)
-    for i in range(min(args.dump_grids, dataset.n_sims)):
-        sid = int(dataset.sim_ids[i])
-        draws = sampler.sample(dataset.observations[i], args.n_post, root.substream(_POST_TAG, sid))
+    for i, sid in enumerate(dataset.sim_ids[:args.dump_grids]):
         _grid_csv(os.path.join(args.out, f"sim{sid:03d}_grids.csv"), args.source_size,
-                  dataset.theta_true[i], draws.mean(axis=0), draws.std(axis=0))
+                  dataset.theta_true[i], *moments[int(sid)])
     return 0
 
 

@@ -421,13 +421,17 @@ def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
              policy: ReferencePolicy = UnitHypercubeUniform(),
              metric: DistanceMetric = Euclidean(),
              levels=None, seed: int = 0, bounds=None, repeats: int = 1,
-             band_z: float = 3.0) -> CoverageCurve:
+             band_z: float = 3.0, on_draws=None) -> CoverageCurve:
     """Distance-to-random-point coverage test over a validation set.
 
     Per simulation i (keyed by its sim_id): n_post posterior draws from a
     dedicated substream, one reference point per repeat from another, all
     normalized through the same map, ranked by distance. Deterministic given
     the seed and invariant to simulation order and scheduling.
+
+    ``on_draws(sim_id, draws)``, when given, is called with each simulation's
+    raw (n_post, D) draws, so callers can keep them without sampling again.
+    Under DRPKIT_THREADS it runs on worker threads, in no fixed order.
     """
     if n_post < 1:
         raise ValueError(f"n_post must be >= 1, got {n_post}")
@@ -442,6 +446,8 @@ def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
         try:
             samples = _posterior_draws(sampler, dataset.observations[i], n_post,
                                        root.substream(_POST_TAG, sid), dim, sid)
+            if on_draws is not None:
+                on_draws(sid, samples)
             return _drp_sim_ranks(samples, dataset, i, policy, metric, nmap, root, repeats)
         except SimulationError:
             raise

@@ -41,6 +41,17 @@ def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _read_umask() -> int:
+    mask = os.umask(0o022)  # the umask can only be read by setting it
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates files 0600; give them the mode open() would. The umask is
+# process-wide and os.umask is not thread-safe, so it is read once, at import.
+_FILE_MODE = 0o666 & ~_read_umask()
+
+
 def atomic_write_text(path, text: str):
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
@@ -48,6 +59,7 @@ def atomic_write_text(path, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,28 +9,35 @@ the analytic time-dependent prior score plus one of two likelihood scores:
 * "exact": the time-t likelihood is tractable for a Gaussian prior,
   N(x | A m_c(theta), sigma_n^2 I + A Sigma_c A^T) with
   Sigma_c = (Sigma_0^-1 + sigma_t^-2 I)^-1 and
-  m_c(theta) = Sigma_c (sigma_t^-2 theta + Sigma_0^-1 mu_0),
-  which makes the sampler unbiased (the closed-form conjugate posterior is the
-  oracle for this);
+  m_c(theta) = Sigma_c (sigma_t^-2 theta + Sigma_0^-1 mu_0).
+  Prior plus likelihood score is then the score of the diffused posterior
+  N(mu_post(x), Sigma_post + sigma_t^2 I), which makes the sampler unbiased
+  (the closed-form conjugate posterior is the oracle for this);
 * "biased": the convolution-free approximation
   N(x | A theta, sigma_n^2 I + sigma_t^2 A A^T), whose accumulated error is the
   detectable bias the coverage tests are meant to expose.
 
 The noise scale follows the geometric schedule sigma_t = sigma_min
 (sigma_max/sigma_min)^t, so g^2(t) = d sigma_t^2/dt = 2 sigma_t^2
-ln(sigma_max/sigma_min). All per-step solves reduce to matrix-vector work via a
-one-time eigendecomposition of Sigma_0 (and of A^T A for the biased kind); the
-per-step small-matrix factorizations are cached per (schedule, kind).
+ln(sigma_max/sigma_min).
+
+Each score is diagonal in a basis fixed by the model, so a step needs no
+factorization and nothing is cached per schedule. The model computes three
+eigendecompositions once, at construction: the prior covariance (basis U,
+where the prior score is diagonal and the noise is drawn), the Gram matrix
+B^T B with B = A U (basis W, where the biased likelihood score is diagonal),
+and the posterior precision in the prior eigenbasis (basis V, where the exact
+drift is diagonal). An exact step costs one D x D product, rotating the step's
+noise into V; a biased step costs two, into W and back.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .coverage import JointSampleSet, PosteriorSampler, PriorDraw
 from .numerics import SeededRng, cholesky, DecompositionError, single_thread_blas
@@ -91,11 +98,6 @@ class VeSchedule:
     def g_squared(self, t: float) -> float:
         """d(sigma_t^2)/dt for the geometric schedule."""
         return 2.0 * self.sigma(t) ** 2 * math.log(self.sigma_max / self.sigma_min)
-
-
-def sigma_t(schedule: VeSchedule, t: float) -> float:
-    """Noise scale at time t; monotone from sigma_min at t=0 to sigma_max at t=1."""
-    return schedule.sigma(t)
 
 
 def _square_side(n_pixels: int, what: str) -> int:
@@ -202,9 +204,12 @@ def build_prior(dim_theta: int, kernel_scale: float = 0.3, seed: int = 0):
 class LensingModel:
     """Immutable forward model: operator A, noise sigma_n, Gaussian prior.
 
-    Holds one-time factorizations (Cholesky and eigendecomposition of the
-    prior covariance, eigendecomposition of A^T A) and a per-(schedule, kind)
-    cache of reverse-SDE step solvers, shared across samples and simulations.
+    Holds one-time factorizations: the Cholesky factor and eigenbasis U of the
+    prior covariance, the eigenbasis W of the Gram matrix B^T B (B = A U), and,
+    when sigma_n > 0, the eigenbasis V of the posterior precision
+    diag(1/lambda) + B^T B / sigma_n^2. Nothing else is stored, so one model is
+    safe to share across threads, samples and schedules. A noiseless model
+    (sigma_n = 0) only supports :func:`simulate`.
     """
 
     def __init__(self, operator, sigma_n, prior_mean, prior_cov):
@@ -225,20 +230,21 @@ class LensingModel:
         lam, U = np.linalg.eigh(cov)
         if lam[0] <= 0:
             raise PriorError(f"prior covariance has non-positive eigenvalue {lam[0]:.3g}")
-        # everything downstream works in the prior eigenbasis: theta' = U^T theta,
-        # B = A U maps eigen coords to observations, G = B^T B is the Gram matrix
-        # through which all per-step solves run (observation-sized intermediates
-        # appear only once per x, via x @ B)
+        # everything downstream works in the prior eigenbasis: theta' = theta U,
+        # and B = A U maps eigen coords to observations
         self._lam = lam
         self._U = U
         self._B = A @ U
-        self._G = self._B.T @ self._B
-        gram_l, gram_v = np.linalg.eigh(self._G)
+        gram = self._B.T @ self._B
+        gram_l, gram_v = np.linalg.eigh(gram)
         self._gram_l = np.maximum(gram_l, 0.0)
         self._gram_v = gram_v
         self._mu0_eig = mu0 @ U
-        self._solver_cache = {}
-        self._lock = threading.Lock()
+        if self.sigma_n > 0:
+            prec, V = np.linalg.eigh(np.diag(1.0 / lam) + gram / self.sigma_n**2)
+            self._post_var = 1.0 / prec
+            self._V = V
+            self._UV = U @ V
 
     @property
     def dim_theta(self) -> int:
@@ -257,55 +263,9 @@ class LensingModel:
     def _prior_score_eig(self, theta_eig, s2):
         return -(theta_eig - self._mu0_eig) / (self._lam + s2)
 
-    def _likelihood_score_eig(self, theta_eig, xb, s2, kind, kchol=None):
-        """Likelihood score in eigen coordinates, given xb = x @ B.
-
-        Uses the Woodbury identity on C = sigma_n^2 I + B W B^T and the
-        reduction u @ B = (rb - y @ G / sigma_n^2) / sigma_n^2, so every
-        per-step product is D x D.
-        """
-        self._require_noise()
-        sn2 = self.sigma_n**2
-        lam = self._lam
-        if kind == "biased":
-            rb = xb - theta_eig @ self._G
-            t1 = (rb @ self._gram_v) / (sn2 / s2 + self._gram_l)
-            y = t1 @ self._gram_v.T
-            return (rb - y @ self._G) / sn2
-        # exact: residual against the blended clean-signal mean, then the
-        # d m_c / d theta chain factor (diagonal in this basis)
-        blend = lam / (lam + s2)
-        mc = theta_eig * blend + self._mu0_eig * (s2 / (lam + s2))
-        rb = xb - mc @ self._G
-        if kchol is None:
-            kchol = self._exact_step_chol(s2)
-        y = solve_triangular(kchol, rb.T, lower=True, check_finite=False)
-        y = solve_triangular(kchol.T, y, lower=False, check_finite=False).T
-        return (rb - y @ self._G / sn2) / sn2 * blend
-
-    def _exact_step_chol(self, s2):
-        w = self._lam * s2 / (self._lam + s2)
-        K = np.diag(1.0 / w) + self._G / self.sigma_n**2
-        return cholesky(K)
-
-    def step_solvers(self, schedule: VeSchedule, kind: str):
-        """Per-step (s2, g2, exact-K Cholesky or None) for the reverse grid,
-        built once per (schedule, kind) and cached."""
-        key = (schedule, kind)
-        with self._lock:
-            if key in self._solver_cache:
-                return self._solver_cache[key]
-        dt = 1.0 / schedule.steps
-        entries = []
-        with single_thread_blas():
-            for k in range(schedule.steps):
-                t = 1.0 - k * dt
-                s2 = schedule.sigma(t) ** 2
-                kchol = self._exact_step_chol(s2) if kind == "exact" else None
-                entries.append((s2, schedule.g_squared(t), kchol))
-        with self._lock:
-            self._solver_cache[key] = entries
-        return entries
+    def _posterior_mean_v(self, x):
+        """Conjugate posterior mean given x, in posterior-eigenbasis (V) coordinates."""
+        return ((self._mu0_eig / self._lam + (x @ self._B) / self.sigma_n**2) @ self._V) * self._post_var
 
 
 def build_model(source_side: int = 8, obs_side: int = 16, sigma_n: float = 1.0,
@@ -363,8 +323,9 @@ def prior_score(model: LensingModel, schedule: VeSchedule, theta, t) -> np.ndarr
 def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta, x, t) -> np.ndarray:
     """Gradient in theta of the log time-t likelihood (exact or biased).
 
-    At t = 0 exactly, both kinds are evaluated in the sigma_t -> 0 limit and
-    reduce to the score of N(x | A theta, sigma_n^2 I).
+    The exact score is the diffused-posterior score minus the diffused-prior
+    score. At t = 0 exactly, both kinds are evaluated in the sigma_t -> 0
+    limit and reduce to the score of N(x | A theta, sigma_n^2 I).
     """
     t = _check_t(t)
     _check_kind(kind)
@@ -376,12 +337,21 @@ def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta
             f"dimension mismatch: theta {theta.shape}, x {x.shape} for model "
             f"({model.dim_theta}, {model.dim_x})"
         )
+    model._require_noise()
     if t == 0.0:
-        model._require_noise()
         out = (x - theta2d @ model.operator.T) @ model.operator / model.sigma_n**2
     else:
-        out = model._likelihood_score_eig(theta2d @ model._U, x @ model._B,
-                                          schedule.sigma(t) ** 2, kind) @ model._U.T
+        s2 = schedule.sigma(t) ** 2
+        th = theta2d @ model._U
+        if kind == "biased":
+            # diagonal in W: (x B W - gamma (th W)) / (sigma_n^2 + s2 gamma)
+            W, gam = model._gram_v, model._gram_l
+            out = (((x @ model._B) @ W - gam * (th @ W)) / (model.sigma_n**2 + s2 * gam)) @ W.T
+        else:
+            # diffused-posterior score, diagonal in V, minus the diffused-prior score
+            phi = th @ model._V - model._posterior_mean_v(x)
+            out = -(phi / (model._post_var + s2)) @ model._V.T - model._prior_score_eig(th, s2)
+        out = out @ model._U.T
     return out[0] if theta.ndim == 1 else out
 
 
@@ -391,6 +361,8 @@ def rsde_sample_batch(model: LensingModel, schedule: VeSchedule, kind: str, x, n
     Initialization is the exact t=1 prior marginal N(mu_0, Sigma_0 +
     sigma_max^2 I); the posterior score (prior plus likelihood of the requested
     kind) drives `schedule.steps` uniform Euler-Maruyama steps down to t=0.
+    The generator gives the initial block, then one (n, dim_theta) block of
+    step noise per step, all in the prior eigenbasis.
     """
     _check_kind(kind)
     if n < 1:
@@ -398,27 +370,45 @@ def rsde_sample_batch(model: LensingModel, schedule: VeSchedule, kind: str, x, n
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.dim_x:
         raise ValueError(f"observation has dimension {x.size}, model expects {model.dim_x}")
+    model._require_noise()
     g = rng.generator() if isinstance(rng, SeededRng) else rng
-    solvers = model.step_solvers(schedule, kind)
+    # per-step noise variance s2 = sigma_t^2 and step size h = dt g^2(t) on the
+    # reverse grid t_k = 1 - k dt
     dt = 1.0 / schedule.steps
-    # integrate in the prior eigenbasis (an isometry: the noise increments are
-    # i.i.d. normal in any orthonormal basis) and rotate back once at the end
+    ratio = schedule.sigma_max / schedule.sigma_min
+    s2 = ((schedule.sigma_min * ratio ** (1.0 - dt * np.arange(schedule.steps))) ** 2)[:, None]
+    h = dt * (2.0 * s2 * math.log(ratio))
+    root_h = np.sqrt(h)
+    lam, mu0, W, gam = model._lam, model._mu0_eig, model._gram_v, model._gram_l
+    shape = (n, model.dim_theta)
     with single_thread_blas():
-        xb = x @ model._B
-        scale = np.sqrt(model._lam + schedule.sigma_max**2)
-        theta = model._mu0_eig + g.standard_normal((n, model.dim_theta)) * scale
-        for k, (s2, g2, kchol) in enumerate(solvers):
-            score = (model._prior_score_eig(theta, s2)
-                     + model._likelihood_score_eig(theta, xb, s2, kind, kchol))
-            theta = theta + dt * g2 * score + math.sqrt(dt * g2) * g.standard_normal(theta.shape)
-            if not np.all(np.isfinite(theta)):
+        # the state is the draw minus a centre, in a basis where the decay part
+        # of the drift is diagonal: one step is state <- keep * state + h * (any
+        # further drift) + sqrt(h) * noise
+        state = g.standard_normal(shape) * np.sqrt(lam + schedule.sigma_max**2)
+        if kind == "exact":
+            # the whole drift is -(phi - mu_post) / (post_var + s2), in V
+            centre, basis = model._posterior_mean_v(x), model._UV
+            state = (state + mu0) @ model._V - centre
+            keep = 1.0 - h / (model._post_var + s2)
+        else:
+            # prior decay in U around mu_0; h times the likelihood score is
+            # (pull + slope * (state W)) W^T, both coefficients diagonal in W
+            centre, basis = mu0, model._U
+            keep = 1.0 - h / (lam + s2)
+            gain = h / (model.sigma_n**2 + s2 * gam)
+            pull, slope = gain * ((x @ model._B) @ W - gam * (mu0 @ W)), -gam * gain
+        for k in range(schedule.steps):
+            step = g.standard_normal(shape) * root_h[k]
+            if kind == "exact":
+                step = step @ model._V
+            else:
+                step += ((state @ W) * slope[k] + pull[k]) @ W.T
+            state *= keep[k]
+            state += step
+            if not np.isfinite(state).all():
                 raise DivergenceError(f"reverse SDE diverged at step {k}", step=k)
-        return theta @ model._U.T
-
-
-def rsde_sample(model: LensingModel, schedule: VeSchedule, kind: str, x, rng) -> np.ndarray:
-    """Single posterior draw; see :func:`rsde_sample_batch`."""
-    return rsde_sample_batch(model, schedule, kind, x, 1, rng)[0]
+        return (state + centre) @ basis.T
 
 
 def conjugate_posterior(model: LensingModel, x):

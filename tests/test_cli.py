@@ -117,6 +117,34 @@ class TestLensingCommand:
         assert grids[0] == "row,col,truth,post_mean,post_std,residual"
         assert len(grids) == 1 + 64
 
+    def test_grids_come_from_the_test_draws(self, tmp_path, monkeypatch):
+        from drpkit import lensing as lensing_mod
+        from drpkit.numerics import single_thread_blas
+
+        calls = []
+        sample = lensing_mod.DiffusionPosteriorSampler.sample
+
+        def counting_sample(self, x, n, rng):
+            calls.append(rng)
+            return sample(self, x, n, rng)
+
+        monkeypatch.setattr(lensing_mod.DiffusionPosteriorSampler, "sample", counting_sample)
+        out = tmp_path / "l"
+        assert run("lensing", "--estimator", "biased", "--n-sims", "5", "--n-post", "12",
+                   "--steps", "30", "--seed", "3", "--dump-grids", "2", "--out", str(out)) == 0
+        assert len(calls) == 5
+        assert sorted(p.name for p in out.glob("*_grids.csv")) == ["sim000_grids.csv", "sim001_grids.csv"]
+
+        model = lensing_mod.build_model(source_side=8, obs_side=16, sigma_n=1.0,
+                                        kernel_scale=0.3, seed=3)
+        dataset = lensing_mod.make_dataset(model, 5, seed=3)
+        sampler = lensing_mod.DiffusionPosteriorSampler(model, lensing_mod.VeSchedule(steps=30), "biased")
+        with single_thread_blas():
+            draws = sampler.sample(dataset.observations[0], 12, SeededRng(3).substream("posterior", 0))
+        cli._grid_csv(tmp_path / "expect.csv", 8, dataset.theta_true[0],
+                      draws.mean(axis=0), draws.std(axis=0))
+        assert (out / "sim000_grids.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
+
     def test_zero_steps_usage_error(self, tmp_path):
         assert run("lensing", "--estimator", "exact", "--steps", "0",
                    "--out", str(tmp_path / "l")) == 2

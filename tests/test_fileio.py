@@ -1,6 +1,9 @@
 """Round-trip and schema tests for the CSV interchange formats."""
 
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +152,20 @@ class TestMisc:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         write_joint_file(tmp_path / "j.csv", [0], np.zeros((1, 1)))
         assert sorted(os.listdir(tmp_path)) == ["j.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="umask is POSIX")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        # the module reads the umask once, at import, so each case runs in a
+        # fresh interpreter started under that umask
+        import drpkit
+
+        src = os.path.dirname(os.path.dirname(drpkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        target = tmp_path / "j.csv"
+        script = "import sys; from drpkit.fileio import write_joint_file; write_joint_file(sys.argv[1], [0], [[1.0]])"
+        subprocess.run([sys.executable, "-c", script, str(target)], env=env, umask=umask, check=True)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
     def test_resolved_config_sorted(self, tmp_path):
         write_resolved_config(tmp_path, {"zeta": 1, "alpha": "x"})

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from drpkit.coverage import drp_test
 from drpkit.lensing import (
+    SCORE_KINDS,
     DiffusionPosteriorSampler,
     DivergenceError,
     LensingModel,
@@ -22,9 +24,7 @@ from drpkit.lensing import (
     likelihood_score,
     make_dataset,
     prior_score,
-    rsde_sample,
     rsde_sample_batch,
-    sigma_t,
     simulate,
 )
 from drpkit.numerics import SeededRng
@@ -71,25 +71,36 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+class ScriptedNormals:
+    """Generator stand-in: returns the given first block, then zero blocks."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def standard_normal(self, size):
+        block, self.first = self.first, None
+        return np.zeros(size) if block is None else block
+
+
 class TestVeSchedule:
     def test_endpoints(self):
         sched = VeSchedule()
-        assert sigma_t(sched, 0.0) == 0.01
-        assert sigma_t(sched, 1.0) == pytest.approx(100.0, rel=1e-12)
+        assert sched.sigma(0.0) == 0.01
+        assert sched.sigma(1.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_geometric_midpoint(self):
-        assert sigma_t(VeSchedule(), 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert VeSchedule().sigma(0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone(self):
         sched = VeSchedule()
-        vals = [sigma_t(sched, t) for t in np.linspace(0, 1, 101)]
+        vals = [sched.sigma(t) for t in np.linspace(0, 1, 101)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sigma_t(VeSchedule(), 1.5)
+            VeSchedule().sigma(1.5)
         with pytest.raises(ValueError):
-            sigma_t(VeSchedule(), -0.1)
+            VeSchedule().sigma(-0.1)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -174,6 +185,8 @@ class TestSimulate:
         model = LensingModel(np.eye(16), 0.0, mu0, cov)
         with pytest.raises(ValueError):
             conjugate_posterior(model, np.zeros(16))
+        with pytest.raises(ValueError):
+            rsde_sample_batch(model, VeSchedule(steps=5), "exact", np.zeros(16), 2, SeededRng(1))
 
     def test_residual_noise_scale(self):
         model = small_model(seed=2)
@@ -365,8 +378,8 @@ class TestRsdeSampler:
         b = rsde_sample_batch(model, sched, "exact", x, 5, SeededRng(4))
         assert a.shape == (5, model.dim_theta)
         assert np.array_equal(a, b)
-        single = rsde_sample(model, sched, "exact", x, SeededRng(4))
-        assert single.shape == (model.dim_theta,)
+        single = rsde_sample_batch(model, sched, "exact", x, 1, SeededRng(4))
+        assert single.shape == (1, model.dim_theta)
 
     def test_uninformative_likelihood_limit(self):
         # huge observation noise: the posterior collapses to the prior
@@ -406,17 +419,75 @@ class TestRsdeSampler:
         assert np.max(np.abs(a.mean(axis=0) - b.mean(axis=0)) / se) < 3.5
 
     def test_divergence_reports_step(self):
-        # sigma_max large enough that the drift overflows the state to inf
-        # inside the integrator (but small enough that the schedule itself
-        # stays representable)
+        # sigma_max large enough that the first step size dt * g^2 overflows,
+        # taking the state to inf inside the integrator (but small enough that
+        # sigma_max^2 itself stays representable)
         model = small_model(seed=14)
-        sched = VeSchedule(sigma_max=3e152, steps=10)
+        sched = VeSchedule(sigma_max=1e153, steps=10)
         x = np.zeros(model.dim_x)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 rsde_sample_batch(model, sched, "biased", x, 2, SeededRng(12))
         assert err.value.step is not None
         assert "step" in str(err.value)
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_fused_step_drift_equals_public_scores(self, kind):
+        # a one-step schedule whose sigma_max is sigma_t of the base schedule,
+        # started from a chosen state with zero step noise, moves each draw by
+        # h * drift(t), with h = g^2 at that noise level
+        model = small_model(seed=17)
+        base = VeSchedule()
+        lam, U = np.linalg.eigh(model.prior_cov)
+        g = SeededRng(73).generator()
+        x = simulate(model, SeededRng(74))[1]
+        for t in (0.1, 0.4, 0.7, 1.0):
+            one = VeSchedule(sigma_min=base.sigma_min, sigma_max=base.sigma(t), steps=1)
+            theta = model.prior_mean + g.standard_normal((3, model.dim_theta))
+            init = (theta - model.prior_mean) @ U / np.sqrt(lam + one.sigma_max**2)
+            moved = rsde_sample_batch(model, one, kind, x, 3, ScriptedNormals(init))
+            drift = (moved - theta) / one.g_squared(1.0)
+            expect = (prior_score(model, base, theta, t)
+                      + likelihood_score(model, base, kind, theta, x, t))
+            assert rel_err(drift, expect) < 1e-9
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_matches_reference_euler_maruyama(self, kind):
+        # Euler-Maruyama built only from the public scores, drawing the same
+        # blocks from the same stream: the initial block, then one block of
+        # step noise per step, all standard normal in the prior eigenbasis
+        model = small_model(seed=18)
+        sched = VeSchedule(steps=20)
+        x = simulate(model, SeededRng(19))[1]
+        lam, U = np.linalg.eigh(model.prior_cov)
+        g = SeededRng(20).generator()
+        init = g.standard_normal((6, model.dim_theta)) * np.sqrt(lam + sched.sigma_max**2)
+        theta = model.prior_mean + init @ U.T
+        dt = 1.0 / sched.steps
+        for k in range(sched.steps):
+            t = 1.0 - k * dt
+            h = dt * sched.g_squared(t)
+            drift = prior_score(model, sched, theta, t) + likelihood_score(model, sched, kind, theta, x, t)
+            theta = theta + h * drift + math.sqrt(h) * g.standard_normal(theta.shape) @ U.T
+        draws = rsde_sample_batch(model, sched, kind, x, 6, SeededRng(20))
+        assert rel_err(draws, theta) < 1e-9
+
+    def test_drp_ranks_independent_of_threads(self, monkeypatch):
+        # one model shared by worker threads holds no per-schedule state
+        model = small_model(seed=16)
+        fields = dict(vars(model))
+        dataset = make_dataset(model, 8, seed=2)
+        policy = lensing_prior_policy(model)
+        for kind in SCORE_KINDS:
+            sampler = DiffusionPosteriorSampler(model, VeSchedule(steps=30), kind)
+            monkeypatch.delenv("DRPKIT_THREADS", raising=False)
+            serial = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
+            monkeypatch.setenv("DRPKIT_THREADS", "2")
+            threaded = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
+            assert np.array_equal(serial.rank_values(), threaded.rank_values())
+            assert np.array_equal(serial.ecp, threaded.ecp)
+        assert vars(model).keys() == fields.keys()
+        assert all(vars(model)[k] is v for k, v in fields.items())
 
     def test_sampler_facade(self):
         model = small_model(seed=15)
