@@ -39,12 +39,11 @@ from .coverage import (
     drp_test_precomputed,
     hpd_test,
 )
-from .numerics import SeededRng
 from .fileio import (
-    SchemaError,
     read_joint_file,
     read_observation_file,
     read_posterior_file,
+    read_prior_file,
     write_coverage_csv,
     write_joint_file,
     write_posterior_file,
@@ -63,7 +62,6 @@ from .svgplot import render_coverage_svg
 
 _TOY_CASE_FLAGS = {"correct": "correct", "over": "overconfident",
                    "under": "underconfident", "biased": "biased"}
-_POST_TAG = "posterior"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,27 +148,25 @@ def _run_toy(args, parser) -> int:
     _prepare_out(args, {"case_internal": config.case, "theta_bounds": config.theta_bounds})
     dataset, sampler = generate_toy(config, seed=args.seed)
     bounds = config.theta_bounds
+    # both tests draw from the same per-simulation substreams, so the dump keeps
+    # the draws they rank instead of sampling again
+    draws = {}
+    on_draws = draws.__setitem__ if args.dump_samples else None
 
     if "drp" in methods:
         policy = UnitHypercubeUniform() if args.ref_policy == "hypercube" else toy_prior_policy(config)
         curve = drp_test(dataset, sampler, n_post=args.n_post, policy=policy,
-                         seed=args.seed, bounds=bounds, repeats=args.repeats)
+                         seed=args.seed, bounds=bounds, repeats=args.repeats, on_draws=on_draws)
         write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,
                            policy=args.ref_policy, metric="euclidean")
     if "hpd" in methods:
-        curve = hpd_test(dataset, sampler, n_post=args.n_post, seed=args.seed)
+        curve = hpd_test(dataset, sampler, n_post=args.n_post, seed=args.seed, on_draws=on_draws)
         write_coverage_csv(os.path.join(args.out, "hpd.csv"), curve, seed=args.seed,
                            policy="", metric="")
 
     if args.dump_samples:
         write_joint_file(os.path.join(args.out, "toy_joint.csv"),
                          dataset.sim_ids, dataset.theta_true)
-        root = SeededRng(args.seed)
-        draws = {}
-        for i in range(dataset.n_sims):
-            sid = int(dataset.sim_ids[i])
-            draws[sid] = sampler.sample(dataset.observations[i], args.n_post,
-                                        root.substream(_POST_TAG, sid))
         write_posterior_file(os.path.join(args.out, "toy_posterior.csv"), draws)
     if args.svg:
         csvs = [os.path.join(args.out, f"{m}.csv") for m in methods]
@@ -242,7 +238,7 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
         return UnitHypercubeUniform()
     if spec.startswith("prior-file:"):
         path = spec.split(":", 1)[1]
-        rows = _read_prior_file(path, dim)
+        rows = read_prior_file(path, dim)
         return PriorDraw(draw=lambda g: rows[g.integers(rows.shape[0])])
     if spec.startswith("datashift:"):
         body = spec.split(":", 1)[1]
@@ -259,27 +255,6 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
             parser.error("--ref-policy datashift requires --obs")
         return DataShift(coordinate=k, half_width=u)
     parser.error(f"unknown --ref-policy {spec!r}")
-
-
-def _read_prior_file(path, dim):
-    # headerless rows of D comma-separated floats, one prior draw per line
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise SchemaError(path, 1, "empty prior-draw file")
-    rows = []
-    for ln, raw in enumerate(lines, start=1):
-        parts = raw.split(",")
-        if len(parts) != dim:
-            raise SchemaError(path, ln, f"expected {dim} columns, got {len(parts)}")
-        try:
-            vals = np.array([float(p) for p in parts])
-        except ValueError:
-            raise SchemaError(path, ln, "non-numeric value") from None
-        if not np.all(np.isfinite(vals)):
-            raise SchemaError(path, ln, "non-finite value")
-        rows.append(vals)
-    return np.stack(rows)
 
 
 def _parse_metric(parser, spec):

@@ -499,8 +499,12 @@ def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
 
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
-             levels=None, seed: int = 0, band_z: float = 3.0) -> CoverageCurve:
-    """Highest-posterior-density coverage test; requires sampler.log_density."""
+             levels=None, seed: int = 0, band_z: float = 3.0, on_draws=None) -> CoverageCurve:
+    """Highest-posterior-density coverage test; requires sampler.log_density.
+
+    Draws from the same substreams as drp_test, and ``on_draws`` is called as
+    drp_test calls it.
+    """
     if n_post < 1:
         raise ValueError(f"n_post must be >= 1, got {n_post}")
     if not has_density(sampler):
@@ -515,6 +519,8 @@ def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
         x = dataset.observations[i]
         try:
             samples = _posterior_draws(sampler, x, n_post, root.substream(_POST_TAG, sid), dim, sid)
+            if on_draws is not None:
+                on_draws(sid, samples)
             log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
             log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
             f = hpd_rank(log_dens, log_truth, log_scale=True)

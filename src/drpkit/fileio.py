@@ -8,6 +8,7 @@ files carry a header naming their columns:
 * joint file:      sim_id, theta_0 .. theta_{D-1}
 * posterior file:  sim_id, sample_id, theta_0 .. theta_{D-1}
 * observation file: sim_id, x_0 .. x_{M-1}
+* prior-draw file:  theta_0 .. theta_{D-1}, headerless
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError
@@ -16,6 +17,8 @@ naming the file, line, and invariant.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import tempfile
 from typing import Optional
@@ -52,19 +55,26 @@ def _read_umask() -> int:
 _FILE_MODE = 0o666 & ~_read_umask()
 
 
-def atomic_write_text(path, text: str):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text handle on a temp file that replaces ``path`` when the block exits cleanly."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str):
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_coverage_csv(path, curve: CoverageCurve, seed, policy: str = "", metric: str = ""):
@@ -122,34 +132,42 @@ def read_coverage_csv(path):
 
 # --- sample files -----------------------------------------------------------------
 
+_CHUNK_LINES = 8192  # lines the reader splits and parses at once
+
+
 def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
 
+def _write_table(path, header, blocks):
+    """Stream the header, then per (sim_id, (n, C) array) block n rows of the
+    sim_id and C floats; "%.17g" prints each float as format_float does."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for sid, block in blocks:
+            block = np.asarray(block, dtype=float)
+            row = ",".join([str(int(sid))] + ["%.17g"] * block.shape[1]) + "\n"
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def write_joint_file(path, sim_ids, thetas):
     thetas = np.asarray(thetas, dtype=float)
-    lines = [",".join(["sim_id"] + _theta_header(thetas.shape[1]))]
-    for sid, row in zip(sim_ids, thetas):
-        lines.append(",".join([str(int(sid))] + [format_float(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, ["sim_id"] + _theta_header(thetas.shape[1]), zip(sim_ids, thetas[:, None]))
 
 
 def write_posterior_file(path, samples_by_sim: dict):
     """``samples_by_sim`` maps sim_id -> (n_i, D) array."""
-    dim = next(iter(samples_by_sim.values())).shape[1]
-    lines = [",".join(["sim_id", "sample_id"] + _theta_header(dim))]
-    for sid in sorted(samples_by_sim):
-        for j, row in enumerate(samples_by_sim[sid]):
-            lines.append(",".join([str(int(sid)), str(j)] + [format_float(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if not samples_by_sim:
+        raise ValueError("no simulations to write")
+    dim = np.shape(next(iter(samples_by_sim.values())))[1]
+    blocks = ((sid, np.column_stack([np.arange(len(samples_by_sim[sid])), samples_by_sim[sid]]))
+              for sid in sorted(samples_by_sim))
+    _write_table(path, ["sim_id", "sample_id"] + _theta_header(dim), blocks)
 
 
 def write_observation_file(path, sim_ids, xs):
     xs = np.asarray(xs, dtype=float)
-    lines = [",".join(["sim_id"] + _theta_header(xs.shape[1], "x"))]
-    for sid, row in zip(sim_ids, xs):
-        lines.append(",".join([str(int(sid))] + [format_float(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, ["sim_id"] + _theta_header(xs.shape[1], "x"), zip(sim_ids, xs[:, None]))
 
 
 def _parse_header(path, line, expected_fixed, value_prefix):
@@ -181,58 +199,100 @@ def _parse_floats(path, ln, tokens):
 
 
 def _check_dense_ids(path, ids):
-    ids = np.asarray(sorted(ids))
-    if ids.size == 0:
+    ids = sorted(ids)
+    if not ids:
         raise SchemaError(path, 2, "file contains no simulations")
-    expect = np.arange(ids.size)
-    if not np.array_equal(ids, expect):
-        missing = sorted(set(expect) - set(ids))[:3]
+    if ids != list(range(len(ids))):
+        missing = sorted(set(range(len(ids))) - set(ids))[:3]
         raise SchemaError(path, 1, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+
+
+def _split_chunk(lines, n_ids, dim, seen):
+    """(first id column, (rows, dim) values) of a chunk's non-blank lines by
+    whole-chunk splits and parses, or None when any of them is invalid."""
+    lines = list(filter(str.strip, lines))
+    if any(raw.count(",") != n_ids + dim - 1 for raw in lines):
+        return None
+    tokens, ids = ",".join(lines).split(",") if lines else [], []
+    try:
+        for j in range(n_ids):  # parse the leading id column, then drop it
+            ids.append(list(map(int, tokens[::n_ids + dim - j])))
+            del tokens[::n_ids + dim - j]
+        vals = np.array(list(map(float, tokens))).reshape(len(lines), dim)
+    except ValueError:
+        return None
+    sim_ids = ids[0] if ids else []
+    if not np.isfinite(vals).all():
+        return None
+    if seen is not None:  # the sim_ids must be new and distinct
+        new = set(sim_ids)
+        if len(new) < len(sim_ids) or not seen.isdisjoint(new):
+            return None
+        seen |= new
+    return sim_ids, vals
+
+
+def _raise_first_error(path, ln, lines, fixed, dim, seen):
+    """Raise the SchemaError of the first invalid line of a chunk starting at line ``ln``."""
+    for ln, raw in enumerate(lines, start=ln):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != len(fixed) + dim:
+            raise SchemaError(path, ln, f"expected {len(fixed) + dim} columns, got {len(parts)}")
+        ids = [_parse_int(path, ln, token, what) for token, what in zip(parts, fixed)]
+        if seen is not None:
+            if ids[0] in seen:
+                raise SchemaError(path, ln, f"duplicate sim_id {ids[0]}")
+            seen.add(ids[0])
+        _parse_floats(path, ln, parts[len(fixed):])
+
+
+def _read_table(path, fixed, prefix, dim=None, unique=False):
+    """Read rows of the integer ``fixed`` columns, then D floats, into (the
+    first id column, a (rows, D) array). D comes from a header naming the
+    ``prefix``_d columns; with no ``prefix`` the file is headerless, D is
+    ``dim`` and blank lines are not numbered. ``unique`` forbids repeated ids."""
+    with open(path) as fh:
+        # the lines str.splitlines() gives, about _CHUNK_LINES at a time
+        chunks = map(str.splitlines, iter(lambda: "".join(itertools.islice(fh, _CHUNK_LINES)), ""))
+        ln = 1
+        if prefix is None:
+            chunks = (list(filter(str.strip, lines)) for lines in chunks)
+        else:
+            first = next(chunks, None)
+            if not first:
+                raise SchemaError(path, 1, "empty file")
+            dim = _parse_header(path, first[0], fixed, prefix)
+            chunks, ln = itertools.chain([first[1:]], chunks), 2
+        sim_ids, values, seen = [], [np.empty((0, dim))], set() if unique else None
+        for lines in chunks:
+            split = _split_chunk(lines, len(fixed), dim, seen)
+            if split is None:
+                _raise_first_error(path, ln, lines, fixed, dim, seen)
+            sim_ids += split[0]
+            values.append(split[1])
+            ln += len(lines)
+    return sim_ids, np.concatenate(values)
 
 
 def read_joint_file(path):
     """Returns (sim_ids (N,), thetas (N, D)) with sim_ids dense in [0, N)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(path, 1, "empty file")
-    dim = _parse_header(path, lines[0], ("sim_id",), "theta")
-    recs = {}
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != dim + 1:
-            raise SchemaError(path, ln, f"expected {dim + 1} columns, got {len(parts)}")
-        sid = _parse_int(path, ln, parts[0], "sim_id")
-        if sid in recs:
-            raise SchemaError(path, ln, f"duplicate sim_id {sid}")
-        recs[sid] = _parse_floats(path, ln, parts[1:])
-    _check_dense_ids(path, recs.keys())
-    n = len(recs)
-    out = np.stack([recs[i] for i in range(n)])
-    return np.arange(n), out
+    sim_ids, thetas = _read_table(path, ("sim_id",), "theta", unique=True)
+    _check_dense_ids(path, sim_ids)
+    return np.arange(len(sim_ids)), thetas[np.argsort(sim_ids)]
 
 
 def read_posterior_file(path, n_sims: Optional[int] = None):
-    """Returns {sim_id: (n_i, D) array}; validates coverage of 0..n_sims-1 when given."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(path, 1, "empty file")
-    dim = _parse_header(path, lines[0], ("sim_id", "sample_id"), "theta")
-    by_sim = {}
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != dim + 2:
-            raise SchemaError(path, ln, f"expected {dim + 2} columns, got {len(parts)}")
-        sid = _parse_int(path, ln, parts[0], "sim_id")
-        _parse_int(path, ln, parts[1], "sample_id")
-        by_sim.setdefault(sid, []).append(_parse_floats(path, ln, parts[2:]))
-    if not by_sim:
+    """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance;
+    validates coverage of 0..n_sims-1 when given."""
+    sim_ids, values = _read_table(path, ("sim_id", "sample_id"), "theta")
+    if not sim_ids:
         raise SchemaError(path, 2, "file contains no samples")
+    order = np.argsort(sim_ids, kind="stable")
+    keys, starts = np.unique(np.asarray(sim_ids)[order], return_index=True)
+    groups = np.split(values[order], starts[1:])
+    by_sim = {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
     if n_sims is not None:
         missing = sorted(set(range(n_sims)) - set(by_sim))
         if missing:
@@ -241,32 +301,25 @@ def read_posterior_file(path, n_sims: Optional[int] = None):
         extra = sorted(set(by_sim) - set(range(n_sims)))
         if extra:
             raise SchemaError(path, 1, f"sim_id {extra[0]} not present in the joint file")
-    return {sid: np.stack(rows) for sid, rows in by_sim.items()}
+    return by_sim
 
 
 def read_observation_file(path, n_sims: Optional[int] = None):
     """Returns (sim_ids (N,), xs (N, M))."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError(path, 1, "empty file")
-    dim = _parse_header(path, lines[0], ("sim_id",), "x")
-    recs = {}
-    for ln, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != dim + 1:
-            raise SchemaError(path, ln, f"expected {dim + 1} columns, got {len(parts)}")
-        sid = _parse_int(path, ln, parts[0], "sim_id")
-        if sid in recs:
-            raise SchemaError(path, ln, f"duplicate sim_id {sid}")
-        recs[sid] = _parse_floats(path, ln, parts[1:])
-    _check_dense_ids(path, recs.keys())
-    if n_sims is not None and len(recs) != n_sims:
-        raise SchemaError(path, 1, f"observation file has {len(recs)} sims, expected {n_sims}")
-    n = len(recs)
-    return np.arange(n), np.stack([recs[i] for i in range(n)])
+    sim_ids, xs = _read_table(path, ("sim_id",), "x", unique=True)
+    _check_dense_ids(path, sim_ids)
+    if n_sims is not None and len(sim_ids) != n_sims:
+        raise SchemaError(path, 1, f"observation file has {len(sim_ids)} sims, expected {n_sims}")
+    return np.arange(len(sim_ids)), xs[np.argsort(sim_ids)]
+
+
+def read_prior_file(path, dim: int):
+    """Returns the (rows, dim) draws of a headerless file, one per line;
+    error line numbers do not count blank lines."""
+    _, rows = _read_table(path, (), None, dim)
+    if not len(rows):
+        raise SchemaError(path, 1, "empty prior-draw file")
+    return rows
 
 
 def write_resolved_config(out_dir, config: dict, name: str = "resolved_config.txt"):

@@ -1,9 +1,10 @@
 """End-to-end CLI tests: subcommands, exit codes, file contracts, round trips."""
 
 import numpy as np
+import pytest
 
-from drpkit import cli
-from drpkit.fileio import read_coverage_csv, write_joint_file, write_posterior_file
+from drpkit import benchmarks, cli
+from drpkit.fileio import format_float, read_coverage_csv, write_joint_file, write_posterior_file
 from drpkit.numerics import SeededRng
 
 
@@ -61,13 +62,37 @@ class TestToyCommand:
     def test_prior_policy_runs(self, tmp_path):
         assert run(*toy_args(tmp_path / "o", extra=("--ref-policy", "prior"))) == 0
 
+    @pytest.mark.parametrize("methods", ["drp", "hpd", "drp,hpd"])
+    def test_dump_samples_does_not_sample_again(self, tmp_path, monkeypatch, methods):
+        calls = []
+        sample = benchmarks.DiagonalGaussianSampler.sample
+
+        def counting_sample(self, x, n, rng):
+            calls.append(rng)
+            return sample(self, x, n, rng)
+
+        monkeypatch.setattr(benchmarks.DiagonalGaussianSampler, "sample", counting_sample)
+        out = tmp_path / "o"
+        assert run(*toy_args(out, dim=3, n_sims=9, n_post=7, seed=4,
+                             extra=("--methods", methods, "--dump-samples"))) == 0
+        assert len(calls) == 9 * len(methods.split(","))
+
+        # the dump equals the file a second sampling pass and a per-value writer make
+        dataset, sampler = benchmarks.generate_toy(benchmarks.ToyConfig(dim=3, n_sims=9), seed=4)
+        lines = ["sim_id,sample_id,theta_0,theta_1,theta_2"]
+        for i, sid in enumerate(dataset.sim_ids):
+            draws = sample(sampler, dataset.observations[i], 7, SeededRng(4).substream("posterior", int(sid)))
+            lines += [",".join([str(int(sid)), str(j)] + [format_float(v) for v in row])
+                      for j, row in enumerate(draws)]
+        assert (out / "toy_posterior.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        run(*toy_args(tmp_path / "serial"))
+        run(*toy_args(tmp_path / "serial", extra=("--dump-samples",)))
         monkeypatch.setenv("DRPKIT_THREADS", "3")
-        run(*toy_args(tmp_path / "threads"))
-        assert ((tmp_path / "serial" / "drp.csv").read_bytes()
-                == (tmp_path / "threads" / "drp.csv").read_bytes())
+        run(*toy_args(tmp_path / "threads", extra=("--dump-samples",)))
+        for name in ("drp.csv", "toy_posterior.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "threads" / name).read_bytes()
 
 
 class TestRoundTrip:
@@ -246,6 +271,20 @@ class TestCoverageCommand:
         pfile.write_text("0.0,0.0\n1.0,-1.0\n0.5,0.5\n")
         assert run("coverage", "--joint", str(joint), "--posterior", str(post),
                    "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("text, where", [
+        ("0.0,0.0\n\n1.0,abc\n", ":2: non-numeric value"),  # blank lines are not numbered
+        ("0.0,0.0\n1.0,inf\n", ":2: non-finite value"),
+        ("0.0\n", ":1: expected 2 columns, got 1"),
+        ("\n  \n", ":1: empty prior-draw file"),
+    ])
+    def test_prior_file_errors_name_the_line(self, tmp_path, capsys, text, where):
+        joint, post = self.make_files(tmp_path)
+        pfile = tmp_path / "prior.csv"
+        pfile.write_text(text)
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                   "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 1
+        assert f"{pfile}{where}" in capsys.readouterr().err
 
     def test_bounds_file(self, tmp_path):
         joint, post = self.make_files(tmp_path)

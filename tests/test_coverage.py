@@ -403,6 +403,14 @@ class TestHpdTest:
         with pytest.raises(DensityUnavailableError):
             hpd_test(ds, PointMassSampler(), n_post=5)
 
+    def test_on_draws_sees_the_draws_drp_test_ranks(self):
+        ds = optimal_gaussian_setup(12, seed=8)
+        seen = {"drp": {}, "hpd": {}}
+        drp_test(ds, GaussianSampler(), n_post=9, seed=3, on_draws=seen["drp"].__setitem__)
+        hpd_test(ds, GaussianSampler(), n_post=9, seed=3, on_draws=seen["hpd"].__setitem__)
+        assert sorted(seen["hpd"]) == list(range(12))
+        assert all(np.array_equal(seen["hpd"][s], seen["drp"][s]) for s in range(12))
+
     def test_optimal_estimator_in_band(self):
         ds = optimal_gaussian_setup(400, seed=53)
         curve = hpd_test(ds, GaussianSampler(), n_post=300, seed=54)

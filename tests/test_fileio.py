@@ -111,7 +111,12 @@ class TestSampleFiles:
         path.write_text("sim_id,theta_0\n0,1.0\n2,2.0\n")
         with pytest.raises(SchemaError) as err:
             read_joint_file(path)
-        assert "dense" in str(err.value)
+        assert str(err.value) == f"{path}:1: sim_ids must be dense in [0, N); missing or duplicated near [1]"
+
+    def test_write_posterior_file_needs_a_simulation(self, tmp_path):
+        with pytest.raises(ValueError, match="no simulations to write"):
+            write_posterior_file(tmp_path / "post.csv", {})
+        assert list(tmp_path.iterdir()) == []
 
     def test_posterior_missing_sim(self, tmp_path):
         g = SeededRng(5).generator()

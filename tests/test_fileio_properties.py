@@ -1,0 +1,290 @@
+"""Property tests: the chunked sample-file writer and reader against per-row
+and per-line reference implementations of the same formats."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from drpkit import fileio
+from drpkit.fileio import SchemaError
+
+# --- reference implementations: one format_float call per value, one parse per line
+
+
+def ref_format(v):
+    return f"{float(v):.17g}"
+
+
+def ref_dense_text(sim_ids, values, prefix):
+    lines = [",".join(["sim_id"] + [f"{prefix}_{d}" for d in range(values.shape[1])])]
+    for sid, row in zip(sim_ids, values):
+        lines.append(",".join([str(int(sid))] + [ref_format(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_posterior_text(samples_by_sim):
+    dim = next(iter(samples_by_sim.values())).shape[1]
+    lines = [",".join(["sim_id", "sample_id"] + [f"theta_{d}" for d in range(dim)])]
+    for sid in sorted(samples_by_sim):
+        for j, row in enumerate(samples_by_sim[sid]):
+            lines.append(",".join([str(int(sid)), str(j)] + [ref_format(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_header(path, line, fixed, prefix):
+    cols = [c.strip() for c in line.split(",")]
+    if cols[: len(fixed)] != list(fixed):
+        raise SchemaError(path, 1, f"header must start with {','.join(fixed)}")
+    value_cols = cols[len(fixed):]
+    if not value_cols or value_cols != [f"{prefix}_{d}" for d in range(len(value_cols))]:
+        raise SchemaError(path, 1, f"value columns must be {prefix}_0..{prefix}_{{D-1}}")
+    return len(value_cols)
+
+
+def ref_int(path, ln, token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise SchemaError(path, ln, f"{what} must be an integer, got {token!r}") from None
+
+
+def ref_floats(path, ln, tokens):
+    try:
+        vals = np.array([float(t) for t in tokens])
+    except ValueError:
+        raise SchemaError(path, ln, "non-numeric value") from None
+    if not np.all(np.isfinite(vals)):
+        raise SchemaError(path, ln, "non-finite value")
+    return vals
+
+
+def ref_read_dense(path, prefix):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError(path, 1, "empty file")
+    dim = ref_header(path, lines[0], ("sim_id",), prefix)
+    recs = {}
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != dim + 1:
+            raise SchemaError(path, ln, f"expected {dim + 1} columns, got {len(parts)}")
+        sid = ref_int(path, ln, parts[0], "sim_id")
+        if sid in recs:
+            raise SchemaError(path, ln, f"duplicate sim_id {sid}")
+        recs[sid] = ref_floats(path, ln, parts[1:])
+    ids = sorted(recs)
+    if not ids:
+        raise SchemaError(path, 2, "file contains no simulations")
+    if ids != list(range(len(ids))):  # names the missing ids as plain ints
+        missing = sorted(set(range(len(ids))) - set(ids))[:3]
+        raise SchemaError(path, 1, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+    return np.arange(len(ids)), np.stack([recs[i] for i in ids])
+
+
+def ref_read_posterior(path):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError(path, 1, "empty file")
+    dim = ref_header(path, lines[0], ("sim_id", "sample_id"), "theta")
+    by_sim = {}
+    for ln, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != dim + 2:
+            raise SchemaError(path, ln, f"expected {dim + 2} columns, got {len(parts)}")
+        sid = ref_int(path, ln, parts[0], "sim_id")
+        ref_int(path, ln, parts[1], "sample_id")
+        by_sim.setdefault(sid, []).append(ref_floats(path, ln, parts[2:]))
+    if not by_sim:
+        raise SchemaError(path, 2, "file contains no samples")
+    return {sid: np.stack(rows) for sid, rows in by_sim.items()}
+
+
+def ref_read_prior(path, dim):
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise SchemaError(path, 1, "empty prior-draw file")
+    rows = []
+    for ln, raw in enumerate(lines, start=1):
+        parts = raw.split(",")
+        if len(parts) != dim:
+            raise SchemaError(path, ln, f"expected {dim} columns, got {len(parts)}")
+        rows.append(ref_floats(path, ln, parts))
+    return np.stack(rows)
+
+
+# --- strategies ----------------------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+special = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                           np.pi, 1.0, 2.0 ** 53, 1e17, 123456789012345678.0])
+values = st.one_of(finite, special)
+
+
+@st.composite
+def ragged_draws(draw):
+    dim = draw(st.integers(1, 4))
+    sids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    out = {}
+    for sid in sids:  # insertion order is unsorted
+        n = draw(st.integers(0, 5))
+        out[sid] = np.array(draw(st.lists(values, min_size=n * dim, max_size=n * dim)),
+                            dtype=float).reshape(n, dim)
+    return out
+
+
+def same_array(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SchemaError as e:
+        return "error", (str(e), e.line)
+
+
+PROPS = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# --- the writer ----------------------------------------------------------------------
+
+@PROPS
+@given(ragged_draws())
+def test_posterior_writer_bytes_match_reference(tmp_path, draws):
+    path = tmp_path / "post.csv"
+    fileio.write_posterior_file(path, draws)
+    assert path.read_text() == ref_posterior_text(draws)
+
+
+@PROPS
+@given(st.integers(1, 4), st.integers(1, 8), st.data())
+def test_joint_and_observation_writers_match_reference(tmp_path, dim, n, data):
+    xs = np.array(data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    ids = data.draw(st.permutations(range(n)))
+    fileio.write_joint_file(tmp_path / "j.csv", ids, xs)
+    fileio.write_observation_file(tmp_path / "o.csv", ids, xs)
+    assert (tmp_path / "j.csv").read_text() == ref_dense_text(ids, xs, "theta")
+    assert (tmp_path / "o.csv").read_text() == ref_dense_text(ids, xs, "x")
+
+
+# --- the reader ----------------------------------------------------------------------
+
+def assert_same_posterior(new, ref):
+    assert list(new) == list(ref)  # same keys in the same order
+    assert all(same_array(new[k], ref[k]) for k in ref)
+
+
+@PROPS
+@given(ragged_draws(), st.integers(1, 7))
+def test_posterior_reader_matches_reference(tmp_path, draws, chunk):
+    path = tmp_path / "post.csv"
+    path.write_text(ref_posterior_text(draws))
+    with mock.patch.object(fileio, "_CHUNK_LINES", chunk):
+        new = outcome(fileio.read_posterior_file, path)
+    ref = outcome(ref_read_posterior, path)
+    assert new[0] == ref[0]
+    if ref[0] == "ok":
+        assert_same_posterior(new[1], ref[1])
+    else:
+        assert new[1] == ref[1]
+
+
+# kind -> (reader, reference reader), both called with (path, dim)
+READERS = {
+    "joint": (lambda p, d: fileio.read_joint_file(p), lambda p, d: ref_read_dense(p, "theta")),
+    "observation": (lambda p, d: fileio.read_observation_file(p), lambda p, d: ref_read_dense(p, "x")),
+    "posterior": (lambda p, d: fileio.read_posterior_file(p), lambda p, d: ref_read_posterior(p)),
+    "prior": (fileio.read_prior_file, ref_read_prior),
+}
+BAD_TOKENS = ["abc", "", " ", "nan", "inf", "-inf", "1e999", "3.0", "0x1", "1,2", " 4 ", "1_0", "+7", "-0"]
+
+
+@st.composite
+def table_with_faults(draw):
+    """Rows of a valid file of one kind, then zero to three faults or harmless
+    variations: a replaced token, a blank or whitespace-only line, a dropped or
+    extra column, a repeated sim_id, and CRLF line endings."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 14))
+    if kind == "posterior":
+        ids = [[str(draw(st.integers(0, 3))), str(j)] for j in range(n)]
+    elif kind == "prior":
+        ids = [[] for _ in range(n)]
+    else:
+        ids = [[str(i)] for i in draw(st.permutations(range(n)))]
+    rows = [ids[i] + [ref_format(draw(values)) for _ in range(dim)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["token", "blank", "columns", "repeat"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "token":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i] = rows[i][:j] + [draw(st.sampled_from(BAD_TOKENS))] + rows[i][j + 1:]
+        elif fault == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "   ", "\t"]))])
+        elif fault == "columns":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1.5"]
+        elif kind != "prior" and rows[i] and len(rows) > 1:
+            rows[i] = [rows[(i + 1) % len(rows)][0]] + rows[i][1:]
+    fixed = {"joint": "sim_id,", "observation": "sim_id,", "posterior": "sim_id,sample_id,"}
+    prefix = "x" if kind == "observation" else "theta"
+    lines = [fixed[kind] + ",".join(f"{prefix}_{d}" for d in range(dim))] if kind in fixed else []
+    lines += [",".join(r) for r in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return kind, dim, text
+
+
+@PROPS
+@given(table_with_faults(), st.integers(1, 5))
+def test_reader_errors_and_values_match_reference(tmp_path, case, chunk):
+    kind, dim, text = case
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(text.encode())
+    new_read, ref_read = READERS[kind]
+    with mock.patch.object(fileio, "_CHUNK_LINES", chunk):
+        new = outcome(new_read, path, dim)
+    ref = outcome(ref_read, path, dim)
+    assert new[0] == ref[0], (new, ref)
+    if ref[0] == "error":
+        assert new[1] == ref[1]
+    elif kind == "posterior":
+        assert_same_posterior(new[1], ref[1])
+    elif kind == "prior":
+        assert same_array(new[1], ref[1])
+    else:
+        assert all(same_array(a, b) for a, b in zip(new[1], ref[1]))
+
+
+@pytest.mark.parametrize("line, token, message", [
+    (9000, "oops", "non-numeric value"),
+    (8194, "nan", "non-finite value"),
+    (8193, "3.0", "sim_id must be an integer, got '3.0'"),
+])
+def test_error_past_the_first_chunk_names_its_line(tmp_path, line, token, message):
+    # a real-size file: the fault sits in the second chunk of 8192 lines
+    g = np.random.default_rng(0)
+    draws = {i: g.standard_normal((500, 3)) for i in range(20)}
+    lines = ref_posterior_text(draws).splitlines()
+    parts = lines[line - 1].split(",")
+    parts[0 if "sim_id" in message else 3] = token
+    lines[line - 1] = ",".join(parts)
+    path = tmp_path / "post.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as new:
+        fileio.read_posterior_file(path)
+    with pytest.raises(SchemaError) as ref:
+        ref_read_posterior(path)
+    assert (str(new.value), new.value.line) == (str(ref.value), ref.value.line)
+    assert new.value.line == line and str(new.value).endswith(message)
