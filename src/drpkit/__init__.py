@@ -32,7 +32,7 @@ from .coverage import (
     NormalizationMap,
     PosteriorSampler,
     PriorDraw,
-    RankStatistic,
+    RankTable,
     ReferencePolicy,
     SimulationError,
     UnitHypercubeUniform,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -278,11 +278,13 @@ def distances_to(metric: DistanceMetric, points: np.ndarray, ref: np.ndarray) ->
 # --- rank statistics ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class RankStatistic:
-    """Per-simulation rank fraction; theta_r is stored for DRP ranks only."""
+class RankTable:
+    """Rank fractions as arrays, one row per (simulation, repeat), in sim_id
+    order with repeats in order; ``theta_r`` (rows, D) holds the DRP reference
+    points and is None for HPD ranks."""
 
-    sim_id: int
-    f: float
+    sim_id: np.ndarray
+    f: np.ndarray
     theta_r: Optional[np.ndarray] = None
 
 
@@ -343,10 +345,10 @@ class CoverageCurve:
     n_sims: int
     n_post: int
     method: str
-    ranks: tuple
+    ranks: RankTable
 
     def rank_values(self) -> np.ndarray:
-        return np.array([r.f for r in self.ranks])
+        return self.ranks.f
 
     def in_band_fraction(self) -> float:
         """Fraction of grid levels where |ecp - c| is within the band half-width."""
@@ -366,27 +368,25 @@ class CoverageCurve:
         return float(np.max(np.abs(self.ecp - self.levels)[mask] / sigma[mask]))
 
 
-def ecp_curve(ranks: Sequence[RankStatistic], levels=None, n_post: int = 0,
+def ecp_curve(ranks: RankTable, levels=None, n_post: int = 0,
               n_sims: Optional[int] = None, method: str = "", band_z: float = 3.0) -> CoverageCurve:
     """Assemble a coverage curve: ecp(c) = #{f_i < c} / #ranks, with binomial band.
 
     ``n_sims`` defaults to the number of distinct sim_ids (repeat runs pool
     their ranks but do not shrink the band).
     """
-    ranks = tuple(ranks)
-    if not ranks:
+    if ranks.f.size == 0:
         raise ValueError("ecp_curve requires at least one rank")
     levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
     if levels.size == 0 or levels.min() < 0 or levels.max() > 1:
         raise ValueError("levels must be a nonempty grid within [0, 1]")
-    f = np.sort(np.array([r.f for r in ranks]))
+    f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
     if n_sims is None:
-        n_sims = len({r.sim_id for r in ranks})
+        n_sims = np.unique(ranks.sim_id).size
     band = binomial_band(levels, n_sims, z=band_z)
-    ordered = tuple(sorted(ranks, key=lambda r: (r.sim_id,)))
     return CoverageCurve(levels=levels, ecp=ecp, band=band, n_sims=int(n_sims),
-                         n_post=int(n_post), method=method, ranks=ordered)
+                         n_post=int(n_post), method=method, ranks=ranks)
 
 
 # --- the two tests ---------------------------------------------------------------
@@ -395,26 +395,65 @@ _POST_TAG = "posterior"
 _REF_TAG = "reference"
 
 
-def _posterior_draws(sampler, x, n_post, rng, dim, sim_id):
-    samples = np.asarray(sampler.sample(x, n_post, rng), dtype=float)
-    if samples.shape != (n_post, dim):
-        raise SimulationError(sim_id, f"sampler returned shape {samples.shape}, expected {(n_post, dim)}")
-    if not np.all(np.isfinite(samples)):
-        raise SimulationError(sim_id, "sampler returned non-finite draws")
-    return samples
+def _rank_table(dataset: JointSampleSet, draws, rank, on_draws=None) -> RankTable:
+    """The per-simulation loop of every test, run in sim_id order.
+
+    ``draws(i, sid)`` gives simulation i's (n, D) draws and ``rank(i, samples)``
+    one (f, theta_r) pair per repeat. Errors are re-raised as SimulationError.
+    """
+
+    def one_sim(i):
+        sid = int(dataset.sim_ids[i])
+        try:
+            samples = draws(i, sid)
+            if on_draws is not None:
+                on_draws(sid, samples)
+            return rank(i, samples)
+        except SimulationError:
+            raise
+        except Exception as e:
+            raise SimulationError(sid, str(e)) from e
+
+    with single_thread_blas():
+        per_sim = parallel_map(one_sim, np.argsort(dataset.sim_ids))
+    f, theta_r = zip(*[pair for pairs in per_sim for pair in pairs])
+    return RankTable(sim_id=np.repeat(np.arange(dataset.n_sims), [len(p) for p in per_sim]),
+                     f=np.array(f), theta_r=None if theta_r[0] is None else np.array(theta_r))
 
 
-def _drp_sim_ranks(samples, dataset, i, policy, metric, nmap, root, repeats):
-    sid = int(dataset.sim_ids[i])
-    x = dataset.observations[i]
-    norm_samples = nmap.apply(samples)
-    norm_truth = nmap.apply(dataset.theta_true[i])
-    out = []
-    for r in range(repeats):
-        theta_r = sample_reference(policy, x, nmap.dim, root.substream(_REF_TAG, r, sid), nmap)
-        f = drp_rank(norm_samples, norm_truth, theta_r, metric)
-        out.append(RankStatistic(sim_id=sid, f=f, theta_r=theta_r))
-    return out
+def _sampler_draws(dataset: JointSampleSet, sampler, n_post: int, root: SeededRng):
+    """Draw source: n_post draws per simulation from its "posterior" substream."""
+    shape = (n_post, dataset.dim_theta)
+
+    def draws(i, sid):
+        samples = np.asarray(sampler.sample(dataset.observations[i], n_post,
+                                            root.substream(_POST_TAG, sid)), dtype=float)
+        if samples.shape != shape:
+            raise SimulationError(sid, f"sampler returned shape {samples.shape}, expected {shape}")
+        if not np.all(np.isfinite(samples)):
+            raise SimulationError(sid, "sampler returned non-finite draws")
+        return samples
+
+    return draws
+
+
+def _drp_ranker(dataset: JointSampleSet, policy, metric, bounds, root: SeededRng, repeats: int):
+    """Ranker: per repeat r, a reference point from substream ("reference", r,
+    sim_id) and the DRP rank, all in normalized coordinates."""
+    nmap = fit_normalization(dataset, bounds)
+
+    def rank(i, samples):
+        sid = int(dataset.sim_ids[i])
+        norm_samples = nmap.apply(samples)
+        norm_truth = nmap.apply(dataset.theta_true[i])
+        out = []
+        for r in range(repeats):
+            theta_r = sample_reference(policy, dataset.observations[i], nmap.dim,
+                                       root.substream(_REF_TAG, r, sid), nmap)
+            out.append((drp_rank(norm_samples, norm_truth, theta_r, metric), theta_r))
+        return out
+
+    return rank
 
 
 def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
@@ -437,26 +476,10 @@ def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
         raise ValueError(f"n_post must be >= 1, got {n_post}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    nmap = fit_normalization(dataset, bounds)
     root = SeededRng(seed)
-    dim = dataset.dim_theta
-
-    def one_sim(i):
-        sid = int(dataset.sim_ids[i])
-        try:
-            samples = _posterior_draws(sampler, dataset.observations[i], n_post,
-                                       root.substream(_POST_TAG, sid), dim, sid)
-            if on_draws is not None:
-                on_draws(sid, samples)
-            return _drp_sim_ranks(samples, dataset, i, policy, metric, nmap, root, repeats)
-        except SimulationError:
-            raise
-        except Exception as e:
-            raise SimulationError(sid, str(e)) from e
-
-    with single_thread_blas():
-        ranks = [r for sim_ranks in parallel_map(one_sim, range(dataset.n_sims)) for r in sim_ranks]
-    return ecp_curve(ranks, levels, n_post=n_post, n_sims=dataset.n_sims,
+    table = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, root),
+                        _drp_ranker(dataset, policy, metric, bounds, root, repeats), on_draws)
+    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
                      method="drp", band_z=band_z)
 
 
@@ -474,27 +497,21 @@ def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    nmap = fit_normalization(dataset, bounds)
-    root = SeededRng(seed)
     dim = dataset.dim_theta
 
-    def one_sim(i):
-        sid = int(dataset.sim_ids[i])
-        try:
-            samples = np.atleast_2d(np.asarray(samples_by_sim[sid], dtype=float))
-            if samples.shape[0] < 1 or samples.shape[1] != dim:
-                raise ValueError(f"samples for sim {sid} have shape {samples.shape}, expected (n, {dim})")
-            return _drp_sim_ranks(samples, dataset, i, policy, metric, nmap, root, repeats)
-        except SimulationError:
-            raise
-        except Exception as e:
-            raise SimulationError(sid, str(e)) from e
+    def draws(i, sid):
+        if sid not in samples_by_sim:
+            raise ValueError("no posterior samples")
+        samples = np.atleast_2d(np.asarray(samples_by_sim[sid], dtype=float))
+        if samples.shape[0] < 1 or samples.shape[1] != dim:
+            raise ValueError(f"samples for sim {sid} have shape {samples.shape}, expected (n, {dim})")
+        return samples
 
-    with single_thread_blas():
-        ranks = [r for sim_ranks in parallel_map(one_sim, range(dataset.n_sims)) for r in sim_ranks]
+    table = _rank_table(dataset, draws,
+                        _drp_ranker(dataset, policy, metric, bounds, SeededRng(seed), repeats))
     counts = {np.atleast_2d(np.asarray(samples_by_sim[int(s)])).shape[0] for s in dataset.sim_ids}
     n_post = counts.pop() if len(counts) == 1 else 0
-    return ecp_curve(ranks, levels, n_post=n_post, n_sims=dataset.n_sims,
+    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
                      method="drp", band_z=band_z)
 
 
@@ -511,28 +528,15 @@ def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
         raise DensityUnavailableError(
             f"{type(sampler).__name__} does not expose log_density, required for the HPD test"
         )
-    root = SeededRng(seed)
-    dim = dataset.dim_theta
 
-    def one_sim(i):
-        sid = int(dataset.sim_ids[i])
+    def rank(i, samples):
         x = dataset.observations[i]
-        try:
-            samples = _posterior_draws(sampler, x, n_post, root.substream(_POST_TAG, sid), dim, sid)
-            if on_draws is not None:
-                on_draws(sid, samples)
-            log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
-            log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-            f = hpd_rank(log_dens, log_truth, log_scale=True)
-            return RankStatistic(sim_id=sid, f=f)
-        except SimulationError:
-            raise
-        except Exception as e:
-            raise SimulationError(sid, str(e)) from e
+        log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
+        log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
+        return [(hpd_rank(log_dens, log_truth, log_scale=True), None)]
 
-    with single_thread_blas():
-        ranks = parallel_map(one_sim, range(dataset.n_sims))
-    return ecp_curve(ranks, levels, n_post=n_post, n_sims=dataset.n_sims,
+    table = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, SeededRng(seed)), rank, on_draws)
+    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
                      method="hpd", band_z=band_z)
 
 
@@ -570,12 +574,13 @@ def region_membership_ecp(dataset: JointSampleSet, sampler, *, method: str, n_po
     nmap = fit_normalization(dataset, bounds) if method == "drp" else None
     root = SeededRng(seed)
     dim = dataset.dim_theta
+    draws = _sampler_draws(dataset, sampler, n_post, root)
     covered = np.zeros((dataset.n_sims, levels.size))
 
     for i in range(dataset.n_sims):
         sid = int(dataset.sim_ids[i])
         x = dataset.observations[i]
-        samples = _posterior_draws(sampler, x, n_post, root.substream(_POST_TAG, sid), dim, sid)
+        samples = draws(i, sid)
         if method == "drp":
             theta_r = sample_reference(policy, x, dim, root.substream(_REF_TAG, 0, sid), nmap)
             d = np.sort(distances_to(metric, nmap.apply(samples), theta_r))

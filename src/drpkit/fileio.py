@@ -156,10 +156,13 @@ def write_joint_file(path, sim_ids, thetas):
 
 
 def write_posterior_file(path, samples_by_sim: dict):
-    """``samples_by_sim`` maps sim_id -> (n_i, D) array."""
+    """``samples_by_sim`` maps sim_id -> (n_i, D) array, with one D for all."""
     if not samples_by_sim:
         raise ValueError("no simulations to write")
-    dim = np.shape(next(iter(samples_by_sim.values())))[1]
+    (first, dim), *rest = ((sid, np.shape(s)[1]) for sid, s in samples_by_sim.items())
+    for sid, d in rest:
+        if d != dim:
+            raise ValueError(f"samples for sim_id {sid} have dimension {d}, sim_id {first} has {dim}")
     blocks = ((sid, np.column_stack([np.arange(len(samples_by_sim[sid])), samples_by_sim[sid]]))
               for sid in sorted(samples_by_sim))
     _write_table(path, ["sim_id", "sample_id"] + _theta_header(dim), blocks)
@@ -251,15 +254,13 @@ def _raise_first_error(path, ln, lines, fixed, dim, seen):
 def _read_table(path, fixed, prefix, dim=None, unique=False):
     """Read rows of the integer ``fixed`` columns, then D floats, into (the
     first id column, a (rows, D) array). D comes from a header naming the
-    ``prefix``_d columns; with no ``prefix`` the file is headerless, D is
-    ``dim`` and blank lines are not numbered. ``unique`` forbids repeated ids."""
+    ``prefix``_d columns; with no ``prefix`` the file is headerless and D is
+    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated ids."""
     with open(path) as fh:
         # the lines str.splitlines() gives, about _CHUNK_LINES at a time
         chunks = map(str.splitlines, iter(lambda: "".join(itertools.islice(fh, _CHUNK_LINES)), ""))
         ln = 1
-        if prefix is None:
-            chunks = (list(filter(str.strip, lines)) for lines in chunks)
-        else:
+        if prefix is not None:
             first = next(chunks, None)
             if not first:
                 raise SchemaError(path, 1, "empty file")
@@ -315,7 +316,7 @@ def read_observation_file(path, n_sims: Optional[int] = None):
 
 def read_prior_file(path, dim: int):
     """Returns the (rows, dim) draws of a headerless file, one per line;
-    error line numbers do not count blank lines."""
+    error line numbers count blank lines, as in the other sample files."""
     _, rows = _read_table(path, (), None, dim)
     if not len(rows):
         raise SchemaError(path, 1, "empty prior-draw file")

@@ -17,8 +17,10 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 try:
     from threadpoolctl import threadpool_limits as _threadpool_limits
@@ -27,6 +29,7 @@ except ImportError:  # pragma: no cover
 
 _U64 = 1 << 64
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 def single_thread_blas():
@@ -93,87 +96,34 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def _norm_sf(x: float) -> float:
-    # survival function 1 - cdf(x), computed without cancellation
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _solve_sf(q: float) -> float:
-    # root of sf(x) = q on [0, 40] for q <= 0.5: safeguarded Newton, falling
-    # back to bisection whenever the Newton step leaves the bracket
-    lo, hi = 0.0, 40.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        s = _norm_sf(x)
-        if s > q:
-            lo = x
-        elif s < q:
-            hi = x
-        else:
-            return x
-        pdf = _norm_pdf(x)
-        if s > 0.0 and pdf > 1e-300:
-            # Newton on log sf: quadratic on the exponential tail, and equal
-            # to plain Newton to first order near the center
-            x_new = x + (math.log(s) - math.log(q)) * s / pdf
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 5e-16 * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    return x
-
-
 def norm_isf(p: float) -> float:
-    """Standard normal inverse survival function.
-
-    Solves sf(x) = p by safeguarded Newton with a bisection bracket, using the
-    symmetry isf(p) = -isf(1 - p) for p > 1/2. Only defined for 0 < p < 1; the
-    endpoints are infinite limits.
+    """Standard normal inverse survival function, -cdf^-1(p) by the stdlib's
+    NormalDist. Only defined for 0 < p < 1; the endpoints are infinite limits.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"norm_isf requires 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -_solve_sf(1.0 - p)
-    return _solve_sf(p)
+    return -_STD_NORMAL.inv_cdf(p)
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
-    Unblocked outer-product algorithm; raises :class:`DecompositionError` with
-    the failing pivot index when the matrix is not positive definite. Input
-    must be square, finite, and symmetric to within 1e-9 relative.
+    LAPACK's dpotrf; raises :class:`DecompositionError` with the failing pivot
+    index when the matrix is not positive definite. Input must be square,
+    finite, and symmetric to within 1e-9 relative.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"cholesky requires a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("cholesky requires finite entries")
-    n = a.shape[0]
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-9 * scale:
         raise ValueError("cholesky requires a symmetric matrix (1e-9 relative)")
-
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if not d > 0.0:
-            raise DecompositionError(
-                f"matrix is not positive definite: pivot {j} is {d:.6g}", pivot=j
-            )
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    L, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise DecompositionError(f"matrix is not positive definite: pivot {info - 1}", pivot=info - 1)
     return L
 
 

@@ -275,8 +275,8 @@ def test_criterion_09_determinism_and_order(tmp_path):
                         bounds=config.theta_bounds)
     order_free = bool(
         np.array_equal(base.ecp, shuffled.ecp)
-        and [r.sim_id for r in base.ranks] == [r.sim_id for r in shuffled.ranks]
-        and [r.f for r in base.ranks] == [r.f for r in shuffled.ranks]
+        and np.array_equal(base.ranks.sim_id, shuffled.ranks.sim_id)
+        and np.array_equal(base.ranks.f, shuffled.ranks.f)
     )
     ok = same_bytes and order_free
     assert report(9, "determinism and order-independence", ok,

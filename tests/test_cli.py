@@ -273,7 +273,7 @@ class TestCoverageCommand:
                    "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 0
 
     @pytest.mark.parametrize("text, where", [
-        ("0.0,0.0\n\n1.0,abc\n", ":2: non-numeric value"),  # blank lines are not numbered
+        ("0.0,0.0\n\n1.0,abc\n", ":3: non-numeric value"),  # blank lines are numbered
         ("0.0,0.0\n1.0,inf\n", ":2: non-finite value"),
         ("0.0\n", ":1: expected 2 columns, got 1"),
         ("\n  \n", ":1: empty prior-draw file"),

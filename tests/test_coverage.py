@@ -12,7 +12,7 @@ from drpkit.coverage import (
     NormalizationError,
     PosteriorSampler,
     PriorDraw,
-    RankStatistic,
+    RankTable,
     SimulationError,
     UnitHypercubeUniform,
     WeightedEuclidean,
@@ -241,7 +241,7 @@ class TestHpdRank:
 
 
 def ranks_from(values):
-    return [RankStatistic(sim_id=i, f=v) for i, v in enumerate(values)]
+    return RankTable(sim_id=np.arange(len(values)), f=np.asarray(values, dtype=float))
 
 
 class TestEcpCurve:
@@ -277,7 +277,7 @@ class TestEcpCurve:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ecp_curve([], n_post=10)
+            ecp_curve(ranks_from([]), n_post=10)
 
     def test_default_grid(self):
         levels = default_levels()
@@ -334,8 +334,8 @@ class TestDrpTest:
         a = drp_test(ds, GaussianSampler(), n_post=40, seed=9)
         b = drp_test(ds, GaussianSampler(), n_post=40, seed=9)
         assert np.array_equal(a.ecp, b.ecp)
-        assert all(x.f == y.f and np.array_equal(x.theta_r, y.theta_r)
-                   for x, y in zip(a.ranks, b.ranks))
+        assert np.array_equal(a.ranks.f, b.ranks.f)
+        assert np.array_equal(a.ranks.theta_r, b.ranks.theta_r)
 
     def test_order_independence(self):
         ds = optimal_gaussian_setup(50, seed=2)
@@ -343,8 +343,8 @@ class TestDrpTest:
         a = drp_test(ds, GaussianSampler(), n_post=40, seed=9)
         b = drp_test(ds.permuted(perm), GaussianSampler(), n_post=40, seed=9)
         assert np.array_equal(a.ecp, b.ecp)
-        assert [r.sim_id for r in a.ranks] == [r.sim_id for r in b.ranks]
-        assert [r.f for r in a.ranks] == [r.f for r in b.ranks]
+        assert np.array_equal(a.ranks.sim_id, b.ranks.sim_id)
+        assert np.array_equal(a.ranks.f, b.ranks.f)
 
     def test_scheduling_invariance(self, monkeypatch):
         ds = optimal_gaussian_setup(40, seed=3)
@@ -371,7 +371,7 @@ class TestDrpTest:
     def test_repeats_pool_ranks(self):
         ds = optimal_gaussian_setup(30, seed=4)
         curve = drp_test(ds, GaussianSampler(), n_post=20, seed=6, repeats=3)
-        assert len(curve.ranks) == 90
+        assert curve.ranks.f.size == 90
         assert curve.n_sims == 30
         f = np.sort(curve.rank_values())
         assert np.array_equal(curve.ecp, np.searchsorted(f, curve.levels, side="left") / 90)
@@ -395,6 +395,14 @@ class TestDrpTest:
         pre = drp_test_precomputed(ds, draws, seed=42)
         assert np.array_equal(live.ecp, pre.ecp)
         assert pre.n_post == 15
+
+    def test_precomputed_names_the_missing_simulation(self):
+        ds = optimal_gaussian_setup(5, seed=6)
+        draws = {s: np.zeros((4, 1)) for s in (0, 1, 2, 4)}
+        with pytest.raises(SimulationError) as err:
+            drp_test_precomputed(ds, draws, seed=42)
+        assert str(err.value) == "simulation 3: no posterior samples"
+        assert err.value.sim_id == 3
 
 
 class TestHpdTest:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from drpkit.coverage import RankStatistic, default_levels, ecp_curve
+from drpkit.coverage import RankTable, default_levels, ecp_curve
 from drpkit.fileio import (
     SchemaError,
     read_coverage_csv,
@@ -26,7 +26,7 @@ from drpkit.numerics import SeededRng
 
 def sample_curve(n=40, seed=5):
     g = SeededRng(seed).generator()
-    ranks = [RankStatistic(sim_id=i, f=v) for i, v in enumerate(g.uniform(size=n))]
+    ranks = RankTable(sim_id=np.arange(n), f=g.uniform(size=n))
     return ecp_curve(ranks, n_post=25, method="drp")
 
 
@@ -117,6 +117,21 @@ class TestSampleFiles:
         with pytest.raises(ValueError, match="no simulations to write"):
             write_posterior_file(tmp_path / "post.csv", {})
         assert list(tmp_path.iterdir()) == []
+
+    def test_write_posterior_file_rejects_mixed_dimensions(self, tmp_path):
+        path = tmp_path / "post.csv"
+        mixed = {0: np.zeros((1, 2)), 1: np.ones((1, 3))}
+        with pytest.raises(ValueError) as err:
+            write_posterior_file(path, mixed)
+        assert str(err.value) == "samples for sim_id 1 have dimension 3, sim_id 0 has 2"
+        assert list(tmp_path.iterdir()) == []
+        # an existing file is left as it was
+        write_posterior_file(path, {0: np.zeros((1, 2))})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="sim_id 1 have dimension 3"):
+            write_posterior_file(path, mixed)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_posterior_missing_sim(self, tmp_path):
         g = SeededRng(5).generator()

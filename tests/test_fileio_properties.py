@@ -110,15 +110,17 @@ def ref_read_posterior(path):
 
 def ref_read_prior(path, dim):
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise SchemaError(path, 1, "empty prior-draw file")
+        lines = fh.read().splitlines()
     rows = []
     for ln, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
         parts = raw.split(",")
         if len(parts) != dim:
             raise SchemaError(path, ln, f"expected {dim} columns, got {len(parts)}")
         rows.append(ref_floats(path, ln, parts))
+    if not rows:
+        raise SchemaError(path, 1, "empty prior-draw file")
     return np.stack(rows)
 
 
@@ -229,13 +231,15 @@ def table_with_faults(draw):
         fault = draw(st.sampled_from(["token", "blank", "columns", "repeat"]))
         i = draw(st.integers(0, len(rows) - 1))
         if fault == "token":
+            if not rows[i]:  # a dropped column can leave a row with no token to replace
+                continue
             j = draw(st.integers(0, len(rows[i]) - 1))
             rows[i] = rows[i][:j] + [draw(st.sampled_from(BAD_TOKENS))] + rows[i][j + 1:]
         elif fault == "blank":
             rows.insert(i, [draw(st.sampled_from(["", "   ", "\t"]))])
         elif fault == "columns":
             rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1.5"]
-        elif kind != "prior" and rows[i] and len(rows) > 1:
+        elif kind != "prior" and rows[i] and len(rows) > 1 and rows[(i + 1) % len(rows)]:
             rows[i] = [rows[(i + 1) % len(rows)][0]] + rows[i][1:]
     fixed = {"joint": "sim_id,", "observation": "sim_id,", "posterior": "sim_id,sample_id,"}
     prefix = "x" if kind == "observation" else "theta"
