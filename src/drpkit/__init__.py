@@ -26,7 +26,9 @@ from .coverage import (
     DataShift,
     DensityUnavailableError,
     DistanceMetric,
+    DrpSpec,
     Euclidean,
+    HpdSpec,
     JointSampleSet,
     NormalizationError,
     NormalizationMap,
@@ -37,6 +39,7 @@ from .coverage import (
     SimulationError,
     UnitHypercubeUniform,
     WeightedEuclidean,
+    coverage_tests,
     default_levels,
     drp_rank,
     drp_test,

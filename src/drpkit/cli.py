@@ -30,14 +30,16 @@ from .benchmarks import (
 )
 from .coverage import (
     DataShift,
+    DrpSpec,
     Euclidean,
+    HpdSpec,
     JointSampleSet,
     PriorDraw,
     UnitHypercubeUniform,
     WeightedEuclidean,
+    coverage_tests,
     drp_test,
     drp_test_precomputed,
-    hpd_test,
 )
 from .fileio import (
     read_joint_file,
@@ -147,22 +149,16 @@ def _run_toy(args, parser) -> int:
     config = ToyConfig(dim=args.dim, n_sims=args.n_sims, case=_TOY_CASE_FLAGS[args.case])
     _prepare_out(args, {"case_internal": config.case, "theta_bounds": config.theta_bounds})
     dataset, sampler = generate_toy(config, seed=args.seed)
-    bounds = config.theta_bounds
-    # both tests draw from the same per-simulation substreams, so the dump keeps
-    # the draws they rank instead of sampling again
+    # one sampling pass feeds every test, and the dump keeps the draws they rank
     draws = {}
-    on_draws = draws.__setitem__ if args.dump_samples else None
-
-    if "drp" in methods:
-        policy = UnitHypercubeUniform() if args.ref_policy == "hypercube" else toy_prior_policy(config)
-        curve = drp_test(dataset, sampler, n_post=args.n_post, policy=policy,
-                         seed=args.seed, bounds=bounds, repeats=args.repeats, on_draws=on_draws)
-        write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,
-                           policy=args.ref_policy, metric="euclidean")
-    if "hpd" in methods:
-        curve = hpd_test(dataset, sampler, n_post=args.n_post, seed=args.seed, on_draws=on_draws)
-        write_coverage_csv(os.path.join(args.out, "hpd.csv"), curve, seed=args.seed,
-                           policy="", metric="")
+    policy = UnitHypercubeUniform() if args.ref_policy == "hypercube" else toy_prior_policy(config)
+    specs = {"drp": DrpSpec(policy, bounds=config.theta_bounds, repeats=args.repeats), "hpd": HpdSpec()}
+    labels = {"drp": {"policy": args.ref_policy, "metric": "euclidean"}, "hpd": {}}
+    names = [m for m in specs if m in methods]
+    curves = coverage_tests(dataset, sampler, [specs[m] for m in names], n_post=args.n_post,
+                            seed=args.seed, on_draws=draws.__setitem__ if args.dump_samples else None)
+    for name, curve in zip(names, curves):
+        write_coverage_csv(os.path.join(args.out, f"{name}.csv"), curve, seed=args.seed, **labels[name])
 
     if args.dump_samples:
         write_joint_file(os.path.join(args.out, "toy_joint.csv"),
@@ -182,16 +178,14 @@ def _run_uninformative(args, parser) -> int:
     dataset, _ = generate_conjugate(config, seed=args.seed)
     sampler = UninformativeSampler(config)
 
-    curve = hpd_test(dataset, sampler, n_post=args.n_post, seed=args.seed)
-    write_coverage_csv(os.path.join(args.out, "hpd.csv"), curve, seed=args.seed)
-    curve = drp_test(dataset, sampler, n_post=args.n_post,
-                     policy=conjugate_prior_policy(config), seed=args.seed)
-    write_coverage_csv(os.path.join(args.out, "drp-prior.csv"), curve, seed=args.seed,
-                       policy="prior", metric="euclidean")
-    curve = drp_test(dataset, sampler, n_post=args.n_post,
-                     policy=conjugate_datashift_policy(), seed=args.seed)
-    write_coverage_csv(os.path.join(args.out, "drp-datashift.csv"), curve, seed=args.seed,
-                       policy="datashift:0,1", metric="euclidean")
+    # file: (test, policy label, metric label); one sampling pass feeds all three
+    outputs = {"hpd.csv": (HpdSpec(), "", ""),
+               "drp-prior.csv": (DrpSpec(conjugate_prior_policy(config)), "prior", "euclidean"),
+               "drp-datashift.csv": (DrpSpec(conjugate_datashift_policy()), "datashift:0,1", "euclidean")}
+    curves = coverage_tests(dataset, sampler, [spec for spec, _, _ in outputs.values()],
+                            n_post=args.n_post, seed=args.seed)
+    for (name, (_, policy, metric)), curve in zip(outputs.items(), curves):
+        write_coverage_csv(os.path.join(args.out, name), curve, seed=args.seed, policy=policy, metric=metric)
     return 0
 
 

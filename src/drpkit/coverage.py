@@ -395,11 +395,27 @@ _POST_TAG = "posterior"
 _REF_TAG = "reference"
 
 
-def _rank_table(dataset: JointSampleSet, draws, rank, on_draws=None) -> RankTable:
+@dataclass(frozen=True)
+class DrpSpec:
+    """A DRP test for :func:`coverage_tests`; fields as in :func:`drp_test`."""
+
+    policy: ReferencePolicy = UnitHypercubeUniform()
+    metric: DistanceMetric = Euclidean()
+    bounds: object = None
+    repeats: int = 1
+
+
+@dataclass(frozen=True)
+class HpdSpec:
+    """An HPD test for :func:`coverage_tests`; needs sampler.log_density."""
+
+
+def _rank_table(dataset: JointSampleSet, draws, rankers, on_draws=None) -> list:
     """The per-simulation loop of every test, run in sim_id order.
 
-    ``draws(i, sid)`` gives simulation i's (n, D) draws and ``rank(i, samples)``
-    one (f, theta_r) pair per repeat. Errors are re-raised as SimulationError.
+    ``draws(i, sid)`` gives simulation i's (n, D) draws and each ranker's
+    ``rank(i, samples)`` one (f, theta_r) pair per repeat, one RankTable per
+    ranker. Draws are dropped once ranked. Errors are re-raised as SimulationError.
     """
 
     def one_sim(i):
@@ -408,7 +424,7 @@ def _rank_table(dataset: JointSampleSet, draws, rank, on_draws=None) -> RankTabl
             samples = draws(i, sid)
             if on_draws is not None:
                 on_draws(sid, samples)
-            return rank(i, samples)
+            return [rank(i, samples) for rank in rankers]
         except SimulationError:
             raise
         except Exception as e:
@@ -416,9 +432,13 @@ def _rank_table(dataset: JointSampleSet, draws, rank, on_draws=None) -> RankTabl
 
     with single_thread_blas():
         per_sim = parallel_map(one_sim, np.argsort(dataset.sim_ids))
-    f, theta_r = zip(*[pair for pairs in per_sim for pair in pairs])
-    return RankTable(sim_id=np.repeat(np.arange(dataset.n_sims), [len(p) for p in per_sim]),
-                     f=np.array(f), theta_r=None if theta_r[0] is None else np.array(theta_r))
+    tables = []
+    for per_test in zip(*per_sim):
+        f, theta_r = zip(*[pair for pairs in per_test for pair in pairs])
+        tables.append(RankTable(
+            sim_id=np.repeat(np.arange(dataset.n_sims), [len(p) for p in per_test]),
+            f=np.array(f), theta_r=None if theta_r[0] is None else np.array(theta_r)))
+    return tables
 
 
 def _sampler_draws(dataset: JointSampleSet, sampler, n_post: int, root: SeededRng):
@@ -437,23 +457,73 @@ def _sampler_draws(dataset: JointSampleSet, sampler, n_post: int, root: SeededRn
     return draws
 
 
-def _drp_ranker(dataset: JointSampleSet, policy, metric, bounds, root: SeededRng, repeats: int):
+def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     """Ranker: per repeat r, a reference point from substream ("reference", r,
     sim_id) and the DRP rank, all in normalized coordinates."""
-    nmap = fit_normalization(dataset, bounds)
+    if spec.repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
+    nmap = fit_normalization(dataset, spec.bounds)
 
     def rank(i, samples):
         sid = int(dataset.sim_ids[i])
         norm_samples = nmap.apply(samples)
         norm_truth = nmap.apply(dataset.theta_true[i])
         out = []
-        for r in range(repeats):
-            theta_r = sample_reference(policy, dataset.observations[i], nmap.dim,
+        for r in range(spec.repeats):
+            theta_r = sample_reference(spec.policy, dataset.observations[i], nmap.dim,
                                        root.substream(_REF_TAG, r, sid), nmap)
-            out.append((drp_rank(norm_samples, norm_truth, theta_r, metric), theta_r))
+            out.append((drp_rank(norm_samples, norm_truth, theta_r, spec.metric), theta_r))
         return out
 
     return rank
+
+
+def _hpd_ranker(dataset: JointSampleSet, sampler):
+    """Ranker: the truth's log density against the draws' log densities."""
+    if not has_density(sampler):
+        raise DensityUnavailableError(f"{type(sampler).__name__} does not expose log_density, "
+                                      "required for the HPD test")
+
+    def rank(i, samples):
+        x = dataset.observations[i]
+        log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
+        log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
+        return [(hpd_rank(log_dens, log_truth, log_scale=True), None)]
+
+    return rank
+
+
+def coverage_tests(dataset: JointSampleSet, sampler, tests, *, n_post: int, levels=None,
+                   seed: int = 0, band_z: float = 3.0, on_draws=None) -> list:
+    """Several coverage tests on one sampling pass: one curve per spec in ``tests``.
+
+    Per simulation i (keyed by its sim_id): n_post posterior draws from a
+    dedicated substream, ranked by every test, then dropped. A DRP test draws
+    one reference point per repeat from another substream, normalizes all
+    points through one map and ranks by distance. Each curve is deterministic
+    given the seed, invariant to simulation order and scheduling, and the same
+    as its drp_test or hpd_test call alone. Every argument is checked before the
+    first draw. ``on_draws(sim_id, draws)``, if given, gets each simulation's raw
+    (n_post, D) draws once, so callers can keep them without sampling again;
+    under DRPKIT_THREADS it runs on worker threads, in no fixed order.
+    """
+    if n_post < 1:
+        raise ValueError(f"n_post must be >= 1, got {n_post}")
+    if not tests:
+        raise ValueError("tests must hold at least one DrpSpec or HpdSpec")
+    root = SeededRng(seed)
+    rankers = []
+    for spec in tests:
+        if isinstance(spec, DrpSpec):
+            rankers.append(_drp_ranker(dataset, spec, root))
+        elif isinstance(spec, HpdSpec):
+            rankers.append(_hpd_ranker(dataset, sampler))
+        else:
+            raise TypeError(f"unknown coverage test {type(spec).__name__}")
+    tables = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, root), rankers, on_draws)
+    return [ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims, band_z=band_z,
+                      method="drp" if isinstance(spec, DrpSpec) else "hpd")
+            for table, spec in zip(tables, tests)]
 
 
 def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
@@ -461,26 +531,11 @@ def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
              metric: DistanceMetric = Euclidean(),
              levels=None, seed: int = 0, bounds=None, repeats: int = 1,
              band_z: float = 3.0, on_draws=None) -> CoverageCurve:
-    """Distance-to-random-point coverage test over a validation set.
-
-    Per simulation i (keyed by its sim_id): n_post posterior draws from a
-    dedicated substream, one reference point per repeat from another, all
-    normalized through the same map, ranked by distance. Deterministic given
-    the seed and invariant to simulation order and scheduling.
-
-    ``on_draws(sim_id, draws)``, when given, is called with each simulation's
-    raw (n_post, D) draws, so callers can keep them without sampling again.
-    Under DRPKIT_THREADS it runs on worker threads, in no fixed order.
-    """
-    if n_post < 1:
-        raise ValueError(f"n_post must be >= 1, got {n_post}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    root = SeededRng(seed)
-    table = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, root),
-                        _drp_ranker(dataset, policy, metric, bounds, root, repeats), on_draws)
-    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
-                     method="drp", band_z=band_z)
+    """Distance-to-random-point coverage test over a validation set: the
+    one-test case of :func:`coverage_tests`, which describes it."""
+    return coverage_tests(dataset, sampler, [DrpSpec(policy, metric, bounds, repeats)],
+                          n_post=n_post, levels=levels, seed=seed, band_z=band_z,
+                          on_draws=on_draws)[0]
 
 
 def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
@@ -495,8 +550,6 @@ def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
     the same curve bit for bit. Per-sim sample counts may differ; the curve's
     n_post records the common count, or 0 when counts are mixed.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     dim = dataset.dim_theta
 
     def draws(i, sid):
@@ -507,8 +560,8 @@ def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
             raise ValueError(f"samples for sim {sid} have shape {samples.shape}, expected (n, {dim})")
         return samples
 
-    table = _rank_table(dataset, draws,
-                        _drp_ranker(dataset, policy, metric, bounds, SeededRng(seed), repeats))
+    ranker = _drp_ranker(dataset, DrpSpec(policy, metric, bounds, repeats), SeededRng(seed))
+    [table] = _rank_table(dataset, draws, [ranker])
     counts = {np.atleast_2d(np.asarray(samples_by_sim[int(s)])).shape[0] for s in dataset.sim_ids}
     n_post = counts.pop() if len(counts) == 1 else 0
     return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
@@ -517,27 +570,10 @@ def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
              levels=None, seed: int = 0, band_z: float = 3.0, on_draws=None) -> CoverageCurve:
-    """Highest-posterior-density coverage test; requires sampler.log_density.
-
-    Draws from the same substreams as drp_test, and ``on_draws`` is called as
-    drp_test calls it.
-    """
-    if n_post < 1:
-        raise ValueError(f"n_post must be >= 1, got {n_post}")
-    if not has_density(sampler):
-        raise DensityUnavailableError(
-            f"{type(sampler).__name__} does not expose log_density, required for the HPD test"
-        )
-
-    def rank(i, samples):
-        x = dataset.observations[i]
-        log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
-        log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-        return [(hpd_rank(log_dens, log_truth, log_scale=True), None)]
-
-    table = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, SeededRng(seed)), rank, on_draws)
-    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
-                     method="hpd", band_z=band_z)
+    """Highest-posterior-density coverage test; requires sampler.log_density. The
+    one-test case of :func:`coverage_tests`, on the same draws as drp_test."""
+    return coverage_tests(dataset, sampler, [HpdSpec()], n_post=n_post, levels=levels,
+                          seed=seed, band_z=band_z, on_draws=on_draws)[0]
 
 
 # --- region-membership oracle -----------------------------------------------------

@@ -159,6 +159,9 @@ def write_posterior_file(path, samples_by_sim: dict):
     """``samples_by_sim`` maps sim_id -> (n_i, D) array, with one D for all."""
     if not samples_by_sim:
         raise ValueError("no simulations to write")
+    for sid, s in samples_by_sim.items():
+        if np.ndim(s) != 2:
+            raise ValueError(f"samples for sim_id {sid} have shape {np.shape(s)}, expected (n, D)")
     (first, dim), *rest = ((sid, np.shape(s)[1]) for sid, s in samples_by_sim.items())
     for sid, d in rest:
         if d != dim:

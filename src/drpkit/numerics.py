@@ -2,12 +2,15 @@
 and statistics utilities shared by the coverage engines and benchmarks.
 
 Random numbers come from numpy's Philox bit generator, a counter-based PRNG with a
-128-bit key. A stream is identified by the pair (seed, stream): the key is exactly
-``[seed, stream]``, so equal pairs reproduce bit-identical draws on every platform
-(for a fixed numpy version), and distinct pairs give statistically independent
-streams. Substreams are derived by hashing the parent stream together with caller
-supplied keys (blake2b, 8-byte digest), which lets independent tasks be keyed by
-stable identifiers such as a simulation id.
+128-bit key. A stream is identified by the pair (seed, stream), passed as the key
+list ``[seed, stream]``: equal pairs reproduce bit-identical draws on every platform
+(for a fixed numpy version). numpy rounds that list through float64 when a value is
+>= 2**63, as for about half of all substreams, so such nearby streams can share
+draws (2**63 + 4096 and 2**63 + 4097 do) and 2**64 - 1 gets the key of stream 0.
+Other distinct pairs give statistically independent streams. Substreams are
+derived by hashing the parent stream together with caller supplied keys (blake2b,
+8-byte digest), which lets independent tasks be keyed by stable identifiers such as
+a simulation id.
 """
 
 from __future__ import annotations

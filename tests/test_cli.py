@@ -4,12 +4,27 @@ import numpy as np
 import pytest
 
 from drpkit import benchmarks, cli
-from drpkit.fileio import format_float, read_coverage_csv, write_joint_file, write_posterior_file
+from drpkit.coverage import drp_test, hpd_test
+from drpkit.fileio import (format_float, read_coverage_csv, write_coverage_csv, write_joint_file,
+                           write_posterior_file)
 from drpkit.numerics import SeededRng
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def count_sample_calls(monkeypatch, sampler_cls):
+    """Record the rng of every ``sampler_cls.sample`` call."""
+    calls = []
+    sample = sampler_cls.sample
+
+    def counting_sample(self, x, n, rng):
+        calls.append(rng)
+        return sample(self, x, n, rng)
+
+    monkeypatch.setattr(sampler_cls, "sample", counting_sample)
+    return calls
 
 
 def toy_args(out, case="correct", dim=2, n_sims=25, n_post=30, seed=7, extra=()):
@@ -64,18 +79,12 @@ class TestToyCommand:
 
     @pytest.mark.parametrize("methods", ["drp", "hpd", "drp,hpd"])
     def test_dump_samples_does_not_sample_again(self, tmp_path, monkeypatch, methods):
-        calls = []
         sample = benchmarks.DiagonalGaussianSampler.sample
-
-        def counting_sample(self, x, n, rng):
-            calls.append(rng)
-            return sample(self, x, n, rng)
-
-        monkeypatch.setattr(benchmarks.DiagonalGaussianSampler, "sample", counting_sample)
+        calls = count_sample_calls(monkeypatch, benchmarks.DiagonalGaussianSampler)
         out = tmp_path / "o"
         assert run(*toy_args(out, dim=3, n_sims=9, n_post=7, seed=4,
                              extra=("--methods", methods, "--dump-samples"))) == 0
-        assert len(calls) == 9 * len(methods.split(","))
+        assert len(calls) == 9
 
         # the dump equals the file a second sampling pass and a per-value writer make
         dataset, sampler = benchmarks.generate_toy(benchmarks.ToyConfig(dim=3, n_sims=9), seed=4)
@@ -85,6 +94,13 @@ class TestToyCommand:
             lines += [",".join([str(int(sid)), str(j)] + [format_float(v) for v in row])
                       for j, row in enumerate(draws)]
         assert (out / "toy_posterior.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_both_methods_sample_each_simulation_once(self, tmp_path, monkeypatch):
+        calls = count_sample_calls(monkeypatch, benchmarks.DiagonalGaussianSampler)
+        assert run(*toy_args(tmp_path / "o", dim=3, n_sims=9, n_post=7, seed=4,
+                             extra=("--methods", "drp,hpd"))) == 0
+        assert len(calls) == 9
+        assert set(calls) == {SeededRng(4).substream("posterior", s) for s in range(9)}
 
     def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DRPKIT_THREADS", raising=False)
@@ -116,6 +132,29 @@ class TestUninformativeCommand:
                    "--seed", "3", "--out", str(out)) == 0
         for name in ("hpd.csv", "drp-prior.csv", "drp-datashift.csv"):
             assert (out / name).exists()
+
+    def test_three_curves_from_one_sampling_pass(self, tmp_path, monkeypatch):
+        calls = count_sample_calls(monkeypatch, benchmarks.UninformativeSampler)
+        out = tmp_path / "u"
+        assert run("uninformative", "--n-sims", "30", "--n-post", "25",
+                   "--seed", "3", "--out", str(out)) == 0
+        assert len(calls) == 30
+        # each curve is the one its own test call gives
+        config = benchmarks.ConjugateConfig(n_sims=30)
+        dataset, _ = benchmarks.generate_conjugate(config, seed=3)
+        sampler = benchmarks.UninformativeSampler(config)
+        expected = {
+            "hpd.csv": (hpd_test(dataset, sampler, n_post=25, seed=3), "", ""),
+            "drp-prior.csv": (drp_test(dataset, sampler, n_post=25, seed=3,
+                                       policy=benchmarks.conjugate_prior_policy(config)),
+                              "prior", "euclidean"),
+            "drp-datashift.csv": (drp_test(dataset, sampler, n_post=25, seed=3,
+                                           policy=benchmarks.conjugate_datashift_policy()),
+                                  "datashift:0,1", "euclidean"),
+        }
+        for name, (curve, policy, metric) in expected.items():
+            write_coverage_csv(tmp_path / name, curve, seed=3, policy=policy, metric=metric)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_single_posterior_sample_quantized(self, tmp_path):
         out = tmp_path / "u1"

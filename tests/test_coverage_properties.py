@@ -1,18 +1,26 @@
-"""Property tests: the per-simulation engine shared by drp_test,
-drp_test_precomputed and hpd_test, over random small validation sets."""
+"""Property tests: the per-simulation engine shared by coverage_tests,
+drp_test, drp_test_precomputed and hpd_test, over random small validation sets."""
 
 import os
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drpkit.coverage import (
+    DensityUnavailableError,
+    DrpSpec,
+    Euclidean,
+    HpdSpec,
     JointSampleSet,
+    NormalizationError,
     PosteriorSampler,
     PriorDraw,
     UnitHypercubeUniform,
+    WeightedEuclidean,
+    coverage_tests,
     drp_test,
     drp_test_precomputed,
     hpd_test,
@@ -132,3 +140,82 @@ def test_hpd_and_drp_hand_on_the_same_draws(case, cap):
     assert sorted(seen["drp"]) == sorted(seen["hpd"]) == list(range(dataset.n_sims))
     assert all(seen["drp"][s].tobytes() == seen["hpd"][s].tobytes() for s in seen["drp"])
     assert all(seen["drp"][s].shape == (kw["n_post"], dataset.dim_theta) for s in seen["drp"])
+
+
+@st.composite
+def spec_lists(draw, dataset):
+    """1-3 DRP specs with their own policy, metric, bounds and repeats, and
+    maybe an HPD spec, in any order."""
+    dim = dataset.dim_theta
+    drp = st.builds(
+        DrpSpec,
+        policy=st.sampled_from([UnitHypercubeUniform(), PriorDraw(draw=lambda g: g.normal(size=dim))]),
+        metric=st.sampled_from([Euclidean(), WeightedEuclidean(np.arange(1.0, dim + 1))]),
+        bounds=st.sampled_from([(-6.0, 6.0)] if dataset.n_sims == 1 else [None, (-6.0, 6.0)]),
+        repeats=st.integers(1, 3))
+    specs = draw(st.lists(drp, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        specs.insert(draw(st.integers(0, len(specs))), HpdSpec())
+    return specs
+
+
+def alone(dataset, sampler, spec, n_post, seed):
+    """The curve the spec's own test gives."""
+    if isinstance(spec, HpdSpec):
+        return hpd_test(dataset, sampler, n_post=n_post, seed=seed)
+    return drp_test(dataset, sampler, n_post=n_post, seed=seed, policy=spec.policy,
+                    metric=spec.metric, bounds=spec.bounds, repeats=spec.repeats)
+
+
+@PROPS
+@given(cases(), st.data(), st.sampled_from([None, "3"]))
+def test_one_pass_gives_each_test_its_own_curve(case, data, cap):
+    dataset, sampler, kw = case
+    specs = data.draw(spec_lists(dataset))
+    seen = []
+    with threads(cap):
+        curves = coverage_tests(dataset, sampler, specs, n_post=kw["n_post"], seed=kw["seed"],
+                                on_draws=lambda sid, draws: seen.append(sid))
+    assert sorted(seen) == list(range(dataset.n_sims))
+    assert len(curves) == len(specs)
+    with threads(None):
+        for spec, curve in zip(specs, curves):
+            ref = alone(dataset, sampler, spec, kw["n_post"], kw["seed"])
+            assert same_table(curve.ranks, ref.ranks)
+            assert curve.ecp.tobytes() == ref.ecp.tobytes()
+            assert (curve.n_post, curve.n_sims, curve.method) == (ref.n_post, ref.n_sims, ref.method)
+
+
+class NoDensity(ShiftedGaussian):
+    """A sampler without log_density that counts its sample calls."""
+
+    log_density = None
+
+    def __init__(self):
+        super().__init__(0.0, 1.0)
+        self.calls = 0
+
+    def sample(self, x, n, rng):
+        self.calls += 1
+        return super().sample(x, n, rng)
+
+
+@PROPS
+@given(cases(), st.data(), st.sampled_from(["density", "repeats", "bounds", "n_post"]))
+def test_every_argument_is_checked_before_the_first_draw(case, data, fault):
+    dataset, _, kw = case
+    sampler = NoDensity()
+    specs = data.draw(spec_lists(dataset))
+    if fault == "density" and not any(isinstance(s, HpdSpec) for s in specs):
+        specs.insert(data.draw(st.integers(0, len(specs))), HpdSpec())
+    elif fault != "density":
+        specs = [s for s in specs if not isinstance(s, HpdSpec)]
+    if fault in ("repeats", "bounds"):
+        bad = DrpSpec(repeats=0) if fault == "repeats" else DrpSpec(bounds=(1.0, 1.0))
+        specs.insert(data.draw(st.integers(0, len(specs))), bad)
+    n_post = 0 if fault == "n_post" else kw["n_post"]
+    error = {"density": DensityUnavailableError, "repeats": ValueError,
+             "bounds": NormalizationError, "n_post": ValueError}[fault]
+    with pytest.raises(error):
+        coverage_tests(dataset, sampler, specs, n_post=n_post, seed=kw["seed"])
+    assert sampler.calls == 0

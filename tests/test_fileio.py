@@ -133,6 +133,14 @@ class TestSampleFiles:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("block", [np.zeros(3), np.zeros((1, 2, 2)), np.float64(1.0)])
+    def test_write_posterior_file_rejects_blocks_that_are_not_2d(self, tmp_path, block):
+        path = tmp_path / "post.csv"
+        with pytest.raises(ValueError) as err:
+            write_posterior_file(path, {0: np.zeros((1, 2)), 4: block})
+        assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D)"
+        assert list(tmp_path.iterdir()) == []
+
     def test_posterior_missing_sim(self, tmp_path):
         g = SeededRng(5).generator()
         path = tmp_path / "post.csv"
