@@ -143,7 +143,7 @@ def _prepare_out(args, extra=None):
 
 def _run_toy(args, parser) -> int:
     _require_positive(parser, args, "dim", "n-sims", "n-post", "repeats")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     if not methods or any(m not in ("drp", "hpd") for m in methods):
         parser.error("--methods must be a comma list from {drp,hpd}")
     config = ToyConfig(dim=args.dim, n_sims=args.n_sims, case=_TOY_CASE_FLAGS[args.case])

@@ -21,14 +21,15 @@ The noise scale follows the geometric schedule sigma_t = sigma_min
 (sigma_max/sigma_min)^t, so g^2(t) = d sigma_t^2/dt = 2 sigma_t^2
 ln(sigma_max/sigma_min).
 
-Each score is diagonal in a basis fixed by the model, so a step needs no
-factorization and nothing is cached per schedule. The model computes three
-eigendecompositions once, at construction: the prior covariance (basis U,
-where the prior score is diagonal and the noise is drawn), the Gram matrix
-B^T B with B = A U (basis W, where the biased likelihood score is diagonal),
-and the posterior precision in the prior eigenbasis (basis V, where the exact
-drift is diagonal). An exact step costs one D x D product, rotating the step's
-noise into V; a biased step costs two, into W and back.
+The model computes three eigenbases once: U of the prior covariance, W of the
+Gram matrix B^T B with B = A U (the biased likelihood score is diagonal there),
+and V of the posterior precision in U (the exact drift is diagonal there).
+Every Euler-Maruyama step is affine in the state plus fresh Gaussian noise, so
+the chain's output given x is exactly Gaussian, with a mean affine in x and a
+covariance free of x. The samplers draw from that law instead of stepping. It
+costs O(steps D) plus one D x D product per (model, schedule) for the exact
+kind and O(steps D^3) for the biased kind; a simulation then costs one (n, D)
+block of standard normals and one (n, D) x (D, D) product.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .coverage import JointSampleSet, PosteriorSampler, PriorDraw
-from .numerics import SeededRng, cholesky, DecompositionError, single_thread_blas
+from .numerics import SeededRng, cholesky, DecompositionError
 
 SCORE_KINDS = ("exact", "biased")
 
@@ -69,7 +69,7 @@ class PriorError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Reverse-SDE state became non-finite; ``step`` is the failing step index."""
+    """The reverse-SDE law became non-finite; ``step`` is the failing step index."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
@@ -91,9 +91,7 @@ class VeSchedule:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def sigma(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"t must be in [0, 1], got {t}")
-        return self.sigma_min * (self.sigma_max / self.sigma_min) ** t
+        return self.sigma_min * (self.sigma_max / self.sigma_min) ** _check_t(t)
 
     def g_squared(self, t: float) -> float:
         """d(sigma_t^2)/dt for the geometric schedule."""
@@ -163,10 +161,9 @@ def build_operator(dim_theta: int, dim_x: int, seed: int = 0, identity: bool = F
             j0 = min(int(src[1]), s_side - 2)
             fi, fj = src[0] - i0, src[1] - j0
             row = oi * o_side + oj
-            A[row, i0 * s_side + j0] += (1 - fi) * (1 - fj)
-            A[row, i0 * s_side + j0 + 1] += (1 - fi) * fj
-            A[row, (i0 + 1) * s_side + j0] += fi * (1 - fj)
-            A[row, (i0 + 1) * s_side + j0 + 1] += fi * fj
+            for di, wi in ((0, 1 - fi), (1, fi)):
+                for dj, wj in ((0, 1 - fj), (1, fj)):
+                    A[row, (i0 + di) * s_side + j0 + dj] += wi * wj
 
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 0:
@@ -232,19 +229,15 @@ class LensingModel:
             raise PriorError(f"prior covariance has non-positive eigenvalue {lam[0]:.3g}")
         # everything downstream works in the prior eigenbasis: theta' = theta U,
         # and B = A U maps eigen coords to observations
-        self._lam = lam
-        self._U = U
-        self._B = A @ U
+        self._lam, self._U, self._B = lam, U, A @ U
         gram = self._B.T @ self._B
-        gram_l, gram_v = np.linalg.eigh(gram)
+        gram_l, self._gram_v = np.linalg.eigh(gram)
         self._gram_l = np.maximum(gram_l, 0.0)
-        self._gram_v = gram_v
         self._mu0_eig = mu0 @ U
         if self.sigma_n > 0:
-            prec, V = np.linalg.eigh(np.diag(1.0 / lam) + gram / self.sigma_n**2)
+            prec, self._V = np.linalg.eigh(np.diag(1.0 / lam) + gram / self.sigma_n**2)
             self._post_var = 1.0 / prec
-            self._V = V
-            self._UV = U @ V
+            self._UV = U @ self._V
 
     @property
     def dim_theta(self) -> int:
@@ -289,13 +282,9 @@ def simulate(model: LensingModel, rng) -> tuple:
 def make_dataset(model: LensingModel, n_sims: int, seed: int = 0) -> JointSampleSet:
     """Validation set of n_sims forward draws with sim-keyed substreams."""
     root = SeededRng(seed)
-    thetas = np.empty((n_sims, model.dim_theta))
-    obs = []
-    for i in range(n_sims):
-        theta, x = simulate(model, root.substream(_SIM_TAG, i))
-        thetas[i] = theta
-        obs.append(x)
-    return JointSampleSet(theta_true=thetas, observations=tuple(obs), sim_ids=np.arange(n_sims))
+    draws = [simulate(model, root.substream(_SIM_TAG, i)) for i in range(n_sims)]
+    thetas = np.array([theta for theta, _ in draws]).reshape(n_sims, model.dim_theta)
+    return JointSampleSet(theta_true=thetas, observations=tuple(x for _, x in draws), sim_ids=np.arange(n_sims))
 
 
 def _check_t(t):
@@ -333,10 +322,8 @@ def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta
     x = np.asarray(x, dtype=float).ravel()
     theta2d = np.atleast_2d(theta)
     if theta2d.shape[1] != model.dim_theta or x.size != model.dim_x:
-        raise ValueError(
-            f"dimension mismatch: theta {theta.shape}, x {x.shape} for model "
-            f"({model.dim_theta}, {model.dim_x})"
-        )
+        raise ValueError(f"dimension mismatch: theta {theta.shape}, x {x.shape} for model "
+                         f"({model.dim_theta}, {model.dim_x})")
     model._require_noise()
     if t == 0.0:
         out = (x - theta2d @ model.operator.T) @ model.operator / model.sigma_n**2
@@ -355,98 +342,110 @@ def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta
     return out[0] if theta.ndim == 1 else out
 
 
-def rsde_sample_batch(model: LensingModel, schedule: VeSchedule, kind: str, x, n: int, rng) -> np.ndarray:
-    """n posterior draws by reverse-SDE integration, as an (n, dim_theta) array.
+def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
+    """Law of the chain in `rsde_sample_batch`: draws are offset + x gain + z scale^T.
 
-    Initialization is the exact t=1 prior marginal N(mu_0, Sigma_0 +
-    sigma_max^2 I); the posterior score (prior plus likelihood of the requested
-    kind) drives `schedule.steps` uniform Euler-Maruyama steps down to t=0.
-    The generator gives the initial block, then one (n, dim_theta) block of
-    step noise per step, all in the prior eigenbasis.
+    A step maps the state (a row in a basis set by the kind) to state M_k +
+    c_k(x) + sqrt(h_k) noise, so the mean follows mean M_k + c_k(x) and the
+    covariance M_k^T C M_k + h_k I. DivergenceError names the first
+    non-finite step.
     """
     _check_kind(kind)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.dim_x:
-        raise ValueError(f"observation has dimension {x.size}, model expects {model.dim_x}")
     model._require_noise()
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
-    # per-step noise variance s2 = sigma_t^2 and step size h = dt g^2(t) on the
-    # reverse grid t_k = 1 - k dt
+    # noise variance s2 = sigma_t^2 and step size h = dt g^2(t) on the reverse
+    # grid t_k = 1 - k dt
     dt = 1.0 / schedule.steps
     ratio = schedule.sigma_max / schedule.sigma_min
     s2 = ((schedule.sigma_min * ratio ** (1.0 - dt * np.arange(schedule.steps))) ** 2)[:, None]
     h = dt * (2.0 * s2 * math.log(ratio))
-    root_h = np.sqrt(h)
-    lam, mu0, W, gam = model._lam, model._mu0_eig, model._gram_v, model._gram_l
-    shape = (n, model.dim_theta)
-    with single_thread_blas():
-        # the state is the draw minus a centre, in a basis where the decay part
-        # of the drift is diagonal: one step is state <- keep * state + h * (any
-        # further drift) + sqrt(h) * noise
-        state = g.standard_normal(shape) * np.sqrt(lam + schedule.sigma_max**2)
-        if kind == "exact":
-            # the whole drift is -(phi - mu_post) / (post_var + s2), in V
-            centre, basis = model._posterior_mean_v(x), model._UV
-            state = (state + mu0) @ model._V - centre
-            keep = 1.0 - h / (model._post_var + s2)
-        else:
-            # prior decay in U around mu_0; h times the likelihood score is
-            # (pull + slope * (state W)) W^T, both coefficients diagonal in W
-            centre, basis = mu0, model._U
-            keep = 1.0 - h / (lam + s2)
-            gain = h / (model.sigma_n**2 + s2 * gam)
-            pull, slope = gain * ((x @ model._B) @ W - gam * (mu0 @ W)), -gam * gain
+    lam, mu0, dim = model._lam, model._mu0_eig, model.dim_theta
+    init = lam + schedule.sigma_max**2
+
+    def check(k, *moments):
+        if not all(np.isfinite(m).all() for m in moments):
+            raise DivergenceError(f"{kind} reverse SDE diverged at step {k}", step=k)
+
+    if kind == "exact":
+        # in V the drift is -(phi - mu_post(x)) / (post_var + s2): the mean
+        # decays towards mu_post(x) by p = prod keep_k, and the covariance is
+        # the initial one scaled by p on both sides plus the step noise q
+        V, post_var = model._V, model._post_var
+        keep = 1.0 - h / (post_var + s2)
+        p, q = np.ones(dim), np.zeros(dim)
         for k in range(schedule.steps):
-            step = g.standard_normal(shape) * root_h[k]
-            if kind == "exact":
-                step = step @ model._V
-            else:
-                step += ((state @ W) * slope[k] + pull[k]) @ W.T
-            state *= keep[k]
-            state += step
-            if not np.isfinite(state).all():
-                raise DivergenceError(f"reverse SDE diverged at step {k}", step=k)
-        return (state + centre) @ basis.T
+            p, q = p * keep[k], keep[k] ** 2 * q + h[k]
+            check(k, p * p * init.max() + q)
+        cov = (p[:, None] * (V.T * init) @ V) * p + np.diag(q)
+        offset = p * (mu0 @ V) + (1.0 - p) * model._posterior_mean_v(np.zeros(model.dim_x))
+        gain, basis = V * ((1.0 - p) * post_var / model.sigma_n**2), model._UV
+    else:
+        # in U around mu_0 the prior decay is diag(keep_k), and h times the
+        # likelihood score is rate_k (x B W - gam (state + mu_0) W) W^T
+        W, gam = model._gram_v, model._gram_l
+        keep = 1.0 - h / (lam + s2)
+        rate = h / (model.sigma_n**2 + s2 * gam)
+        cov, gain, offset = np.diag(init), np.zeros((dim, dim)), np.zeros(dim)
+        for k in range(schedule.steps):
+            M = (W * (-gam * rate[k])) @ W.T + np.diag(keep[k])
+            cov = M @ cov @ M + h[k] * np.eye(dim)
+            gain = gain @ M + (W * rate[k]) @ W.T
+            offset = offset @ M - (rate[k] * gam * (mu0 @ W)) @ W.T
+            check(k, cov, gain, offset)
+        offset, basis = offset + mu0, model._U
+    L = cholesky(0.5 * (cov + cov.T))
+    return offset @ basis.T, model._B @ gain @ basis.T, basis @ L
+
+
+def rsde_sample_batch(model: LensingModel, schedule: VeSchedule, kind: str, x, n: int, rng) -> np.ndarray:
+    """n posterior draws from the reverse SDE, as an (n, dim_theta) array.
+
+    The chain starts from the t=1 prior marginal N(mu_0, Sigma_0 + sigma_max^2
+    I) and takes `schedule.steps` uniform Euler-Maruyama steps to t=0, driven
+    by the prior score plus the likelihood score of the given kind. The draws
+    come from the exact law of its output, built for this call.
+    """
+    return DiffusionPosteriorSampler(model, schedule, kind).sample(x, n, rng)
 
 
 def conjugate_posterior(model: LensingModel, x):
     """Closed-form posterior (mean, covariance) for the linear-Gaussian model.
 
-    covariance = (Sigma_0^-1 + A^T A / sigma_n^2)^-1,
-    mean = covariance (Sigma_0^-1 mu_0 + A^T x / sigma_n^2).
+    covariance = (Sigma_0^-1 + A^T A / sigma_n^2)^-1 and mean = covariance
+    (Sigma_0^-1 mu_0 + A^T x / sigma_n^2), read off the posterior eigenbasis.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.dim_x:
         raise ValueError(f"observation has dimension {x.size}, model expects {model.dim_x}")
     model._require_noise()
-    d = model.dim_theta
-    prior_prec = cho_solve((model.prior_chol, True), np.eye(d))
-    H = prior_prec + model.operator.T @ model.operator / model.sigma_n**2
-    Lh = cholesky(H)
-    cov = cho_solve((Lh, True), np.eye(d))
-    cov = 0.5 * (cov + cov.T)
-    rhs = prior_prec @ model.prior_mean + model.operator.T @ x / model.sigma_n**2
-    mean = cho_solve((Lh, True), rhs)
-    return mean, cov
+    UV = model._UV
+    cov = (UV * model._post_var) @ UV.T
+    return model._posterior_mean_v(x) @ UV.T, 0.5 * (cov + cov.T)
 
 
 class DiffusionPosteriorSampler(PosteriorSampler):
-    """PosteriorSampler facade over the reverse-SDE sampler (no density)."""
+    """PosteriorSampler drawing from the law of the reverse-SDE chain (no density).
+
+    The law is built at construction (a diverging schedule or a noiseless
+    model fails there) and never written again, so threads may share it.
+    """
 
     def __init__(self, model: LensingModel, schedule: VeSchedule, kind: str):
-        _check_kind(kind)
         self.model = model
         self.schedule = schedule
         self.kind = kind
+        self._law = _chain_law(model, schedule, kind)
 
     def sample(self, x, n: int, rng: SeededRng) -> np.ndarray:
-        return rsde_sample_batch(self.model, self.schedule, self.kind, x, n, rng)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.model.dim_x:
+            raise ValueError(f"observation has dimension {x.size}, model expects {self.model.dim_x}")
+        offset, gain, scale = self._law
+        g = rng.generator() if isinstance(rng, SeededRng) else rng
+        return offset + x @ gain + g.standard_normal((n, offset.size)) @ scale.T
 
 
 def lensing_prior_policy(model: LensingModel) -> PriorDraw:
     """DRP reference points drawn from the model prior."""
-    return PriorDraw(
-        draw=lambda g: model.prior_mean + model.prior_chol @ g.standard_normal(model.dim_theta)
-    )
+    return PriorDraw(draw=lambda g: model.prior_mean + model.prior_chol @ g.standard_normal(model.dim_theta))

@@ -155,13 +155,15 @@ def test_criterion_05_lensing_coverage():
 def test_criterion_06_exact_sampler_oracle():
     """Exact reverse-SDE sampler against the conjugate posterior: 5 fixed
     observations, 2000 draws each; per-coordinate mean within 3 SE and sample
-    covariance within 10% relative Frobenius."""
+    covariance within 10% relative Frobenius. The sampler's law itself: mean
+    within 1e-3 posterior sd and covariance within 1% relative Frobenius."""
+    from test_lensing import sampled_law
+
     seed = 0
     model = build_model(source_side=8, obs_side=16, kernel_scale=0.45, seed=seed)
     schedule = VeSchedule(steps=300)
     root = SeededRng(seed)
-    worst_z = 0.0
-    worst_cov = 0.0
+    worst_z = worst_cov = worst_law_z = worst_law_cov = 0.0
     for j in range(5):
         _, x = simulate(model, root.substream("acceptance-obs", j))
         mean, cov = conjugate_posterior(model, x)
@@ -171,9 +173,13 @@ def test_criterion_06_exact_sampler_oracle():
         worst_z = max(worst_z, float(np.max(np.abs(draws.mean(axis=0) - mean) / se)))
         worst_cov = max(worst_cov, float(np.linalg.norm(np.cov(draws.T) - cov)
                                          / np.linalg.norm(cov)))
-    ok = worst_z <= 3.0 and worst_cov <= 0.10
+        law_mean, law_cov = sampled_law(model, schedule, "exact", x)
+        worst_law_z = max(worst_law_z, float(np.max(np.abs(law_mean - mean) / np.sqrt(np.diag(cov)))))
+        worst_law_cov = max(worst_law_cov, float(np.linalg.norm(law_cov - cov) / np.linalg.norm(cov)))
+    ok = worst_z <= 3.0 and worst_cov <= 0.10 and worst_law_z <= 1e-3 and worst_law_cov <= 1e-2
     assert report(6, "exact-sampler oracle equivalence", ok,
-                  f"worst |mean z| {worst_z:.2f} (<=3), worst cov relF {worst_cov:.3f} (<=0.10)")
+                  f"worst |mean z| {worst_z:.2f} (<=3), worst cov relF {worst_cov:.3f} (<=0.10); "
+                  f"law mean shift {worst_law_z:.1e} sd (<=1e-3), law cov relF {worst_law_cov:.1e} (<=1e-2)")
 
 
 def test_criterion_07_score_finite_differences():

@@ -74,6 +74,11 @@ class TestToyCommand:
         assert svg.count("<polyline") == 2  # one curve per method
         assert "stroke-dasharray" in svg    # the diagonal reference
 
+    def test_svg_draws_a_repeated_method_once(self, tmp_path):
+        run(*toy_args(tmp_path / "o", extra=("--methods", "drp,drp,hpd", "--svg")))
+        svg = (tmp_path / "o" / "coverage.svg").read_text()
+        assert svg.count("<polyline") == 2
+
     def test_prior_policy_runs(self, tmp_path):
         assert run(*toy_args(tmp_path / "o", extra=("--ref-policy", "prior"))) == 0
 
@@ -216,16 +221,16 @@ class TestLensingCommand:
     def test_divergence_exits_one_with_context(self, tmp_path, monkeypatch, capsys):
         from drpkit import lensing as lensing_mod
 
-        def blow_up(model, schedule, kind, x, n, rng):
-            raise lensing_mod.DivergenceError("reverse SDE diverged at step 5", step=5)
+        def blow_up(model, schedule, kind):
+            raise lensing_mod.DivergenceError(f"{kind} reverse SDE diverged at step 5", step=5)
 
-        monkeypatch.setattr(lensing_mod, "rsde_sample_batch", blow_up)
+        monkeypatch.setattr(lensing_mod, "_chain_law", blow_up)
         code = run("lensing", "--estimator", "biased", "--n-sims", "3",
                    "--n-post", "5", "--steps", "20", "--seed", "1",
                    "--out", str(tmp_path / "l"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "step 5" in err and "simulation" in err
+        assert "step 5" in err and "biased" in err
 
 
 class TestCoverageCommand:

@@ -1,11 +1,14 @@
 """Tests for the linear-Gaussian benchmark: operator/prior construction, the
 noise schedule, analytic scores against finite differences of independently
-built log-densities, reverse-SDE sampling against the conjugate oracle."""
+built log-densities, the reverse-SDE sampler's law against the Euler-Maruyama
+moments of the public scores and against the conjugate oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from drpkit.coverage import drp_test
@@ -80,6 +83,39 @@ class ScriptedNormals:
     def standard_normal(self, size):
         block, self.first = self.first, None
         return np.zeros(size) if block is None else block
+
+
+def sampled_law(model, schedule, kind, x):
+    """Mean and covariance of rsde_sample_batch's draws, read off by feeding it
+    a zero normal row (the mean) and the identity rows (the covariance's root)."""
+    d = model.dim_theta
+    mean = rsde_sample_batch(model, schedule, kind, x, 1, ScriptedNormals(np.zeros((1, d))))[0]
+    spread = rsde_sample_batch(model, schedule, kind, x, d, ScriptedNormals(np.eye(d))) - mean
+    return mean, spread.T @ spread
+
+
+def reference_step(model, schedule, kind, x, t, h, mean, cov):
+    """One Euler-Maruyama step of the moments, built only from the public
+    scores: the drift is affine in theta, drift(0) + theta J, so the mean moves
+    by h drift(mean) and the covariance becomes (I + hJ)^T C (I + hJ) + h I."""
+    def drift(theta):
+        return prior_score(model, schedule, theta, t) + likelihood_score(model, schedule, kind, theta, x, t)
+
+    eye = np.eye(model.dim_theta)
+    jump = eye + h * (drift(eye) - drift(np.zeros(model.dim_theta)))
+    return mean + h * drift(mean), jump.T @ cov @ jump + h * eye
+
+
+def reference_law(model, schedule, kind, x):
+    """Moments of the chain from N(mu_0, Sigma_0 + sigma_max^2 I) down the
+    uniform reverse grid t_k = 1 - k dt with h = dt g^2(t_k)."""
+    mean = model.prior_mean
+    cov = model.prior_cov + schedule.sigma_max**2 * np.eye(model.dim_theta)
+    dt = 1.0 / schedule.steps
+    for k in range(schedule.steps):
+        t = 1.0 - k * dt
+        mean, cov = reference_step(model, schedule, kind, x, t, dt * schedule.g_squared(t), mean, cov)
+    return mean, cov
 
 
 class TestVeSchedule:
@@ -187,6 +223,9 @@ class TestSimulate:
             conjugate_posterior(model, np.zeros(16))
         with pytest.raises(ValueError):
             rsde_sample_batch(model, VeSchedule(steps=5), "exact", np.zeros(16), 2, SeededRng(1))
+        for kind in SCORE_KINDS:
+            with pytest.raises(ValueError, match="sigma_n must be positive"):
+                DiffusionPosteriorSampler(model, VeSchedule(steps=5), kind)
 
     def test_residual_noise_scale(self):
         model = small_model(seed=2)
@@ -368,6 +407,19 @@ class TestConjugatePosterior:
                 + model.operator.T @ (x - model.operator @ mean) / model.sigma_n**2)
         assert np.linalg.norm(grad) < 1e-8 * (1 + np.linalg.norm(x))
 
+    @pytest.mark.parametrize("side", [8, 16])
+    def test_matches_dense_solve(self, side):
+        model = build_model(source_side=side, obs_side=2 * side, seed=side)
+        x = simulate(model, SeededRng(75))[1]
+        precision = (np.linalg.inv(model.prior_cov)
+                     + model.operator.T @ model.operator / model.sigma_n**2)
+        rhs = (np.linalg.solve(model.prior_cov, model.prior_mean)
+               + model.operator.T @ x / model.sigma_n**2)
+        mean, cov = conjugate_posterior(model, x)
+        assert rel_err(mean, np.linalg.solve(precision, rhs)) < 1e-10
+        assert rel_err(cov, np.linalg.solve(precision, np.eye(model.dim_theta))) < 1e-10
+        assert np.array_equal(cov, cov.T)
+
 
 class TestRsdeSampler:
     def test_shapes_and_determinism(self):
@@ -411,12 +463,29 @@ class TestRsdeSampler:
         assert t2 > stats.chi2.ppf(0.99, model.dim_theta)
 
     def test_step_doubling_within_monte_carlo_error(self):
+        # the exact kind's discretisation error: doubling the steps moves the
+        # law's mean by far less than a posterior sd
         model = small_model(seed=13)
         x = simulate(model, SeededRng(9))[1]
-        a = rsde_sample_batch(model, VeSchedule(steps=300), "exact", x, 2000, SeededRng(10))
-        b = rsde_sample_batch(model, VeSchedule(steps=600), "exact", x, 2000, SeededRng(11))
-        se = np.sqrt(a.var(axis=0) / 2000 + b.var(axis=0) / 2000)
-        assert np.max(np.abs(a.mean(axis=0) - b.mean(axis=0)) / se) < 3.5
+        sd = np.sqrt(np.diag(conjugate_posterior(model, x)[1]))
+        a, cov_a = sampled_law(model, VeSchedule(steps=300), "exact", x)
+        b, cov_b = sampled_law(model, VeSchedule(steps=600), "exact", x)
+        assert np.max(np.abs(a - b) / sd) < 1e-4
+        assert rel_err(cov_a, cov_b) < 1e-3
+
+    def test_law_against_conjugate_oracle(self):
+        # D=64: the exact law sits on the conjugate posterior up to the
+        # discretisation, while the biased law's mean is off by over half a sd
+        model = build_model(source_side=8, obs_side=16, kernel_scale=0.3, seed=0)
+        schedule = VeSchedule(steps=300)
+        for x in make_dataset(model, 5, seed=0).observations:
+            mean, cov = conjugate_posterior(model, x)
+            sd = np.sqrt(np.diag(cov))
+            exact_mean, exact_cov = sampled_law(model, schedule, "exact", x)
+            assert np.max(np.abs(exact_mean - mean) / sd) < 1e-3
+            assert rel_err(exact_cov, cov) < 1e-2
+            biased_mean, _ = sampled_law(model, schedule, "biased", x)
+            assert np.max(np.abs(biased_mean - mean) / sd) > 0.5
 
     def test_divergence_reports_step(self):
         # sigma_max large enough that the first step size dt * g^2 overflows,
@@ -431,46 +500,59 @@ class TestRsdeSampler:
         assert err.value.step is not None
         assert "step" in str(err.value)
 
+    def test_divergence_names_the_kind_and_fails_at_construction(self):
+        model = small_model(seed=14)
+        sched = VeSchedule(sigma_max=1e153, steps=10)
+        for kind in SCORE_KINDS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as err:
+                    DiffusionPosteriorSampler(model, sched, kind)
+            assert err.value.step == 0
+            assert str(err.value) == f"{kind} reverse SDE diverged at step 0"
+
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_fused_step_drift_equals_public_scores(self, kind):
-        # a one-step schedule whose sigma_max is sigma_t of the base schedule,
-        # started from a chosen state with zero step noise, moves each draw by
-        # h * drift(t), with h = g^2 at that noise level
+        # a one-step schedule whose sigma_max is sigma_t of the base schedule
+        # has the law of one step with h = g^2 at that noise level, driven by
+        # the public scores at time t of the base schedule
         model = small_model(seed=17)
         base = VeSchedule()
-        lam, U = np.linalg.eigh(model.prior_cov)
-        g = SeededRng(73).generator()
         x = simulate(model, SeededRng(74))[1]
         for t in (0.1, 0.4, 0.7, 1.0):
             one = VeSchedule(sigma_min=base.sigma_min, sigma_max=base.sigma(t), steps=1)
-            theta = model.prior_mean + g.standard_normal((3, model.dim_theta))
-            init = (theta - model.prior_mean) @ U / np.sqrt(lam + one.sigma_max**2)
-            moved = rsde_sample_batch(model, one, kind, x, 3, ScriptedNormals(init))
-            drift = (moved - theta) / one.g_squared(1.0)
-            expect = (prior_score(model, base, theta, t)
-                      + likelihood_score(model, base, kind, theta, x, t))
-            assert rel_err(drift, expect) < 1e-9
+            start = model.prior_cov + one.sigma_max**2 * np.eye(model.dim_theta)
+            expect = reference_step(model, base, kind, x, t, one.g_squared(1.0), model.prior_mean, start)
+            mean, cov = sampled_law(model, one, kind, x)
+            assert rel_err(mean, expect[0]) < 1e-9
+            assert rel_err(cov, expect[1]) < 1e-9
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_matches_reference_euler_maruyama(self, kind):
-        # Euler-Maruyama built only from the public scores, drawing the same
-        # blocks from the same stream: the initial block, then one block of
-        # step noise per step, all standard normal in the prior eigenbasis
+        # the Euler-Maruyama moments built only from the public scores: a
+        # zero-noise run gives the mean, the propagated covariance the rest
         model = small_model(seed=18)
-        sched = VeSchedule(steps=20)
         x = simulate(model, SeededRng(19))[1]
-        lam, U = np.linalg.eigh(model.prior_cov)
-        g = SeededRng(20).generator()
-        init = g.standard_normal((6, model.dim_theta)) * np.sqrt(lam + sched.sigma_max**2)
-        theta = model.prior_mean + init @ U.T
-        dt = 1.0 / sched.steps
-        for k in range(sched.steps):
-            t = 1.0 - k * dt
-            h = dt * sched.g_squared(t)
-            drift = prior_score(model, sched, theta, t) + likelihood_score(model, sched, kind, theta, x, t)
-            theta = theta + h * drift + math.sqrt(h) * g.standard_normal(theta.shape) @ U.T
-        draws = rsde_sample_batch(model, sched, kind, x, 6, SeededRng(20))
-        assert rel_err(draws, theta) < 1e-9
+        for steps in (20, 300):
+            sched = VeSchedule(steps=steps)
+            mean, cov = sampled_law(model, sched, kind, x)
+            ref_mean, ref_cov = reference_law(model, sched, kind, x)
+            assert rel_err(mean, ref_mean) < 1e-9
+            assert rel_err(cov, ref_cov) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), dim=st.integers(1, 4), extra=st.integers(0, 3),
+           sigma_n=st.floats(0.2, 3.0), steps=st.integers(1, 20), kind=st.sampled_from(SCORE_KINDS))
+    def test_law_matches_reference_on_random_models(self, seed, dim, extra, sigma_n, steps, kind):
+        g = SeededRng(seed).generator()
+        root = g.standard_normal((dim, dim))
+        model = LensingModel(g.standard_normal((dim + extra, dim)), sigma_n, g.standard_normal(dim),
+                             root @ root.T + 0.1 * np.eye(dim))
+        sched = VeSchedule(sigma_max=float(g.uniform(1.0, 100.0)), steps=steps)
+        x = g.standard_normal(model.dim_x)
+        mean, cov = sampled_law(model, sched, kind, x)
+        ref_mean, ref_cov = reference_law(model, sched, kind, x)
+        assert rel_err(mean, ref_mean) < 1e-9
+        assert rel_err(cov, ref_cov) < 1e-9
 
     def test_drp_ranks_independent_of_threads(self, monkeypatch):
         # one model shared by worker threads holds no per-schedule state
