@@ -40,6 +40,7 @@ from .coverage import (
     coverage_tests,
     drp_test,
     drp_test_precomputed,
+    fit_normalization,
 )
 from .fileio import (
     read_joint_file,
@@ -235,19 +236,16 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
         rows = read_prior_file(path, dim)
         return PriorDraw(draw=lambda g: rows[g.integers(rows.shape[0])])
     if spec.startswith("datashift:"):
-        body = spec.split(":", 1)[1]
-        parts = body.split(",")
+        parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 2:
             parser.error("--ref-policy datashift takes K,U (coordinate and half-width)")
         try:
-            k, u = int(parts[0]), float(parts[1])
-        except ValueError:
-            parser.error("--ref-policy datashift takes an integer coordinate and a float half-width")
-        if u < 0:
-            parser.error("datashift half-width must be >= 0")
+            policy = DataShift(coordinate=int(parts[0]), half_width=float(parts[1]))
+        except ValueError as e:
+            parser.error(f"--ref-policy {spec}: {e}")
         if not have_obs:
             parser.error("--ref-policy datashift requires --obs")
-        return DataShift(coordinate=k, half_width=u)
+        return policy
     parser.error(f"unknown --ref-policy {spec!r}")
 
 
@@ -255,40 +253,28 @@ def _parse_metric(parser, spec):
     if spec == "euclidean":
         return Euclidean()
     if spec.startswith("weighted:"):
-        path = spec.split(":", 1)[1]
         try:
-            with open(path) as fh:
-                weights = [float(ln) for ln in fh.read().split()]
+            with open(spec.split(":", 1)[1]) as fh:
+                return WeightedEuclidean(weights=np.array([float(ln) for ln in fh.read().split()]))
         except (OSError, ValueError) as e:
-            parser.error(f"cannot read weights from {path}: {e}")
-        if not weights or any(w <= 0 for w in weights):
-            parser.error("weighted metric requires strictly positive weights")
-        return WeightedEuclidean(weights=np.array(weights))
+            parser.error(f"--metric {spec}: {e}")
     parser.error(f"unknown --metric {spec!r}")
 
 
-def _parse_bounds(parser, spec, dim):
+def _parse_bounds(parser, spec, dataset):
     if spec == "auto":
         return None
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        try:
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as e:
-            parser.error(f"cannot read bounds from {path}: {e}")
-        if rows.shape != (dim, 2):
-            parser.error(f"bounds file must have {dim} rows of lo,hi")
-        return rows
-    if ":" in spec:
-        lo_s, hi_s = spec.split(":", 1)
-        try:
-            lo, hi = float(lo_s), float(hi_s)
-        except ValueError:
-            parser.error("--bounds must be auto, LO:HI, or file:PATH")
-        if not lo < hi:
-            parser.error("--bounds requires LO < HI")
-        return (lo, hi)
-    parser.error("--bounds must be auto, LO:HI, or file:PATH")
+    try:
+        if spec.startswith("file:"):
+            bounds = np.loadtxt(spec.split(":", 1)[1], delimiter=",", ndmin=2)
+        elif ":" in spec:
+            bounds = tuple(map(float, spec.split(":", 1)))
+        else:
+            raise ValueError("must be auto, LO:HI, or file:PATH")
+        fit_normalization(dataset, bounds)
+    except (OSError, ValueError) as e:
+        parser.error(f"--bounds {spec}: {e}")
+    return bounds
 
 
 def _run_coverage(args, parser) -> int:
@@ -300,12 +286,12 @@ def _run_coverage(args, parser) -> int:
         observations = tuple(xs)
     else:
         observations = tuple([None] * n_sims)
+    dataset = JointSampleSet(theta_true=thetas, observations=observations, sim_ids=sim_ids)
     policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
     metric = _parse_metric(parser, args.metric)
-    bounds = _parse_bounds(parser, args.bounds, dim)
+    bounds = _parse_bounds(parser, args.bounds, dataset)
     _prepare_out(args)
 
-    dataset = JointSampleSet(theta_true=thetas, observations=observations, sim_ids=sim_ids)
     curve = drp_test_precomputed(dataset, samples_by_sim, policy=policy, metric=metric,
                                  seed=args.seed, bounds=bounds)
     write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,

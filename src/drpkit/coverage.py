@@ -127,6 +127,10 @@ class NormalizationMap:
         sc = np.asarray(self.scale, dtype=float).ravel()
         if off.shape != sc.shape:
             raise ValueError("offset and scale must have equal length")
+        bad = np.nonzero(~(np.isfinite(off) & np.isfinite(sc)))[0]
+        if bad.size:
+            raise NormalizationError(f"offset and scale must be finite; dimension {bad[0]} has "
+                                     f"offset {off[bad[0]]}, scale {sc[bad[0]]}", dimension=int(bad[0]))
         if not np.all(sc > 0):
             raise NormalizationError(
                 f"scale must be positive in every dimension, got min {sc.min()}",
@@ -201,8 +205,10 @@ class DataShift:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ValueError("half_width must be >= 0")
+        if self.coordinate < 0:
+            raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
+        if not 0 <= self.half_width < math.inf:
+            raise ValueError(f"half_width must be finite and >= 0, got {self.half_width}")
 
 
 ReferencePolicy = Union[UnitHypercubeUniform, PriorDraw, DataShift]
@@ -251,8 +257,8 @@ class WeightedEuclidean:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size == 0 or not np.all(w > 0):
-            raise ValueError("weights must be positive in every dimension")
+        if w.size == 0 or not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be positive and finite in every dimension")
         object.__setattr__(self, "weights", w)
 
 

@@ -12,7 +12,9 @@ files carry a header naming their columns:
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError
-naming the file, line, and invariant.
+naming the file, line, and invariant. A sample file is read in one np.loadtxt
+pass; a per-line reader, which alone defines the valid tokens (those int()
+and float() accept), reads it again to name the first invalid line.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ def read_coverage_csv(path):
 
 # --- sample files -----------------------------------------------------------------
 
-_CHUNK_LINES = 8192  # lines the reader splits and parses at once
-
-
 def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
@@ -213,33 +212,25 @@ def _check_dense_ids(path, ids):
         raise SchemaError(path, 1, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
 
 
-def _split_chunk(lines, n_ids, dim, seen):
-    """(first id column, (rows, dim) values) of a chunk's non-blank lines by
-    whole-chunk splits and parses, or None when any of them is invalid."""
-    lines = list(filter(str.strip, lines))
-    if any(raw.count(",") != n_ids + dim - 1 for raw in lines):
-        return None
-    tokens, ids = ",".join(lines).split(",") if lines else [], []
-    try:
-        for j in range(n_ids):  # parse the leading id column, then drop it
-            ids.append(list(map(int, tokens[::n_ids + dim - j])))
-            del tokens[::n_ids + dim - j]
-        vals = np.array(list(map(float, tokens))).reshape(len(lines), dim)
-    except ValueError:
-        return None
-    sim_ids = ids[0] if ids else []
-    if not np.isfinite(vals).all():
-        return None
-    if seen is not None:  # the sim_ids must be new and distinct
-        new = set(sim_ids)
-        if len(new) < len(sim_ids) or not seen.isdisjoint(new):
-            return None
-        seen |= new
-    return sim_ids, vals
+def _lines(fh):
+    """The lines str.splitlines() gives, one file line at a time."""
+    return itertools.chain.from_iterable(map(str.splitlines, fh))
 
 
-def _raise_first_error(path, ln, lines, fixed, dim, seen):
-    """Raise the SchemaError of the first invalid line of a chunk starting at line ``ln``."""
+def _numpy_rows(lines):
+    """The non-blank lines, up to one that numpy could misread: it reads some
+    non-ASCII letters as digits, and it strips "\\x1f", which int() and float() reject."""
+    for raw in filter(str.strip, lines):
+        if not raw.isascii() or "\x1f" in raw:
+            raise ValueError("a row only the per-line reader may judge")
+        yield raw
+
+
+def _read_lines(path, lines, ln, fixed, dim, unique):
+    """The per-line reader, which alone defines which tokens are valid: (the
+    first id column, a (rows, dim) array) of ``lines`` numbered from ``ln``,
+    or the SchemaError of the first invalid line."""
+    sim_ids, rows, seen = [], [], set()
     for ln, raw in enumerate(lines, start=ln):
         if not raw.strip():
             continue
@@ -247,37 +238,45 @@ def _raise_first_error(path, ln, lines, fixed, dim, seen):
         if len(parts) != len(fixed) + dim:
             raise SchemaError(path, ln, f"expected {len(fixed) + dim} columns, got {len(parts)}")
         ids = [_parse_int(path, ln, token, what) for token, what in zip(parts, fixed)]
-        if seen is not None:
+        if unique:
             if ids[0] in seen:
                 raise SchemaError(path, ln, f"duplicate sim_id {ids[0]}")
             seen.add(ids[0])
-        _parse_floats(path, ln, parts[len(fixed):])
+        rows.append(_parse_floats(path, ln, parts[len(fixed):]))
+        sim_ids += ids[:1]
+    return sim_ids, np.reshape(rows, (len(rows), dim))
 
 
 def _read_table(path, fixed, prefix, dim=None, unique=False):
     """Read rows of the integer ``fixed`` columns, then D floats, into (the
     first id column, a (rows, D) array). D comes from a header naming the
     ``prefix``_d columns; with no ``prefix`` the file is headerless and D is
-    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated ids."""
+    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated ids.
+
+    One np.loadtxt pass parses the rows; when numpy rejects a row, or a value
+    is not finite, or an id repeats, the per-line reader reads the file again."""
     with open(path) as fh:
-        # the lines str.splitlines() gives, about _CHUNK_LINES at a time
-        chunks = map(str.splitlines, iter(lambda: "".join(itertools.islice(fh, _CHUNK_LINES)), ""))
-        ln = 1
+        lines, skip = _lines(fh), 0
         if prefix is not None:
-            first = next(chunks, None)
-            if not first:
+            header = next(lines, None)
+            if header is None:
                 raise SchemaError(path, 1, "empty file")
-            dim = _parse_header(path, first[0], fixed, prefix)
-            chunks, ln = itertools.chain([first[1:]], chunks), 2
-        sim_ids, values, seen = [], [np.empty((0, dim))], set() if unique else None
-        for lines in chunks:
-            split = _split_chunk(lines, len(fixed), dim, seen)
-            if split is None:
-                _raise_first_error(path, ln, lines, fixed, dim, seen)
-            sim_ids += split[0]
-            values.append(split[1])
-            ln += len(lines)
-    return sim_ids, np.concatenate(values)
+            dim, skip = _parse_header(path, header, fixed, prefix), 1
+        try:
+            rows = _numpy_rows(lines)
+            first = next(rows, None)
+            if first is None:  # np.loadtxt warns on empty input
+                return [], np.empty((0, dim))
+            table = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=1,
+                               dtype=[("ids", "i8", (len(fixed),)), ("values", "f8", (dim,))])
+        except ValueError:
+            table = None
+    if table is not None:
+        ids, values = table["ids"][:, :1].ravel(), table["values"]
+        if np.isfinite(values).all() and not (unique and len(np.unique(ids)) < len(ids)):
+            return ids, values
+    with open(path) as fh:
+        return _read_lines(path, itertools.islice(_lines(fh), skip, None), skip + 1, fixed, dim, unique)
 
 
 def read_joint_file(path):
@@ -291,7 +290,7 @@ def read_posterior_file(path, n_sims: Optional[int] = None):
     """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance;
     validates coverage of 0..n_sims-1 when given."""
     sim_ids, values = _read_table(path, ("sim_id", "sample_id"), "theta")
-    if not sim_ids:
+    if not len(sim_ids):
         raise SchemaError(path, 2, "file contains no samples")
     order = np.argsort(sim_ids, kind="stable")
     keys, starts = np.unique(np.asarray(sim_ids)[order], return_index=True)

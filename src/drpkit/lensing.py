@@ -121,21 +121,15 @@ def _boundary_distance(center, direction):
     return tb
 
 
-def build_operator(dim_theta: int, dim_x: int, seed: int = 0, identity: bool = False) -> np.ndarray:
+def build_operator(dim_theta: int, dim_x: int, seed: int = 0) -> np.ndarray:
     """Forward operator mapping dim_theta source pixels to dim_x observation pixels.
 
     Each observation pixel is a convex bilinear combination of at most four
     source pixels under a fixed off-center radial warp (per-ray power law,
     mapping the unit box onto itself so every source pixel is covered at any
     grid size); the warp center is jittered from the seed. Full column rank
-    and condition number below 1e4 are verified at construction. With
-    ``identity=True`` (dims equal) returns the identity, an escape hatch for
-    tests.
+    and condition number below 1e4 are verified at construction.
     """
-    if identity:
-        if dim_theta != dim_x:
-            raise ValueError("identity operator requires dim_theta == dim_x")
-        return np.eye(dim_theta)
     if dim_x < dim_theta:
         raise ValueError(f"need dim_x >= dim_theta, got {dim_x} < {dim_theta}")
     s_side = _square_side(dim_theta, "dim_theta")
@@ -262,11 +256,11 @@ class LensingModel:
 
 
 def build_model(source_side: int = 8, obs_side: int = 16, sigma_n: float = 1.0,
-                kernel_scale: float = 0.3, seed: int = 0, identity_operator: bool = False) -> LensingModel:
+                kernel_scale: float = 0.3, seed: int = 0) -> LensingModel:
     """Convenience constructor from grid sides (defaults: 8x8 source, 16x16 obs)."""
     dim_theta = source_side * source_side
     dim_x = obs_side * obs_side
-    A = build_operator(dim_theta, dim_x, seed=seed, identity=identity_operator)
+    A = build_operator(dim_theta, dim_x, seed=seed)
     mu0, cov = build_prior(dim_theta, kernel_scale=kernel_scale, seed=seed)
     return LensingModel(A, sigma_n, mu0, cov)
 

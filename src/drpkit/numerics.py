@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 try:
     from threadpoolctl import threadpool_limits as _threadpool_limits
@@ -112,9 +111,9 @@ def norm_isf(p: float) -> float:
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
-    LAPACK's dpotrf; raises :class:`DecompositionError` with the failing pivot
-    index when the matrix is not positive definite. Input must be square,
-    finite, and symmetric to within 1e-9 relative.
+    LAPACK's potrf through numpy; raises :class:`DecompositionError` with the
+    failing pivot index when the matrix is not positive definite. Input must be
+    square, finite, and symmetric to within 1e-9 relative.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -124,10 +123,18 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-9 * scale:
         raise ValueError("cholesky requires a symmetric matrix (1e-9 relative)")
-    L, info = dpotrf(a, lower=1, clean=1)
-    if info > 0:
-        raise DecompositionError(f"matrix is not positive definite: pivot {info - 1}", pivot=info - 1)
-    return L
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:  # bisect for the smallest leading block that fails
+        lo, hi = 0, a.shape[0]  # a[:lo, :lo] factors, a[:hi, :hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(a[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    raise DecompositionError(f"matrix is not positive definite: pivot {hi - 1}", pivot=hi - 1)
 
 
 def mvn_sample(mean, chol_cov, rng) -> np.ndarray:

@@ -1,12 +1,17 @@
 """End-to-end CLI tests: subcommands, exit codes, file contracts, round trips."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import drpkit
 from drpkit import benchmarks, cli
 from drpkit.coverage import drp_test, hpd_test
 from drpkit.fileio import (format_float, read_coverage_csv, write_coverage_csv, write_joint_file,
-                           write_posterior_file)
+                           write_observation_file, write_posterior_file)
 from drpkit.numerics import SeededRng
 
 
@@ -330,6 +335,27 @@ class TestCoverageCommand:
                    "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 1
         assert f"{pfile}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--bounds=0:inf"],
+        ["--bounds=-inf:inf"],
+        ["--ref-policy", "datashift:0,nan"],
+        ["--ref-policy", "datashift:0,inf"],
+        ["--ref-policy", "datashift:-1,1"],
+        ["--metric", "weighted:{weights}"],
+    ])
+    def test_non_finite_or_negative_inputs_are_usage_errors(self, tmp_path, flags):
+        g = SeededRng(8).generator()
+        truths = g.uniform(-1, 1, (50, 1))
+        write_joint_file(tmp_path / "joint.csv", np.arange(50), truths)
+        write_posterior_file(tmp_path / "post.csv", {i: truths[i] + g.standard_normal((10, 1)) for i in range(50)})
+        write_observation_file(tmp_path / "obs.csv", np.arange(50), g.standard_normal((50, 2)))
+        (tmp_path / "w.txt").write_text("inf\n")
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(tmp_path / "joint.csv"), "--posterior", str(tmp_path / "post.csv"),
+                   "--obs", str(tmp_path / "obs.csv"), "--out", str(out),
+                   *[f.format(weights=tmp_path / "w.txt") for f in flags]) == 2
+        assert not out.exists()
+
     def test_bounds_file(self, tmp_path):
         joint, post = self.make_files(tmp_path)
         bfile = tmp_path / "bounds.csv"
@@ -385,3 +411,10 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         code = run("--version")
         assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, drpkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drpkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from drpkit.coverage import (
     Euclidean,
     JointSampleSet,
     NormalizationError,
+    NormalizationMap,
     PosteriorSampler,
     PriorDraw,
     RankTable,
@@ -121,6 +122,21 @@ class TestFitNormalization:
         with pytest.raises(NormalizationError):
             fit_normalization(ds, explicit_bounds=(3.0, 3.0))
 
+    @pytest.mark.parametrize("offset, scale", [
+        ([0.0, np.inf], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nan]),
+    ])
+    def test_map_requires_finite_offset_and_scale(self, offset, scale):
+        with pytest.raises(NormalizationError, match="finite") as err:
+            NormalizationMap(offset=np.array(offset), scale=np.array(scale))
+        assert err.value.dimension == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 - -1e308
+    @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, np.inf), (-1e308, 1e308)])
+    def test_infinite_explicit_bounds_rejected(self, bounds):
+        with pytest.raises(NormalizationError, match="finite"):
+            fit_normalization(make_dataset([[1.0], [2.0]]), explicit_bounds=bounds)
+
 
 class TestSampleReference:
     def test_hypercube_range(self):
@@ -151,6 +167,14 @@ class TestSampleReference:
         nmap = fit_normalization(ds)
         with pytest.raises(ValueError):
             sample_reference(DataShift(0, 1.0), np.array([0.3]), 2, SeededRng(0), nmap)
+
+    @pytest.mark.parametrize("coordinate, half_width, message", [
+        (-1, 1.0, "coordinate"), (0, -0.5, "half_width"), (0, np.nan, "half_width"),
+        (0, np.inf, "half_width"),
+    ])
+    def test_datashift_validation(self, coordinate, half_width, message):
+        with pytest.raises(ValueError, match=message):
+            DataShift(coordinate, half_width)
 
     def test_datashift_missing_coordinate(self):
         ds = make_dataset([[0.0], [1.0]])
@@ -187,6 +211,11 @@ class TestDrpRank:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             WeightedEuclidean(weights=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("weights", [[1.0, -2.0], [1.0, np.inf], [np.nan, 1.0], []])
+    def test_weights_must_be_positive_and_finite(self, weights):
+        with pytest.raises(ValueError, match="positive and finite"):
+            WeightedEuclidean(weights=np.array(weights))
 
     def test_rank_quantization(self):
         g = SeededRng(3).generator()

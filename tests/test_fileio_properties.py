@@ -1,7 +1,5 @@
-"""Property tests: the chunked sample-file writer and reader against per-row
+"""Property tests: the streamed sample-file writer and reader against per-row
 and per-line reference implementations of the same formats."""
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,12 +186,11 @@ def assert_same_posterior(new, ref):
 
 
 @PROPS
-@given(ragged_draws(), st.integers(1, 7))
-def test_posterior_reader_matches_reference(tmp_path, draws, chunk):
+@given(ragged_draws())
+def test_posterior_reader_matches_reference(tmp_path, draws):
     path = tmp_path / "post.csv"
     path.write_text(ref_posterior_text(draws))
-    with mock.patch.object(fileio, "_CHUNK_LINES", chunk):
-        new = outcome(fileio.read_posterior_file, path)
+    new = outcome(fileio.read_posterior_file, path)
     ref = outcome(ref_read_posterior, path)
     assert new[0] == ref[0]
     if ref[0] == "ok":
@@ -251,14 +248,13 @@ def table_with_faults(draw):
 
 
 @PROPS
-@given(table_with_faults(), st.integers(1, 5))
-def test_reader_errors_and_values_match_reference(tmp_path, case, chunk):
+@given(table_with_faults())
+def test_reader_errors_and_values_match_reference(tmp_path, case):
     kind, dim, text = case
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(text.encode())
     new_read, ref_read = READERS[kind]
-    with mock.patch.object(fileio, "_CHUNK_LINES", chunk):
-        new = outcome(new_read, path, dim)
+    new = outcome(new_read, path, dim)
     ref = outcome(ref_read, path, dim)
     assert new[0] == ref[0], (new, ref)
     if ref[0] == "error":
@@ -269,6 +265,62 @@ def test_reader_errors_and_values_match_reference(tmp_path, case, chunk):
         assert same_array(new[1], ref[1])
     else:
         assert all(same_array(a, b) for a, b in zip(new[1], ref[1]))
+
+
+# tokens at the edge of what int() and float() accept: underscores, non-ASCII
+# digits and spaces, signs, padding, quotes, prefixes, specials, overflow, line
+# breaks of str.splitlines(), controls, and letters numpy's int parser misreads
+ODD_TOKENS = ["1_0", "1_0.5", "３", "١", "１.5", "+3", "-0", "007", " 3 ", "\t3", "3\xa0",
+              "\u30003", "#", "'3'", '"3"', "0x1", "3.0", "1e3", ".5", "5.", "nan", "-inf",
+              "Infinity", "1e999", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+              "\x0c", "\x85", "\x1c", "\u2028", "3\x1f", "\x1f", "3\x00", "\u01fe", "3\u0763",
+              " ", ""]
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+@settings(PROPS, max_examples=25)
+@given(st.sampled_from(sorted(READERS)), st.integers(1, 3), st.integers(1, 6), st.data())
+def test_reader_matches_reference_on_odd_tokens(tmp_path, token, kind, dim, n, data):
+    fixed = {"joint": ["sim_id"], "observation": ["sim_id"], "posterior": ["sim_id", "sample_id"],
+             "prior": []}[kind]
+    # row i's id cells: none, sim_id i, or sim_id i % 2 and sample_id i
+    rows = [[str(i % 2), str(i)][2 - len(fixed):] + [ref_format(data.draw(values)) for _ in range(dim)]
+            for i in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = token
+    prefix = "x" if kind == "observation" else "theta"
+    header = [",".join(fixed + [f"{prefix}_{d}" for d in range(dim)])] if fixed else []
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(header + [",".join(r) for r in rows]) + "\n")
+    new_read, ref_read = READERS[kind]
+    new, ref = outcome(new_read, path, dim), outcome(ref_read, path, dim)
+    assert new[0] == ref[0], (new, ref)
+    if ref[0] == "error":
+        assert new[1] == ref[1]
+    elif kind == "posterior":
+        assert_same_posterior(new[1], ref[1])
+    elif kind == "prior":
+        assert same_array(new[1], ref[1])
+    else:
+        assert all(same_array(a, b) for a, b in zip(new[1], ref[1]))
+
+
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns on empty input
+@pytest.mark.parametrize("kind, text", [
+    ("joint", "sim_id,theta_0\n"),
+    ("joint", "sim_id,theta_0\n\n  \n"),
+    ("observation", "sim_id,x_0,x_1\n\t\n"),
+    ("posterior", "sim_id,sample_id,theta_0\n"),
+    ("posterior", "sim_id,sample_id,theta_0\n\n\n"),
+    ("prior", "\n  \n\n"),
+])
+def test_header_only_and_blank_files_read_as_the_reference(tmp_path, kind, text):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    new_read, ref_read = READERS[kind]
+    new, ref = outcome(new_read, path, 1), outcome(ref_read, path, 1)
+    assert new[0] == ref[0] == "error"
+    assert new[1] == ref[1]
 
 
 @pytest.mark.parametrize("line, token, message", [

@@ -154,13 +154,6 @@ class TestVeSchedule:
 
 
 class TestBuildOperator:
-    def test_identity_escape_hatch(self):
-        assert np.array_equal(build_operator(16, 16, identity=True), np.eye(16))
-
-    def test_identity_requires_equal_dims(self):
-        with pytest.raises(ValueError):
-            build_operator(16, 64, identity=True)
-
     def test_row_sums_are_one(self):
         A = build_operator(64, 256, seed=0)
         assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)

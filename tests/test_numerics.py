@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from drpkit.numerics import (
     BinomialBand,
@@ -107,6 +110,25 @@ class TestCholesky:
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot == 1
         assert "pivot 1" in str(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 48), st.data())
+    def test_pivot_matches_lapack_info(self, n, data):
+        # A = L diag(d) L^T with L unit lower-triangular has the running products
+        # of d as leading minors: the first negative d_k makes the order k + 1
+        # block the smallest one that is not positive definite
+        k = data.draw(st.integers(0, n - 1))
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        L = np.eye(n) + np.tril(g.uniform(-1.0, 1.0, (n, n)), -1) / np.sqrt(n)
+        d = g.uniform(0.5, 2.0, n) * np.where(np.arange(n) < k, 1.0, g.choice([-1.0, 1.0], n))
+        d[k] = -abs(d[k])
+        a = (L * d) @ L.T
+        a = (a + a.T) / 2
+        with pytest.raises(DecompositionError) as err:
+            cholesky(a)
+        info = dpotrf(a, lower=1)[1]  # LAPACK's 1-based order of the failing minor
+        assert err.value.pivot == info - 1 == k
+        assert f"pivot {k}" in str(err.value)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
