@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -43,13 +44,13 @@ from .coverage import (
     fit_normalization,
 )
 from .fileio import (
+    posterior_writer,
     read_joint_file,
     read_observation_file,
     read_posterior_file,
     read_prior_file,
     write_coverage_csv,
     write_joint_file,
-    write_posterior_file,
     write_resolved_config,
     atomic_write_text,
     format_float,
@@ -150,21 +151,22 @@ def _run_toy(args, parser) -> int:
     config = ToyConfig(dim=args.dim, n_sims=args.n_sims, case=_TOY_CASE_FLAGS[args.case])
     _prepare_out(args, {"case_internal": config.case, "theta_bounds": config.theta_bounds})
     dataset, sampler = generate_toy(config, seed=args.seed)
-    # one sampling pass feeds every test, and the dump keeps the draws they rank
-    draws = {}
     policy = UnitHypercubeUniform() if args.ref_policy == "hypercube" else toy_prior_policy(config)
     specs = {"drp": DrpSpec(policy, bounds=config.theta_bounds, repeats=args.repeats), "hpd": HpdSpec()}
     labels = {"drp": {"policy": args.ref_policy, "metric": "euclidean"}, "hpd": {}}
     names = [m for m in specs if m in methods]
-    curves = coverage_tests(dataset, sampler, [specs[m] for m in names], n_post=args.n_post,
-                            seed=args.seed, on_draws=draws.__setitem__ if args.dump_samples else None)
+    # one sampling pass feeds every test, and the dump streams the draws they rank
+    dump = (posterior_writer(os.path.join(args.out, "toy_posterior.csv")) if args.dump_samples
+            else contextlib.nullcontext())
+    with dump as on_draws:
+        curves = coverage_tests(dataset, sampler, [specs[m] for m in names], n_post=args.n_post,
+                                seed=args.seed, on_draws=on_draws)
     for name, curve in zip(names, curves):
         write_coverage_csv(os.path.join(args.out, f"{name}.csv"), curve, seed=args.seed, **labels[name])
 
     if args.dump_samples:
         write_joint_file(os.path.join(args.out, "toy_joint.csv"),
                          dataset.sim_ids, dataset.theta_true)
-        write_posterior_file(os.path.join(args.out, "toy_posterior.csv"), draws)
     if args.svg:
         csvs = [os.path.join(args.out, f"{m}.csv") for m in methods]
         render_coverage_svg(csvs, os.path.join(args.out, "coverage.svg"))

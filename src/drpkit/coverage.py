@@ -177,7 +177,9 @@ def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> Normaliz
                 "provide explicit bounds",
                 dimension=int(bad[0]),
             )
-    return NormalizationMap(offset=lo, scale=hi - lo)
+    with np.errstate(over="ignore"):  # an infinite scale is NormalizationMap's error to report
+        scale = hi - lo
+    return NormalizationMap(offset=lo, scale=scale)
 
 
 # --- reference-point policies -------------------------------------------------
@@ -421,23 +423,30 @@ def _rank_table(dataset: JointSampleSet, draws, rankers, on_draws=None) -> list:
 
     ``draws(i, sid)`` gives simulation i's (n, D) draws and each ranker's
     ``rank(i, samples)`` one (f, theta_r) pair per repeat, one RankTable per
-    ranker. Draws are dropped once ranked. Errors are re-raised as SimulationError.
+    ranker. Draws are dropped once ranked and passed to ``on_draws(sid,
+    samples)``, which runs on the calling thread, in sim_id order. Errors are
+    re-raised as SimulationError.
     """
 
     def one_sim(i):
         sid = int(dataset.sim_ids[i])
         try:
             samples = draws(i, sid)
-            if on_draws is not None:
-                on_draws(sid, samples)
-            return [rank(i, samples) for rank in rankers]
+            return sid, samples, [rank(i, samples) for rank in rankers]
         except SimulationError:
             raise
         except Exception as e:
             raise SimulationError(sid, str(e)) from e
 
+    per_sim = []
     with single_thread_blas():
-        per_sim = parallel_map(one_sim, np.argsort(dataset.sim_ids))
+        for sid, samples, ranks in parallel_map(one_sim, np.argsort(dataset.sim_ids)):
+            if on_draws is not None:
+                try:
+                    on_draws(sid, samples)
+                except Exception as e:
+                    raise SimulationError(sid, str(e)) from e
+            per_sim.append(ranks)
     tables = []
     for per_test in zip(*per_sim):
         f, theta_r = zip(*[pair for pairs in per_test for pair in pairs])
@@ -510,8 +519,8 @@ def coverage_tests(dataset: JointSampleSet, sampler, tests, *, n_post: int, leve
     given the seed, invariant to simulation order and scheduling, and the same
     as its drp_test or hpd_test call alone. Every argument is checked before the
     first draw. ``on_draws(sim_id, draws)``, if given, gets each simulation's raw
-    (n_post, D) draws once, so callers can keep them without sampling again;
-    under DRPKIT_THREADS it runs on worker threads, in no fixed order.
+    (n_post, D) draws once, on the calling thread and in sim_id order, so
+    callers can keep or stream them without sampling again.
     """
     if n_post < 1:
         raise ValueError(f"n_post must be >= 1, got {n_post}")

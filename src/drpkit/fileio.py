@@ -12,9 +12,12 @@ files carry a header naming their columns:
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError
-naming the file, line, and invariant. A sample file is read in one np.loadtxt
-pass; a per-line reader, which alone defines the valid tokens (those int()
-and float() accept), reads it again to name the first invalid line.
+naming the file, line, and invariant. A posterior file can be written as its
+draws are made, one simulation at a time. A sample file is read in one
+np.loadtxt pass; a per-line reader, which alone defines the valid tokens
+(those int() and float() accept), reads it again to name the first invalid
+line. A posterior file sorted by sim_id is grouped into views of the parsed
+values, without a copy.
 """
 
 from __future__ import annotations
@@ -138,15 +141,19 @@ def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
 
+def _rows(sid, block):
+    """Per row of the (n, C) float ``block``, a line of the sim_id and C floats;
+    "%.17g" prints each float as format_float does."""
+    row = ",".join([str(int(sid))] + ["%.17g"] * block.shape[1]) + "\n"
+    return row * block.shape[0] % tuple(block.ravel().tolist())
+
+
 def _write_table(path, header, blocks):
-    """Stream the header, then per (sim_id, (n, C) array) block n rows of the
-    sim_id and C floats; "%.17g" prints each float as format_float does."""
+    """Stream the header, then the rows of each (sim_id, (n, C) array) block."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for sid, block in blocks:
-            block = np.asarray(block, dtype=float)
-            row = ",".join([str(int(sid))] + ["%.17g"] * block.shape[1]) + "\n"
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            fh.write(_rows(sid, np.asarray(block, dtype=float)))
 
 
 def write_joint_file(path, sim_ids, thetas):
@@ -154,20 +161,40 @@ def write_joint_file(path, sim_ids, thetas):
     _write_table(path, ["sim_id"] + _theta_header(thetas.shape[1]), zip(sim_ids, thetas[:, None]))
 
 
+@contextlib.contextmanager
+def posterior_writer(path):
+    """Write a posterior file one simulation at a time: yields ``write(sim_id,
+    draws)``, which appends the (n, D) ``draws`` as n rows with sample_ids
+    0..n-1. The first block sets D and the header. The file replaces ``path``
+    only when the block exits cleanly after at least one write; otherwise
+    nothing is written and an existing file is left as it was."""
+    first = None  # (sim_id, D) of the first block
+
+    with _atomic_open(path) as fh:
+        def write(sim_id, draws):
+            nonlocal first
+            draws = np.asarray(draws, dtype=float)
+            if draws.ndim != 2:
+                raise ValueError(f"samples for sim_id {sim_id} have shape {draws.shape}, expected (n, D)")
+            if first is None:
+                first = (sim_id, draws.shape[1])
+                fh.write(",".join(["sim_id", "sample_id"] + _theta_header(draws.shape[1])) + "\n")
+            elif draws.shape[1] != first[1]:
+                raise ValueError(f"samples for sim_id {sim_id} have dimension {draws.shape[1]}, "
+                                 f"sim_id {first[0]} has {first[1]}")
+            fh.write(_rows(sim_id, np.column_stack([np.arange(len(draws)), draws])))
+
+        yield write
+        if first is None:
+            raise ValueError("no simulations to write")
+
+
 def write_posterior_file(path, samples_by_sim: dict):
-    """``samples_by_sim`` maps sim_id -> (n_i, D) array, with one D for all."""
-    if not samples_by_sim:
-        raise ValueError("no simulations to write")
-    for sid, s in samples_by_sim.items():
-        if np.ndim(s) != 2:
-            raise ValueError(f"samples for sim_id {sid} have shape {np.shape(s)}, expected (n, D)")
-    (first, dim), *rest = ((sid, np.shape(s)[1]) for sid, s in samples_by_sim.items())
-    for sid, d in rest:
-        if d != dim:
-            raise ValueError(f"samples for sim_id {sid} have dimension {d}, sim_id {first} has {dim}")
-    blocks = ((sid, np.column_stack([np.arange(len(samples_by_sim[sid])), samples_by_sim[sid]]))
-              for sid in sorted(samples_by_sim))
-    _write_table(path, ["sim_id", "sample_id"] + _theta_header(dim), blocks)
+    """``samples_by_sim`` maps sim_id -> (n_i, D) array, with one D for all;
+    :func:`posterior_writer` writes them in sim_id order."""
+    with posterior_writer(path) as write:
+        for sid in sorted(samples_by_sim):
+            write(sid, samples_by_sim[sid])
 
 
 def write_observation_file(path, sim_ids, xs):
@@ -203,13 +230,20 @@ def _parse_floats(path, ln, tokens):
     return vals
 
 
+def _first_outside(ids, n):
+    """The index of the first id outside [0, n), or None."""
+    return next((k for k, sid in enumerate(ids) if not 0 <= sid < n), None)
+
+
 def _check_dense_ids(path, ids):
-    ids = sorted(ids)
-    if not ids:
+    """Unique ids are dense in [0, N) unless one lies outside; the error names its line."""
+    if not len(ids):
         raise SchemaError(path, 2, "file contains no simulations")
-    if ids != list(range(len(ids))):
+    outside = _first_outside(ids, len(ids))
+    if outside is not None:
         missing = sorted(set(range(len(ids))) - set(ids))[:3]
-        raise SchemaError(path, 1, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+        raise SchemaError(path, _line_of_row(path, outside),
+                          f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
 
 
 def _lines(fh):
@@ -226,14 +260,24 @@ def _numpy_rows(lines):
         yield raw
 
 
+def _numbered_rows(lines, ln):
+    """(line number, line) of the non-blank ``lines``, numbered from ``ln``."""
+    return ((n, raw) for n, raw in enumerate(lines, start=ln) if raw.strip())
+
+
+def _line_of_row(path, row):
+    """The line number of data row ``row`` (from 0) of a file with a header."""
+    with open(path) as fh:
+        rows = _numbered_rows(itertools.islice(_lines(fh), 1, None), 2)
+        return next(itertools.islice(rows, row, None))[0]
+
+
 def _read_lines(path, lines, ln, fixed, dim, unique):
     """The per-line reader, which alone defines which tokens are valid: (the
     first id column, a (rows, dim) array) of ``lines`` numbered from ``ln``,
     or the SchemaError of the first invalid line."""
     sim_ids, rows, seen = [], [], set()
-    for ln, raw in enumerate(lines, start=ln):
-        if not raw.strip():
-            continue
+    for ln, raw in _numbered_rows(lines, ln):
         parts = raw.split(",")
         if len(parts) != len(fixed) + dim:
             raise SchemaError(path, ln, f"expected {len(fixed) + dim} columns, got {len(parts)}")
@@ -288,22 +332,29 @@ def read_joint_file(path):
 
 def read_posterior_file(path, n_sims: Optional[int] = None):
     """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance;
-    validates coverage of 0..n_sims-1 when given."""
+    validates coverage of 0..n_sims-1 when given. The arrays of a file sorted
+    by sim_id, as drpkit writes them, are views of the parsed values."""
     sim_ids, values = _read_table(path, ("sim_id", "sample_id"), "theta")
     if not len(sim_ids):
         raise SchemaError(path, 2, "file contains no samples")
-    order = np.argsort(sim_ids, kind="stable")
-    keys, starts = np.unique(np.asarray(sim_ids)[order], return_index=True)
-    groups = np.split(values[order], starts[1:])
-    by_sim = {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
+    ids = np.asarray(sim_ids)
+    if np.all(ids[1:] >= ids[:-1]):  # sorted: group views of the parsed values
+        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        by_sim = dict(zip(map(int, ids[np.r_[0, starts]]), np.split(values, starts)))
+    else:  # group a stable sim_id-ordered copy
+        order = np.argsort(ids, kind="stable")
+        keys, starts = np.unique(ids[order], return_index=True)
+        groups = np.split(values[order], starts[1:])
+        by_sim = {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
     if n_sims is not None:
         missing = sorted(set(range(n_sims)) - set(by_sim))
         if missing:
             raise SchemaError(path, 1, f"no posterior samples for sim_id {missing[0]} "
                                        f"(every sim needs >= 1 sample)")
-        extra = sorted(set(by_sim) - set(range(n_sims)))
-        if extra:
-            raise SchemaError(path, 1, f"sim_id {extra[0]} not present in the joint file")
+        if len(by_sim) > n_sims:
+            outside = _first_outside(sim_ids, n_sims)
+            raise SchemaError(path, _line_of_row(path, outside),
+                              f"sim_id {sim_ids[outside]} not present in the joint file")
     return by_sim
 
 

@@ -15,6 +15,7 @@ a simulation id.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import math
@@ -214,16 +215,29 @@ def thread_cap() -> int:
 
 
 def parallel_map(fn, items):
-    """Map ``fn`` over ``items`` preserving order, on up to thread_cap() threads.
+    """Map ``fn`` over ``items`` on up to thread_cap() threads, yielding the
+    results in order.
 
     Tasks must be pure given their arguments (independently seeded); the result
-    is identical to a serial map regardless of scheduling.
+    is identical to a serial map regardless of scheduling. At most two tasks
+    per thread are in flight, so results do not pile up ahead of the consumer.
     """
     items = list(items)
     workers = min(thread_cap(), len(items)) if items else 1
     if workers <= 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending = collections.deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:  # a failed task or an abandoned iterator starts no further task
+            for future in pending:
+                future.cancel()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ class TestToyCommand:
         run(*toy_args(tmp_path / "threads", extra=("--dump-samples",)))
         for name in ("drp.csv", "toy_posterior.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "threads" / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_dump_holds_one_simulation_at_a_time(self, tmp_path, monkeypatch, threads):
+        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
+        if threads is not None:
+            monkeypatch.setenv("DRPKIT_THREADS", threads)
+        draws_bytes = 200 * 500 * 10 * 8  # all the draws the dump writes: 8 MB
+        tracemalloc.start()
+        try:
+            assert run(*toy_args(tmp_path / "o", dim=10, n_sims=200, n_post=500,
+                                 extra=("--methods", "drp", "--dump-samples"))) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < draws_bytes / 3, peak
 
 
 class TestRoundTrip:
@@ -355,6 +371,18 @@ class TestCoverageCommand:
                    "--obs", str(tmp_path / "obs.csv"), "--out", str(out),
                    *[f.format(weights=tmp_path / "w.txt") for f in flags]) == 2
         assert not out.exists()
+
+    def test_overflowing_bounds_print_only_the_usage_error(self, tmp_path):
+        joint, post = self.make_files(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drpkit.__file__)))
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "drpkit.cli", "coverage",
+                               "--joint", str(joint), "--posterior", str(post), "--bounds=-1e308:1e308",
+                               "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: drpkit ")
+        assert error.startswith("drpkit: error: --bounds -1e308:1e308: offset and scale must be finite")
+        assert not (tmp_path / "o").exists()
 
     def test_bounds_file(self, tmp_path):
         joint, post = self.make_files(tmp_path)

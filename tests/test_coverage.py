@@ -131,7 +131,6 @@ class TestFitNormalization:
             NormalizationMap(offset=np.array(offset), scale=np.array(scale))
         assert err.value.dimension == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 - -1e308
     @pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, np.inf), (-1e308, 1e308)])
     def test_infinite_explicit_bounds_rejected(self, bounds):
         with pytest.raises(NormalizationError, match="finite"):

@@ -2,6 +2,7 @@
 drp_test, drp_test_precomputed and hpd_test, over random small validation sets."""
 
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -175,8 +176,8 @@ def test_one_pass_gives_each_test_its_own_curve(case, data, cap):
     seen = []
     with threads(cap):
         curves = coverage_tests(dataset, sampler, specs, n_post=kw["n_post"], seed=kw["seed"],
-                                on_draws=lambda sid, draws: seen.append(sid))
-    assert sorted(seen) == list(range(dataset.n_sims))
+                                on_draws=lambda sid, draws: seen.append((sid, threading.get_ident())))
+    assert seen == [(sid, threading.get_ident()) for sid in range(dataset.n_sims)]  # calling thread, sim_id order
     assert len(curves) == len(specs)
     with threads(None):
         for spec, curve in zip(specs, curves):

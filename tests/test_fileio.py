@@ -11,6 +11,7 @@ import pytest
 from drpkit.coverage import RankTable, default_levels, ecp_curve
 from drpkit.fileio import (
     SchemaError,
+    posterior_writer,
     read_coverage_csv,
     read_joint_file,
     read_observation_file,
@@ -111,7 +112,7 @@ class TestSampleFiles:
         path.write_text("sim_id,theta_0\n0,1.0\n2,2.0\n")
         with pytest.raises(SchemaError) as err:
             read_joint_file(path)
-        assert str(err.value) == f"{path}:1: sim_ids must be dense in [0, N); missing or duplicated near [1]"
+        assert str(err.value) == f"{path}:3: sim_ids must be dense in [0, N); missing or duplicated near [1]"
 
     def test_write_posterior_file_needs_a_simulation(self, tmp_path):
         with pytest.raises(ValueError, match="no simulations to write"):
@@ -140,6 +141,23 @@ class TestSampleFiles:
             write_posterior_file(path, {0: np.zeros((1, 2)), 4: block})
         assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D)"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_stream_writes_nothing(self, tmp_path):
+        def failed_stream(path):
+            with pytest.raises(RuntimeError, match="sampler failed"):
+                with posterior_writer(path) as write:
+                    for sid in range(3):  # past the write buffer, so rows reach the temp file
+                        write(sid, np.zeros((1000, 3)))
+                    raise RuntimeError("sampler failed")
+
+        path = tmp_path / "post.csv"
+        failed_stream(path)
+        assert list(tmp_path.iterdir()) == []
+        write_posterior_file(path, {0: np.ones((2, 3))})
+        before = path.read_bytes()
+        failed_stream(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_posterior_missing_sim(self, tmp_path):
         g = SeededRng(5).generator()

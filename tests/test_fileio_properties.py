@@ -1,9 +1,11 @@
 """Property tests: the streamed sample-file writer and reader against per-row
 and per-line reference implementations of the same formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from drpkit import fileio
@@ -65,7 +67,7 @@ def ref_read_dense(path, prefix):
     if not lines:
         raise SchemaError(path, 1, "empty file")
     dim = ref_header(path, lines[0], ("sim_id",), prefix)
-    recs = {}
+    recs, line_of = {}, {}
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -75,13 +77,14 @@ def ref_read_dense(path, prefix):
         sid = ref_int(path, ln, parts[0], "sim_id")
         if sid in recs:
             raise SchemaError(path, ln, f"duplicate sim_id {sid}")
-        recs[sid] = ref_floats(path, ln, parts[1:])
+        recs[sid], line_of[sid] = ref_floats(path, ln, parts[1:]), ln
     ids = sorted(recs)
     if not ids:
         raise SchemaError(path, 2, "file contains no simulations")
-    if ids != list(range(len(ids))):  # names the missing ids as plain ints
+    if ids != list(range(len(ids))):  # names the missing ids as plain ints, at the first id outside
         missing = sorted(set(range(len(ids))) - set(ids))[:3]
-        raise SchemaError(path, 1, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+        ln = min(line_of[sid] for sid in ids if not 0 <= sid < len(ids))
+        raise SchemaError(path, ln, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
     return np.arange(len(ids)), np.stack([recs[i] for i in ids])
 
 
@@ -165,6 +168,11 @@ def test_posterior_writer_bytes_match_reference(tmp_path, draws):
     path = tmp_path / "post.csv"
     fileio.write_posterior_file(path, draws)
     assert path.read_text() == ref_posterior_text(draws)
+    # the streaming writer, handed the blocks one at a time and in Fortran order
+    with fileio.posterior_writer(tmp_path / "streamed.csv") as write:
+        for sid in sorted(draws):
+            write(sid, np.asfortranarray(draws[sid]))
+    assert (tmp_path / "streamed.csv").read_text() == ref_posterior_text(draws)
 
 
 @PROPS
@@ -197,6 +205,54 @@ def test_posterior_reader_matches_reference(tmp_path, draws):
         assert_same_posterior(new[1], ref[1])
     else:
         assert new[1] == ref[1]
+
+
+def argsort_grouping(sim_ids, values):
+    """The grouping read_posterior_file once used for every file: split a stable
+    argsort copy of the values by sim_id, keyed in order of first appearance."""
+    order = np.argsort(sim_ids, kind="stable")
+    keys, starts = np.unique(np.asarray(sim_ids)[order], return_index=True)
+    groups = np.split(values[order], starts[1:])
+    return {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
+
+
+@PROPS
+@given(ragged_draws(), st.sampled_from(["sorted", "unsorted", "interleaved"]), st.data())
+def test_grouping_matches_the_argsort_copy(tmp_path, draws, layout, data):
+    rows = [(sid, j, row) for sid in sorted(draws) for j, row in enumerate(draws[sid])]
+    if layout == "unsorted":  # whole blocks, in another order
+        order = data.draw(st.permutations(sorted(draws)))
+        rows = [(sid, j, row) for sid in order for j, row in enumerate(draws[sid])]
+    elif layout == "interleaved":
+        rows = data.draw(st.permutations(rows))
+    assume(rows)
+    dim = next(iter(draws.values())).shape[1]
+    lines = [",".join(["sim_id", "sample_id"] + [f"theta_{d}" for d in range(dim)])]
+    lines += [",".join([str(sid), str(j)] + [ref_format(v) for v in row]) for sid, j, row in rows]
+    path = tmp_path / "post.csv"
+    path.write_text("\n".join(lines) + "\n")
+    sim_ids, values = fileio._read_table(path, ("sim_id", "sample_id"), "theta")
+    assert_same_posterior(fileio.read_posterior_file(path), argsort_grouping(sim_ids, values))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sorted_file_is_grouped_without_a_copy(tmp_path):
+    g = np.random.default_rng(1)
+    draws = {i: g.standard_normal((400, 10)) for i in range(50)}
+    values_bytes = 50 * 400 * 10 * 8
+    path = tmp_path / "post.csv"
+    fileio.write_posterior_file(path, draws)
+    parse = traced_peak(lambda: fileio._read_table(path, ("sim_id", "sample_id"), "theta"))
+    read = traced_peak(lambda: fileio.read_posterior_file(path))
+    assert read < parse + values_bytes / 4, (read, parse)  # a copy would add values_bytes
 
 
 # kind -> (reader, reference reader), both called with (path, dim)

@@ -269,7 +269,7 @@ class TestParallelMap:
     def test_serial_default(self, monkeypatch):
         monkeypatch.delenv("DRPKIT_THREADS", raising=False)
         assert thread_cap() == 1
-        assert parallel_map(lambda v: v * v, range(10)) == [v * v for v in range(10)]
+        assert list(parallel_map(lambda v: v * v, range(10))) == [v * v for v in range(10)]
 
     def test_threaded_matches_serial(self, monkeypatch):
         def work(i):
@@ -277,11 +277,30 @@ class TestParallelMap:
             return g.standard_normal(100).sum()
 
         monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        serial = parallel_map(work, range(32))
+        serial = list(parallel_map(work, range(32)))
         monkeypatch.setenv("DRPKIT_THREADS", "4")
         assert thread_cap() == 4
-        threaded = parallel_map(work, range(32))
+        threaded = list(parallel_map(work, range(32)))
         assert serial == threaded
+
+    @pytest.mark.parametrize("cap", ["1", "3"])
+    def test_results_are_yielded_with_few_tasks_in_flight(self, monkeypatch, cap):
+        monkeypatch.setenv("DRPKIT_THREADS", cap)
+        started = []
+
+        def work(i):
+            started.append(i)
+            if i == 20:
+                raise RuntimeError("task 20")
+            return i
+
+        results = parallel_map(work, range(40))
+        for i in range(20):
+            assert next(results) == i
+            assert len(started) <= i + 1 + 2 * int(cap)  # at most two tasks per thread ahead
+        with pytest.raises(RuntimeError, match="task 20"):
+            next(results)
+        assert len(started) <= 21 + 2 * int(cap)  # no task starts after the failure
 
     def test_auto_cap(self, monkeypatch):
         monkeypatch.setenv("DRPKIT_THREADS", "0")
