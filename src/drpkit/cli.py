@@ -47,7 +47,7 @@ from .fileio import (
     posterior_writer,
     read_joint_file,
     read_observation_file,
-    read_posterior_file,
+    read_posterior_runs,
     read_prior_file,
     write_coverage_csv,
     write_joint_file,
@@ -282,7 +282,6 @@ def _parse_bounds(parser, spec, dataset):
 def _run_coverage(args, parser) -> int:
     sim_ids, thetas = read_joint_file(args.joint)
     n_sims, dim = thetas.shape
-    samples_by_sim = read_posterior_file(args.posterior, n_sims=n_sims)
     if args.obs is not None:
         _, xs = read_observation_file(args.obs, n_sims=n_sims)
         observations = tuple(xs)
@@ -292,10 +291,12 @@ def _run_coverage(args, parser) -> int:
     policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
     metric = _parse_metric(parser, args.metric)
     bounds = _parse_bounds(parser, args.bounds, dataset)
-    _prepare_out(args)
 
-    curve = drp_test_precomputed(dataset, samples_by_sim, policy=policy, metric=metric,
+    # each run of the posterior file is ranked as it is parsed, then dropped
+    runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims))
+    curve = drp_test_precomputed(dataset, runs, policy=policy, metric=metric,
                                  seed=args.seed, bounds=bounds)
+    _prepare_out(args)
     write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,
                        policy=args.ref_policy, metric=args.metric)
     return 0

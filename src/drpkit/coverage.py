@@ -7,8 +7,9 @@ Two engines over a validation set of (theta_true, x) pairs:
 * the DRP test ranks the truth's distance to a random reference point against
   the distances of n posterior draws (requires samples only).
 
-Each simulation yields a rank fraction f in [0, 1]; the expected coverage at
-credibility level c = 1 - alpha is the fraction of simulations with f < c.
+Each simulation yields a rank: k of its n draws fall strictly below the truth,
+and f = k / n in [0, 1]; the expected coverage at credibility level
+c = 1 - alpha is the fraction of simulations with f < c.
 For an optimal posterior estimator the ranks are uniform and the curve sits on
 the diagonal. Parameters are affinely normalized to the unit hypercube before
 any distance is computed; reference points pass through the same map.
@@ -17,6 +18,8 @@ any distance is computed; reference points pass through the same map.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -287,18 +290,22 @@ def distances_to(metric: DistanceMetric, points: np.ndarray, ref: np.ndarray) ->
 
 @dataclass(frozen=True)
 class RankTable:
-    """Rank fractions as arrays, one row per (simulation, repeat), in sim_id
-    order with repeats in order; ``theta_r`` (rows, D) holds the DRP reference
-    points and is None for HPD ranks."""
+    """Ranks as arrays, one row per (simulation, repeat), in sim_id order with
+    repeats in order: ``k`` of the ``n`` ranked draws fall strictly below the
+    truth, and ``f = k / n``. ``theta_r`` (rows, D) holds the DRP reference
+    points and is None for HPD ranks. A table built from fractions alone has
+    no ``k`` and ``n``."""
 
     sim_id: np.ndarray
     f: np.ndarray
     theta_r: Optional[np.ndarray] = None
+    k: Optional[np.ndarray] = None
+    n: Optional[np.ndarray] = None
 
 
-def _fraction_strictly_below(values: np.ndarray, threshold: float) -> float:
+def _count_strictly_below(values: np.ndarray, threshold: float) -> int:
     # strict comparison: ties do not count
-    return float(np.count_nonzero(values < threshold)) / values.size
+    return int(np.count_nonzero(values < threshold))
 
 
 def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclidean()) -> float:
@@ -307,6 +314,11 @@ def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclide
     All inputs are expected in normalized coordinates. Equal distances count as
     not closer, so a point-mass estimator at the truth yields f = 0.
     """
+    return _drp_count(post_samples, theta_true, theta_r, metric) / len(np.atleast_2d(post_samples))
+
+
+def _drp_count(post_samples, theta_true, theta_r, metric) -> int:
+    """The number of posterior samples strictly closer to theta_r than the truth is."""
     samples = np.atleast_2d(np.asarray(post_samples, dtype=float))
     truth = np.asarray(theta_true, dtype=float).ravel()
     ref = np.asarray(theta_r, dtype=float).ravel()
@@ -320,7 +332,7 @@ def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclide
     d_truth = distances_to(metric, truth[None, :], ref)[0]
     if not (np.all(np.isfinite(d_samples)) and math.isfinite(d_truth)):
         raise ValueError("non-finite distance encountered")
-    return _fraction_strictly_below(d_samples, d_truth)
+    return _count_strictly_below(d_samples, d_truth)
 
 
 def hpd_rank(sample_densities, truth_density, log_scale: bool = False) -> float:
@@ -330,6 +342,11 @@ def hpd_rank(sample_densities, truth_density, log_scale: bool = False) -> float:
     be nonnegative; with ``log_scale=True`` they are log densities and may take
     any finite value (the comparison only uses ordering at fixed x).
     """
+    return _hpd_count(sample_densities, truth_density, log_scale) / np.size(sample_densities)
+
+
+def _hpd_count(sample_densities, truth_density, log_scale) -> int:
+    """The number of sample densities strictly below the truth's density."""
     dens = np.asarray(sample_densities, dtype=float).ravel()
     truth = float(truth_density)
     if dens.size < 1:
@@ -338,7 +355,7 @@ def hpd_rank(sample_densities, truth_density, log_scale: bool = False) -> float:
         raise ValueError("densities must be finite")
     if not log_scale and (truth < 0 or np.any(dens < 0)):
         raise ValueError("densities must be nonnegative")
-    return _fraction_strictly_below(dens, truth)
+    return _count_strictly_below(dens, truth)
 
 
 # --- curve assembly -------------------------------------------------------------
@@ -418,49 +435,62 @@ class HpdSpec:
     """An HPD test for :func:`coverage_tests`; needs sampler.log_density."""
 
 
-def _rank_table(dataset: JointSampleSet, draws, rankers, on_draws=None) -> list:
-    """The per-simulation loop of every test, run in sim_id order.
+def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) -> list:
+    """The loop of every test: one RankTable per ranker, in sim_id order.
 
-    ``draws(i, sid)`` gives simulation i's (n, D) draws and each ranker's
-    ``rank(i, samples)`` one (f, theta_r) pair per repeat, one RankTable per
-    ranker. Draws are dropped once ranked and passed to ``on_draws(sid,
-    samples)``, which runs on the calling thread, in sim_id order. Errors are
-    re-raised as SimulationError.
+    ``runs`` yields (sim_id, item) pairs; a simulation may come in several
+    runs, in any order. On a worker thread, ``draws(i, sim_id, item)`` gives
+    the run's (n, D) draws of simulation i and each ranker's ``rank(i,
+    samples)`` one (k, theta_r) pair per repeat, k counting the draws strictly
+    below the truth. Counts add up over a simulation's runs, so its rank is the
+    one its draws would get in one block. Draws are dropped once ranked and
+    passed to ``on_draws(sid, samples)``, on the calling thread, in run order.
+    Errors, and a simulation with no draws, are raised as SimulationError.
     """
+    index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
 
-    def one_sim(i):
-        sid = int(dataset.sim_ids[i])
+    def one_run(run):
+        sid, item = run
         try:
-            samples = draws(i, sid)
-            return sid, samples, [rank(i, samples) for rank in rankers]
+            samples = draws(index[sid], sid, item)
+            return sid, samples, [rank(index[sid], samples) for rank in rankers]
         except SimulationError:
             raise
         except Exception as e:
             raise SimulationError(sid, str(e)) from e
 
-    per_sim = []
+    n = [0] * dataset.n_sims
+    k = [[None] * dataset.n_sims for _ in rankers]  # per ranker and sim_id: k per repeat
+    refs = [[None] * dataset.n_sims for _ in rankers]  # per ranker and sim_id: theta_r per repeat
     with single_thread_blas():
-        for sid, samples, ranks in parallel_map(one_sim, np.argsort(dataset.sim_ids)):
+        for sid, samples, ranks in parallel_map(one_run, runs):
             if on_draws is not None:
                 try:
                     on_draws(sid, samples)
                 except Exception as e:
                     raise SimulationError(sid, str(e)) from e
-            per_sim.append(ranks)
+            n[sid] += len(samples)
+            for k_of, refs_of, pairs in zip(k, refs, ranks):
+                k_run, refs_of[sid] = zip(*pairs)
+                k_of[sid] = k_run if k_of[sid] is None else tuple(map(operator.add, k_of[sid], k_run))
+    if 0 in n:
+        raise SimulationError(n.index(0), "no posterior samples")
     tables = []
-    for per_test in zip(*per_sim):
-        f, theta_r = zip(*[pair for pairs in per_test for pair in pairs])
-        tables.append(RankTable(
-            sim_id=np.repeat(np.arange(dataset.n_sims), [len(p) for p in per_test]),
-            f=np.array(f), theta_r=None if theta_r[0] is None else np.array(theta_r)))
+    for k_of, refs_of in zip(k, refs):
+        k_all = np.array(k_of, dtype=np.int64)
+        repeats = k_all.shape[1]
+        n_all = np.repeat(np.array(n, dtype=np.int64), repeats)
+        theta_r = None if refs_of[0][0] is None else np.array([ref for pairs in refs_of for ref in pairs])
+        tables.append(RankTable(sim_id=np.repeat(np.arange(dataset.n_sims), repeats),
+                                f=k_all.ravel() / n_all, theta_r=theta_r, k=k_all.ravel(), n=n_all))
     return tables
 
 
 def _sampler_draws(dataset: JointSampleSet, sampler, n_post: int, root: SeededRng):
-    """Draw source: n_post draws per simulation from its "posterior" substream."""
+    """Draw source: n_post draws of simulation i from its "posterior" substream."""
     shape = (n_post, dataset.dim_theta)
 
-    def draws(i, sid):
+    def draws(i, sid, _):
         samples = np.asarray(sampler.sample(dataset.observations[i], n_post,
                                             root.substream(_POST_TAG, sid)), dtype=float)
         if samples.shape != shape:
@@ -487,7 +517,7 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
         for r in range(spec.repeats):
             theta_r = sample_reference(spec.policy, dataset.observations[i], nmap.dim,
                                        root.substream(_REF_TAG, r, sid), nmap)
-            out.append((drp_rank(norm_samples, norm_truth, theta_r, spec.metric), theta_r))
+            out.append((_drp_count(norm_samples, norm_truth, theta_r, spec.metric), theta_r))
         return out
 
     return rank
@@ -503,7 +533,7 @@ def _hpd_ranker(dataset: JointSampleSet, sampler):
         x = dataset.observations[i]
         log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
         log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-        return [(hpd_rank(log_dens, log_truth, log_scale=True), None)]
+        return [(_hpd_count(log_dens, log_truth, log_scale=True), None)]
 
     return rank
 
@@ -535,7 +565,8 @@ def coverage_tests(dataset: JointSampleSet, sampler, tests, *, n_post: int, leve
             rankers.append(_hpd_ranker(dataset, sampler))
         else:
             raise TypeError(f"unknown coverage test {type(spec).__name__}")
-    tables = _rank_table(dataset, _sampler_draws(dataset, sampler, n_post, root), rankers, on_draws)
+    runs = ((sid, None) for sid in range(dataset.n_sims))  # one per simulation, in sim_id order
+    tables = _rank_table(dataset, runs, _sampler_draws(dataset, sampler, n_post, root), rankers, on_draws)
     return [ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims, band_z=band_z,
                       method="drp" if isinstance(spec, DrpSpec) else "hpd")
             for table, spec in zip(tables, tests)]
@@ -553,34 +584,39 @@ def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
                           on_draws=on_draws)[0]
 
 
-def drp_test_precomputed(dataset: JointSampleSet, samples_by_sim: dict, *,
+def drp_test_precomputed(dataset: JointSampleSet, samples, *,
                          policy: ReferencePolicy = UnitHypercubeUniform(),
                          metric: DistanceMetric = Euclidean(),
                          levels=None, seed: int = 0, bounds=None, repeats: int = 1,
                          band_z: float = 3.0) -> CoverageCurve:
-    """DRP test over already-materialized posterior draws ({sim_id: (n_i, D)}).
+    """DRP test over already-materialized posterior draws: a mapping {sim_id:
+    (n_i, D) array}, or an iterable of (sim_id, (rows, D) array) runs.
 
-    Shares drp_test's normalization, reference substreams and rank computation
-    exactly, so running it on draws dumped by drp_test (same seed) reproduces
-    the same curve bit for bit. Per-sim sample counts may differ; the curve's
-    n_post records the common count, or 0 when counts are mixed.
+    A simulation's draws may come in several runs, in any order: its reference
+    points come from its own substreams, so its rank counts add up over its
+    runs and equal those of the joined block. An iterable is consumed once, as
+    the workers take its runs, so it can stream a file too large to hold
+    (``fileio.read_posterior_runs``). Draws of sim_ids outside the dataset are
+    ignored. Shares drp_test's normalization, reference substreams and rank
+    computation exactly, so running it on draws dumped by drp_test (same seed)
+    reproduces the same curve bit for bit. Per-sim sample counts may differ;
+    the curve's n_post records the common count, or 0 when counts are mixed.
     """
     dim = dataset.dim_theta
+    runs = samples.items() if isinstance(samples, Mapping) else samples
 
-    def draws(i, sid):
-        if sid not in samples_by_sim:
-            raise ValueError("no posterior samples")
-        samples = np.atleast_2d(np.asarray(samples_by_sim[sid], dtype=float))
-        if samples.shape[0] < 1 or samples.shape[1] != dim:
-            raise ValueError(f"samples for sim {sid} have shape {samples.shape}, expected (n, {dim})")
-        return samples
+    def draws(i, sid, block):
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        if block.shape[0] < 1 or block.shape[1] != dim:
+            raise ValueError(f"samples for sim {sid} have shape {block.shape}, expected (n, {dim})")
+        return block
 
     ranker = _drp_ranker(dataset, DrpSpec(policy, metric, bounds, repeats), SeededRng(seed))
-    [table] = _rank_table(dataset, draws, [ranker])
-    counts = {np.atleast_2d(np.asarray(samples_by_sim[int(s)])).shape[0] for s in dataset.sim_ids}
-    n_post = counts.pop() if len(counts) == 1 else 0
-    return ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims,
-                     method="drp", band_z=band_z)
+    [table] = _rank_table(dataset, ((int(sid), block) for sid, block in runs
+                                    if 0 <= sid < dataset.n_sims), draws, [ranker])
+    counts = np.unique(table.n)
+    return ecp_curve(table, levels, n_post=counts[0] if counts.size == 1 else 0,
+                     n_sims=dataset.n_sims, method="drp", band_z=band_z)
 
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
@@ -631,7 +667,7 @@ def region_membership_ecp(dataset: JointSampleSet, sampler, *, method: str, n_po
     for i in range(dataset.n_sims):
         sid = int(dataset.sim_ids[i])
         x = dataset.observations[i]
-        samples = draws(i, sid)
+        samples = draws(i, sid, None)
         if method == "drp":
             theta_r = sample_reference(policy, x, dim, root.substream(_REF_TAG, 0, sid), nmap)
             d = np.sort(distances_to(metric, nmap.apply(samples), theta_r))

@@ -13,11 +13,12 @@ files carry a header naming their columns:
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError
 naming the file, line, and invariant. A posterior file can be written as its
-draws are made, one simulation at a time. A sample file is read in one
-np.loadtxt pass; a per-line reader, which alone defines the valid tokens
-(those int() and float() accept), reads it again to name the first invalid
-line. A posterior file sorted by sim_id is grouped into views of the parsed
-values, without a copy.
+draws are made, one simulation at a time. A sample file is parsed a chunk
+of text at a time (about 256 KiB, cut at a line break), each chunk in one
+np.loadtxt call; a per-line reader, which alone defines the valid tokens (those
+int() and float() accept), reads a chunk numpy rejects again to name the first
+invalid line. A posterior file is read as runs of consecutive rows that share a
+sim_id, so a reader of the runs holds one chunk and one run, not the file.
 """
 
 from __future__ import annotations
@@ -137,6 +138,11 @@ def read_coverage_csv(path):
 
 # --- sample files -----------------------------------------------------------------
 
+# a sample file is parsed this many characters of text at a time, completed to
+# the end of a line, so a read holds about as much text whatever the row width
+_CHUNK_CHARS = 1 << 18
+
+
 def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
@@ -251,15 +257,6 @@ def _lines(fh):
     return itertools.chain.from_iterable(map(str.splitlines, fh))
 
 
-def _numpy_rows(lines):
-    """The non-blank lines, up to one that numpy could misread: it reads some
-    non-ASCII letters as digits, and it strips "\\x1f", which int() and float() reject."""
-    for raw in filter(str.strip, lines):
-        if not raw.isascii() or "\x1f" in raw:
-            raise ValueError("a row only the per-line reader may judge")
-        yield raw
-
-
 def _numbered_rows(lines, ln):
     """(line number, line) of the non-blank ``lines``, numbered from ``ln``."""
     return ((n, raw) for n, raw in enumerate(lines, start=ln) if raw.strip())
@@ -272,55 +269,85 @@ def _line_of_row(path, row):
         return next(itertools.islice(rows, row, None))[0]
 
 
-def _read_lines(path, lines, ln, fixed, dim, unique):
+def _read_lines(path, lines, ln, fixed, dim, seen):
     """The per-line reader, which alone defines which tokens are valid: (the
-    first id column, a (rows, dim) array) of ``lines`` numbered from ``ln``,
-    or the SchemaError of the first invalid line."""
-    sim_ids, rows, seen = [], [], set()
+    first id column, a (rows, dim) array, the line of each row) of ``lines``
+    numbered from ``ln``, or the SchemaError of the first invalid line. A
+    ``seen`` set forbids ids already in it, and gets the new ones."""
+    sim_ids, rows, line_of = [], [], []
     for ln, raw in _numbered_rows(lines, ln):
         parts = raw.split(",")
         if len(parts) != len(fixed) + dim:
             raise SchemaError(path, ln, f"expected {len(fixed) + dim} columns, got {len(parts)}")
         ids = [_parse_int(path, ln, token, what) for token, what in zip(parts, fixed)]
-        if unique:
+        if seen is not None:
             if ids[0] in seen:
                 raise SchemaError(path, ln, f"duplicate sim_id {ids[0]}")
             seen.add(ids[0])
         rows.append(_parse_floats(path, ln, parts[len(fixed):]))
         sim_ids += ids[:1]
-    return sim_ids, np.reshape(rows, (len(rows), dim))
+        line_of.append(ln)
+    return np.array(sim_ids, dtype=object), np.reshape(rows, (len(rows), dim)), line_of
+
+
+def _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen):
+    """(first id column, (rows, dim) values, line of each row) of one chunk:
+    its ``text``, split into ``lines`` numbered from ``ln``, whose non-blank
+    ones are ``rows``."""
+    # numpy reads some non-ASCII letters as digits, and it strips "\x1f", which
+    # int() and float() reject: only the per-line reader may judge such text
+    table = None
+    if text.isascii() and "\x1f" not in text:
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("ids", "i8", (len(fixed),)), ("values", "f8", (dim,))])
+    if table is not None:
+        ids, values = table["ids"][:, :1].ravel(), table["values"]
+        new = seen is None or (len(np.unique(ids)) == len(ids) and seen.isdisjoint(ids.tolist()))
+        if new and np.isfinite(values).all():
+            if seen is not None:
+                seen.update(ids.tolist())
+            line_of = (range(ln, ln + len(rows)) if len(rows) == len(lines)
+                       else [n for n, _ in _numbered_rows(lines, ln)])
+            return ids, values, line_of
+    return _read_lines(path, lines, ln, fixed, dim, seen)
+
+
+def _table_chunks(path, fixed, prefix, dim=None, unique=False):
+    """The rows of the integer ``fixed`` columns, then D floats, one chunk of
+    text at a time: per chunk that holds rows, (the first id column, a (rows,
+    D) array, the line number of each row). D comes from a header naming the
+    ``prefix``_d columns; with no ``prefix`` the file is headerless and D is
+    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated
+    ids anywhere in the file.
+
+    One np.loadtxt call parses a chunk; when numpy rejects a row, or a value is
+    not finite, or an id repeats, the per-line reader reads the chunk's lines."""
+    seen = set() if unique else None
+    with open(path) as fh:
+        ln = 1
+        while text := fh.read(_CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()  # a chunk ends at a line break
+            lines = text.splitlines()
+            if prefix is not None and ln == 1:
+                dim, lines, ln = _parse_header(path, lines[0], fixed, prefix), lines[1:], 2
+            rows = list(filter(str.strip, lines))
+            if rows:
+                yield _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen)
+            ln += len(lines)
+            del text, lines, rows  # freed before the next chunk is read
+    if prefix is not None and ln == 1:
+        raise SchemaError(path, 1, "empty file")
 
 
 def _read_table(path, fixed, prefix, dim=None, unique=False):
-    """Read rows of the integer ``fixed`` columns, then D floats, into (the
-    first id column, a (rows, D) array). D comes from a header naming the
-    ``prefix``_d columns; with no ``prefix`` the file is headerless and D is
-    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated ids.
-
-    One np.loadtxt pass parses the rows; when numpy rejects a row, or a value
-    is not finite, or an id repeats, the per-line reader reads the file again."""
-    with open(path) as fh:
-        lines, skip = _lines(fh), 0
-        if prefix is not None:
-            header = next(lines, None)
-            if header is None:
-                raise SchemaError(path, 1, "empty file")
-            dim, skip = _parse_header(path, header, fixed, prefix), 1
-        try:
-            rows = _numpy_rows(lines)
-            first = next(rows, None)
-            if first is None:  # np.loadtxt warns on empty input
-                return [], np.empty((0, dim))
-            table = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=1,
-                               dtype=[("ids", "i8", (len(fixed),)), ("values", "f8", (dim,))])
-        except ValueError:
-            table = None
-    if table is not None:
-        ids, values = table["ids"][:, :1].ravel(), table["values"]
-        if np.isfinite(values).all() and not (unique and len(np.unique(ids)) < len(ids)):
-            return ids, values
-    with open(path) as fh:
-        return _read_lines(path, itertools.islice(_lines(fh), skip, None), skip + 1, fixed, dim, unique)
+    """(the first id column, a (rows, D) array) of a whole file; see _table_chunks."""
+    chunks = list(_table_chunks(path, fixed, prefix, dim, unique))
+    if not chunks:
+        return [], np.empty((0, dim or 0))
+    ids, values, _ = zip(*chunks)
+    return np.concatenate(ids), np.concatenate(values)
 
 
 def read_joint_file(path):
@@ -330,32 +357,47 @@ def read_joint_file(path):
     return np.arange(len(sim_ids)), thetas[np.argsort(sim_ids)]
 
 
-def read_posterior_file(path, n_sims: Optional[int] = None):
-    """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance;
-    validates coverage of 0..n_sims-1 when given. The arrays of a file sorted
-    by sim_id, as drpkit writes them, are views of the parsed values."""
-    sim_ids, values = _read_table(path, ("sim_id", "sample_id"), "theta")
-    if not len(sim_ids):
-        raise SchemaError(path, 2, "file contains no samples")
-    ids = np.asarray(sim_ids)
-    if np.all(ids[1:] >= ids[:-1]):  # sorted: group views of the parsed values
+def read_posterior_runs(path, n_sims: Optional[int] = None):
+    """Yields (sim_id, line, (rows, D) array) for each maximal run of
+    consecutive rows that share a sim_id, in file order; ``line`` is the line
+    of the run's first row. Memory holds one chunk of text and one run.
+
+    Given ``n_sims``, a sim_id outside [0, n_sims) is reported at its run's
+    line when the reader reaches it, and the first sim_id in [0, n_sims) with
+    no rows at line 1, once the whole file is read."""
+    run = None  # (sim_id, line, [value blocks])
+    present = np.zeros(n_sims or 0, dtype=bool)
+    for ids, values, line_of in _table_chunks(path, ("sim_id", "sample_id"), "theta"):
         starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-        by_sim = dict(zip(map(int, ids[np.r_[0, starts]]), np.split(values, starts)))
-    else:  # group a stable sim_id-ordered copy
-        order = np.argsort(ids, kind="stable")
-        keys, starts = np.unique(ids[order], return_index=True)
-        groups = np.split(values[order], starts[1:])
-        by_sim = {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
-    if n_sims is not None:
-        missing = sorted(set(range(n_sims)) - set(by_sim))
-        if missing:
-            raise SchemaError(path, 1, f"no posterior samples for sim_id {missing[0]} "
-                                       f"(every sim needs >= 1 sample)")
-        if len(by_sim) > n_sims:
-            outside = _first_outside(sim_ids, n_sims)
-            raise SchemaError(path, _line_of_row(path, outside),
-                              f"sim_id {sim_ids[outside]} not present in the joint file")
-    return by_sim
+        for a, b in zip(np.r_[0, starts], np.r_[starts, len(ids)]):
+            sid = int(ids[a])
+            if run is not None and run[0] == sid:
+                run[2].append(values[a:b])
+                continue
+            if run is not None:
+                yield run[0], run[1], np.concatenate(run[2])
+            if n_sims is not None:
+                if not 0 <= sid < n_sims:
+                    raise SchemaError(path, line_of[a], f"sim_id {sid} not present in the joint file")
+                present[sid] = True
+            run = (sid, line_of[a], [values[a:b]])
+    if run is None:
+        raise SchemaError(path, 2, "file contains no samples")
+    yield run[0], run[1], np.concatenate(run[2])
+    if not present.all():
+        raise SchemaError(path, 1, f"no posterior samples for sim_id {np.argmin(present)} "
+                                   f"(every sim needs >= 1 sample)")
+
+
+def read_posterior_file(path, n_sims: Optional[int] = None):
+    """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance,
+    each the runs of :func:`read_posterior_runs` for that sim_id joined in file
+    order; validates coverage of 0..n_sims-1 when given."""
+    by_sim = {}
+    for sid, _, block in read_posterior_runs(path, n_sims):
+        by_sim.setdefault(sid, []).append(block)
+    return {sid: blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            for sid, blocks in by_sim.items()}
 
 
 def read_observation_file(path, n_sims: Optional[int] = None):

@@ -201,17 +201,18 @@ def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> BinomialBa
 
 
 def thread_cap() -> int:
-    """Worker-thread cap from DRPKIT_THREADS: unset -> 1, 0 -> cpu count, k -> k."""
+    """Worker-thread cap from DRPKIT_THREADS: unset -> 1, 0 -> cpu count, k -> k;
+    anything else raises ValueError."""
     raw = os.environ.get("DRPKIT_THREADS", "").strip()
     if raw == "":
         return 1
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"DRPKIT_THREADS must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        return os.cpu_count() or 1
-    return cap
+        cap = -1  # not an integer: the same error as a negative count
+    if cap < 0:
+        raise ValueError(f"DRPKIT_THREADS must be a non-negative integer, got {raw!r}")
+    return cap or os.cpu_count() or 1
 
 
 def parallel_map(fn, items):
@@ -219,11 +220,11 @@ def parallel_map(fn, items):
     results in order.
 
     Tasks must be pure given their arguments (independently seeded); the result
-    is identical to a serial map regardless of scheduling. At most two tasks
-    per thread are in flight, so results do not pile up ahead of the consumer.
+    is identical to a serial map regardless of scheduling. ``items`` is consumed
+    lazily: at most two tasks per thread are in flight, so neither items nor
+    results pile up ahead of the consumer.
     """
-    items = list(items)
-    workers = min(thread_cap(), len(items)) if items else 1
+    workers = thread_cap()
     if workers <= 1:
         yield from map(fn, items)
         return

@@ -138,6 +138,28 @@ class TestToyCommand:
 
 
 class TestRoundTrip:
+    def test_coverage_holds_one_chunk_and_one_simulation(self, tmp_path, monkeypatch):
+        # a 20 MB posterior file, about 80 chunks of text, holding 8 MB of draws
+        toy = tmp_path / "toy"
+        assert run(*toy_args(toy, dim=10, n_sims=200, n_post=500,
+                             extra=("--methods", "drp", "--dump-samples"))) == 0
+        draws_bytes = 200 * 500 * 10 * 8
+        argv = ["coverage", "--joint", str(toy / "toy_joint.csv"), "--posterior", str(toy / "toy_posterior.csv"),
+                "--bounds=-5:5", "--seed", "7"]
+        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
+        assert run(*argv, "--out", str(tmp_path / "untraced")) == 0  # also imports what a run needs
+        assert (tmp_path / "untraced" / "drp.csv").read_bytes() == (toy / "drp.csv").read_bytes()
+        for threads in ("1", "3"):
+            monkeypatch.setenv("DRPKIT_THREADS", threads)
+            tracemalloc.start()
+            try:
+                assert run(*argv, "--out", str(tmp_path / threads)) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < draws_bytes / 3, (threads, peak)
+            assert (tmp_path / threads / "drp.csv").read_bytes() == (toy / "drp.csv").read_bytes()
+
     def test_coverage_reproduces_toy_drp_bit_exact(self, tmp_path):
         out = tmp_path / "toy"
         assert run(*toy_args(out, dim=3, n_sims=20, n_post=15, seed=11,
@@ -293,6 +315,44 @@ class TestCoverageCommand:
                    "--out", str(tmp_path / "o"))
         assert code == 1
         assert "sim_id 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["token", "outside", "missing"])
+    def test_late_posterior_faults_name_their_line_and_write_nothing(self, tmp_path, capsys, fault):
+        joint, post = self.make_files(tmp_path, n_sims=60, n_post=200)  # about 3 chunks of text
+        lines = post.read_text().splitlines()
+        if fault == "token":  # a value of the last row
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",oops"
+            message = f"{post}:{len(lines)}: non-numeric value"
+        elif fault == "outside":  # the last row's sim_id
+            lines[-1] = "60," + lines[-1].split(",", 1)[1]
+            message = f"{post}:{len(lines)}: sim_id 60 not present in the joint file"
+        else:
+            lines = [ln for ln in lines if not ln.startswith("41,")]
+            message = f"{post}:1: no posterior samples for sim_id 41 (every sim needs >= 1 sample)"
+        post.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_usage_errors_come_before_the_posterior_is_read(self, tmp_path, capsys):
+        joint, _ = self.make_files(tmp_path)
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(tmp_path / "missing.csv"),
+                   "--metric", "bogus", "--out", str(out)) == 2
+        assert "unknown --metric 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_order_does_not_change_the_curve(self, tmp_path):
+        joint, post = self.make_files(tmp_path, n_sims=30, n_post=40)
+        header, *rows = post.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        order = SeededRng(3).generator().permutation(len(rows))
+        shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        for name, path in (("sorted", post), ("shuffled", shuffled)):
+            assert run("coverage", "--joint", str(joint), "--posterior", str(path),
+                       "--out", str(tmp_path / name)) == 0
+        assert (tmp_path / "sorted" / "drp.csv").read_bytes() == (tmp_path / "shuffled" / "drp.csv").read_bytes()
 
     def test_weighted_metric_zero_weight_usage_error(self, tmp_path):
         joint, post = self.make_files(tmp_path)

@@ -67,6 +67,7 @@ def hpd_kw(kw):
 def same_table(a, b):
     """Rank tables equal bit for bit."""
     return (a.sim_id.tobytes() == b.sim_id.tobytes() and a.f.tobytes() == b.f.tobytes()
+            and a.k.tobytes() == b.k.tobytes() and a.n.tobytes() == b.n.tobytes()
             and (a.theta_r is None) == (b.theta_r is None)
             and (a.theta_r is None or a.theta_r.tobytes() == b.theta_r.tobytes()))
 
@@ -107,6 +108,32 @@ def test_precomputed_on_dumped_draws_equals_the_sampler_path(case, repeats):
     assert same_table(pre.ranks, live.ranks)
     assert np.array_equal(pre.ecp, live.ecp)
     assert (pre.n_post, pre.n_sims) == (n_post, live.n_sims)
+
+
+@PROPS
+@given(cases(), st.data(), st.sampled_from([None, "3"]))
+def test_runs_in_any_order_rank_as_their_joined_blocks(case, data, cap):
+    dataset, sampler, kw = case
+    kw.pop("n_post")
+    root = SeededRng(kw["seed"])
+    counts = data.draw(st.lists(st.integers(1, 8), min_size=dataset.n_sims, max_size=dataset.n_sims))
+    draws = {int(sid): sampler.sample(x, n, root.substream("posterior", int(sid)))
+             for sid, x, n in zip(dataset.sim_ids, dataset.observations, counts)}
+    runs = []
+    for sid, block in draws.items():  # cut each block after a random subset of its rows
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(block) - 1, max_size=len(block) - 1))
+        runs += [(sid, part) for part in np.split(block, [j + 1 for j, cut in enumerate(cuts) if cut])]
+    runs = data.draw(st.permutations(runs))
+    whole = drp_test_precomputed(dataset, draws, **kw)
+    with threads(cap):
+        streamed = drp_test_precomputed(dataset, iter(runs), **kw)
+    assert same_table(streamed.ranks, whole.ranks)
+    assert streamed.ecp.tobytes() == whole.ecp.tobytes()
+    assert (streamed.n_post, streamed.n_sims) == (whole.n_post, whole.n_sims)
+    ranks = whole.ranks
+    assert ranks.k.dtype == ranks.n.dtype == np.int64
+    assert np.array_equal(ranks.n, np.repeat([len(draws[s]) for s in range(dataset.n_sims)], kw["repeats"]))
+    assert ranks.f.tobytes() == (ranks.k / ranks.n).tobytes()
 
 
 @PROPS

@@ -2,6 +2,7 @@
 and per-line reference implementations of the same formats."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +160,13 @@ def outcome(fn, *args):
 PROPS = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# characters of text per parse: one line per chunk, a few lines, and the default
+chunk_sizes = st.sampled_from([1, 40, 300, fileio._CHUNK_CHARS])
+
+
+def chunked(size):
+    return mock.patch.object(fileio, "_CHUNK_CHARS", size)
+
 
 # --- the writer ----------------------------------------------------------------------
 
@@ -216,23 +224,76 @@ def argsort_grouping(sim_ids, values):
     return {int(keys[g]): groups[g] for g in np.argsort(order[starts])}
 
 
-@PROPS
-@given(ragged_draws(), st.sampled_from(["sorted", "unsorted", "interleaved"]), st.data())
-def test_grouping_matches_the_argsort_copy(tmp_path, draws, layout, data):
+LAYOUTS = st.sampled_from(["sorted", "unsorted", "interleaved"])
+
+
+def posterior_text(draws, layout, data):
+    """A posterior file of ``draws`` with rows sorted by sim_id, in whole
+    blocks of another order, or interleaved, maybe with blank lines."""
     rows = [(sid, j, row) for sid in sorted(draws) for j, row in enumerate(draws[sid])]
     if layout == "unsorted":  # whole blocks, in another order
         order = data.draw(st.permutations(sorted(draws)))
         rows = [(sid, j, row) for sid in order for j, row in enumerate(draws[sid])]
     elif layout == "interleaved":
         rows = data.draw(st.permutations(rows))
-    assume(rows)
     dim = next(iter(draws.values())).shape[1]
     lines = [",".join(["sim_id", "sample_id"] + [f"theta_{d}" for d in range(dim)])]
     lines += [",".join([str(sid), str(j)] + [ref_format(v) for v in row]) for sid, j, row in rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))), "")
+    return rows, "\n".join(lines) + "\n"
+
+
+@PROPS
+@given(ragged_draws(), LAYOUTS, chunk_sizes, st.data())
+def test_grouping_matches_the_argsort_copy(tmp_path, draws, layout, chunk, data):
+    rows, text = posterior_text(draws, layout, data)
+    assume(rows)
     path = tmp_path / "post.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
     sim_ids, values = fileio._read_table(path, ("sim_id", "sample_id"), "theta")
-    assert_same_posterior(fileio.read_posterior_file(path), argsort_grouping(sim_ids, values))
+    with chunked(chunk):
+        assert_same_posterior(fileio.read_posterior_file(path), argsort_grouping(sim_ids, values))
+
+
+def ref_runs(path, n_sims):
+    """(sim_id, line, rows) of each maximal run of one sim_id, in file order;
+    a sim_id outside [0, n_sims) fails at its run's line, a missing one at line 1."""
+    runs = []
+    with open(path) as fh:
+        for ln, raw in enumerate(fh.read().splitlines()[1:], start=2):
+            if raw.strip():
+                sid, _, *vals = raw.split(",")
+                if runs and runs[-1][0] == int(sid):
+                    runs[-1][2].append(ref_floats(path, ln, vals))
+                    continue
+                if not 0 <= int(sid) < n_sims:
+                    raise SchemaError(path, ln, f"sim_id {sid} not present in the joint file")
+                runs.append((int(sid), ln, [ref_floats(path, ln, vals)]))
+    missing = sorted(set(range(n_sims)) - {sid for sid, _, _ in runs})
+    if missing:
+        raise SchemaError(path, 1, f"no posterior samples for sim_id {missing[0]} "
+                                   f"(every sim needs >= 1 sample)")
+    return [(sid, ln, np.stack(rows)) for sid, ln, rows in runs]
+
+
+@PROPS
+@given(ragged_draws(), LAYOUTS, chunk_sizes, st.data())
+def test_runs_are_the_maximal_blocks_in_file_order(tmp_path, draws, layout, chunk, data):
+    rows, text = posterior_text(draws, layout, data)
+    assume(rows)
+    path = tmp_path / "post.csv"
+    path.write_text(text)
+    n_sims = data.draw(st.integers(1, 42))  # sim_ids are in [0, 40]
+    with chunked(chunk):
+        new = outcome(lambda: list(fileio.read_posterior_runs(path, n_sims)))
+    ref = outcome(ref_runs, path, n_sims)
+    assert new[0] == ref[0], (new, ref)
+    if ref[0] == "error":
+        assert new[1] == ref[1]
+    else:
+        assert [(sid, ln) for sid, ln, _ in new[1]] == [(sid, ln) for sid, ln, _ in ref[1]]
+        assert all(same_array(a, b) for (_, _, a), (_, _, b) in zip(new[1], ref[1]))
 
 
 def traced_peak(fn):
@@ -304,13 +365,14 @@ def table_with_faults(draw):
 
 
 @PROPS
-@given(table_with_faults())
-def test_reader_errors_and_values_match_reference(tmp_path, case):
+@given(table_with_faults(), chunk_sizes)
+def test_reader_errors_and_values_match_reference(tmp_path, case, chunk):
     kind, dim, text = case
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(text.encode())
     new_read, ref_read = READERS[kind]
-    new = outcome(new_read, path, dim)
+    with chunked(chunk):
+        new = outcome(new_read, path, dim)
     ref = outcome(ref_read, path, dim)
     assert new[0] == ref[0], (new, ref)
     if ref[0] == "error":
@@ -385,7 +447,7 @@ def test_header_only_and_blank_files_read_as_the_reference(tmp_path, kind, text)
     (8193, "3.0", "sim_id must be an integer, got '3.0'"),
 ])
 def test_error_past_the_first_chunk_names_its_line(tmp_path, line, token, message):
-    # a real-size file: the fault sits in the second chunk of 8192 lines
+    # a real-size file of several chunks of text: each fault sits past the first
     g = np.random.default_rng(0)
     draws = {i: g.standard_normal((500, 3)) for i in range(20)}
     lines = ref_posterior_text(draws).splitlines()

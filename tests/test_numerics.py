@@ -306,7 +306,25 @@ class TestParallelMap:
         monkeypatch.setenv("DRPKIT_THREADS", "0")
         assert thread_cap() >= 1
 
-    def test_invalid_cap(self, monkeypatch):
-        monkeypatch.setenv("DRPKIT_THREADS", "many")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("cap", ["1", "3"])
+    def test_items_are_pulled_only_as_tasks_start(self, monkeypatch, cap):
+        monkeypatch.setenv("DRPKIT_THREADS", cap)
+        pulled = []
+
+        def source():
+            for i in range(40):
+                pulled.append(i)
+                yield i
+
+        results = parallel_map(lambda v: -v, source())
+        assert not pulled  # nothing is pulled before the first result is asked for
+        for i in range(40):
+            assert next(results) == -i
+            assert len(pulled) <= i + 2 * int(cap) + 1
+        assert next(results, None) is None
+
+    @pytest.mark.parametrize("raw", ["many", "-1"])
+    def test_invalid_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("DRPKIT_THREADS", raw)
+        with pytest.raises(ValueError, match="non-negative integer"):
             thread_cap()
