@@ -218,7 +218,8 @@ def _run_lensing(args, parser) -> int:
     moments = {}
 
     def keep_moments(sid, draws):
-        moments[sid] = (draws.mean(axis=0), draws.std(axis=0))
+        if sid < args.dump_grids:  # sim_ids are 0..N-1
+            moments[sid] = (draws.mean(axis=0), draws.std(axis=0))
 
     curve = drp_test(dataset, sampler, n_post=args.n_post, policy=lensing_prior_policy(model),
                      seed=args.seed, on_draws=keep_moments)

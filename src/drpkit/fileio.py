@@ -236,37 +236,20 @@ def _parse_floats(path, ln, tokens):
     return vals
 
 
-def _first_outside(ids, n):
-    """The index of the first id outside [0, n), or None."""
-    return next((k for k, sid in enumerate(ids) if not 0 <= sid < n), None)
-
-
-def _check_dense_ids(path, ids):
-    """Unique ids are dense in [0, N) unless one lies outside; the error names its line."""
+def _check_dense_ids(path, ids, lines):
+    """Unique ids are dense in [0, N) unless one lies outside; the error names its line in ``lines``."""
     if not len(ids):
         raise SchemaError(path, 2, "file contains no simulations")
-    outside = _first_outside(ids, len(ids))
+    outside = next((k for k, sid in enumerate(ids) if not 0 <= sid < len(ids)), None)
     if outside is not None:
         missing = sorted(set(range(len(ids))) - set(ids))[:3]
-        raise SchemaError(path, _line_of_row(path, outside),
+        raise SchemaError(path, next(itertools.islice(lines, outside, None)),
                           f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
-
-
-def _lines(fh):
-    """The lines str.splitlines() gives, one file line at a time."""
-    return itertools.chain.from_iterable(map(str.splitlines, fh))
 
 
 def _numbered_rows(lines, ln):
     """(line number, line) of the non-blank ``lines``, numbered from ``ln``."""
     return ((n, raw) for n, raw in enumerate(lines, start=ln) if raw.strip())
-
-
-def _line_of_row(path, row):
-    """The line number of data row ``row`` (from 0) of a file with a header."""
-    with open(path) as fh:
-        rows = _numbered_rows(itertools.islice(_lines(fh), 1, None), 2)
-        return next(itertools.islice(rows, row, None))[0]
 
 
 def _read_lines(path, lines, ln, fixed, dim, seen):
@@ -341,20 +324,30 @@ def _table_chunks(path, fixed, prefix, dim=None, unique=False):
         raise SchemaError(path, 1, "empty file")
 
 
-def _read_table(path, fixed, prefix, dim=None, unique=False):
-    """(the first id column, a (rows, D) array) of a whole file; see _table_chunks."""
-    chunks = list(_table_chunks(path, fixed, prefix, dim, unique))
-    if not chunks:
-        return [], np.empty((0, dim or 0))
-    ids, values, _ = zip(*chunks)
-    return np.concatenate(ids), np.concatenate(values)
+def _read_table(path, fixed, prefix, dim=None, dense=False):
+    """(the first id column, a (rows, D) array) of a whole file, grown one chunk at a time so
+    the values are held once; see _table_chunks. ``dense`` ids are unique and dense in [0, N):
+    the rows come back in id order, and an id outside [0, N) fails at its line."""
+    ids, lines, values = [], [], np.empty((0, dim or 0))
+    for chunk_ids, chunk_values, line_of in _table_chunks(path, fixed, prefix, dim, dense):
+        ids.append(chunk_ids.copy())  # a view would keep the chunk's parsed table
+        if dense:
+            lines.append(line_of)
+        n = len(values)
+        values.resize((n + len(chunk_values), chunk_values.shape[1]), refcheck=False)
+        values[n:] = chunk_values
+    ids = np.concatenate(ids) if ids else []
+    if dense:
+        _check_dense_ids(path, ids, itertools.chain.from_iterable(lines))
+        if not np.array_equal(ids, np.arange(len(ids))):
+            values = values[np.argsort(ids)]
+        ids = np.arange(len(ids))
+    return ids, values
 
 
 def read_joint_file(path):
     """Returns (sim_ids (N,), thetas (N, D)) with sim_ids dense in [0, N)."""
-    sim_ids, thetas = _read_table(path, ("sim_id",), "theta", unique=True)
-    _check_dense_ids(path, sim_ids)
-    return np.arange(len(sim_ids)), thetas[np.argsort(sim_ids)]
+    return _read_table(path, ("sim_id",), "theta", dense=True)
 
 
 def read_posterior_runs(path, n_sims: Optional[int] = None):
@@ -402,11 +395,10 @@ def read_posterior_file(path, n_sims: Optional[int] = None):
 
 def read_observation_file(path, n_sims: Optional[int] = None):
     """Returns (sim_ids (N,), xs (N, M))."""
-    sim_ids, xs = _read_table(path, ("sim_id",), "x", unique=True)
-    _check_dense_ids(path, sim_ids)
+    sim_ids, xs = _read_table(path, ("sim_id",), "x", dense=True)
     if n_sims is not None and len(sim_ids) != n_sims:
         raise SchemaError(path, 1, f"observation file has {len(sim_ids)} sims, expected {n_sims}")
-    return np.arange(len(sim_ids)), xs[np.argsort(sim_ids)]
+    return sim_ids, xs
 
 
 def read_prior_file(path, dim: int):

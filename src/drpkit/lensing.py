@@ -28,8 +28,8 @@ Every Euler-Maruyama step is affine in the state plus fresh Gaussian noise, so
 the chain's output given x is exactly Gaussian, with a mean affine in x and a
 covariance free of x. The samplers draw from that law instead of stepping. It
 costs O(steps D) plus one D x D product per (model, schedule) for the exact
-kind and O(steps D^3) for the biased kind; a simulation then costs one (n, D)
-block of standard normals and one (n, D) x (D, D) product.
+kind and four D x D products per step for the biased kind; a simulation then
+costs one (n, D) block of standard normals and one (n, D) x (D, D) product.
 """
 
 from __future__ import annotations
@@ -135,29 +135,28 @@ def build_operator(dim_theta: int, dim_x: int, seed: int = 0) -> np.ndarray:
     s_side = _square_side(dim_theta, "dim_theta")
     o_side = _square_side(dim_x, "dim_x")
     g = SeededRng(seed).substream(_OPERATOR_TAG).generator()
-    center = np.asarray(_WARP_CENTER) + g.uniform(-_WARP_CENTER_JITTER, _WARP_CENTER_JITTER, 2)
-
-    A = np.zeros((dim_x, dim_theta))
+    # one pixel at a time on Python floats, which round as numpy's float64 does
+    cx, cy = (np.asarray(_WARP_CENTER) + g.uniform(-_WARP_CENTER_JITTER, _WARP_CENTER_JITTER, 2)).tolist()
+    cols, weights = [], []
     for oi in range(o_side):
         for oj in range(o_side):
-            u = np.array([oi / (o_side - 1), oj / (o_side - 1)])
-            w = u - center
-            r = math.hypot(w[0], w[1])
-            if r == 0.0:
-                src = center.copy()
-            else:
-                direction = w / r
-                tb = _boundary_distance(center, direction)
-                rho = min(r / tb, 1.0)
-                src = center + direction * tb * rho**_WARP_POWER
-            src = np.clip(src, 0.0, 1.0) * (s_side - 1)
-            i0 = min(int(src[0]), s_side - 2)
-            j0 = min(int(src[1]), s_side - 2)
-            fi, fj = src[0] - i0, src[1] - j0
-            row = oi * o_side + oj
+            wx, wy = oi / (o_side - 1) - cx, oj / (o_side - 1) - cy
+            r = math.hypot(wx, wy)
+            sx, sy = cx, cy
+            if r > 0.0:
+                dx, dy = wx / r, wy / r
+                tb = _boundary_distance((cx, cy), (dx, dy))
+                power = min(r / tb, 1.0) ** _WARP_POWER
+                sx, sy = cx + dx * tb * power, cy + dy * tb * power
+            sx, sy = min(max(sx, 0.0), 1.0) * (s_side - 1), min(max(sy, 0.0), 1.0) * (s_side - 1)
+            i0, j0 = min(int(sx), s_side - 2), min(int(sy), s_side - 2)
+            fi, fj = sx - i0, sy - j0
             for di, wi in ((0, 1 - fi), (1, fi)):
                 for dj, wj in ((0, 1 - fj), (1, fj)):
-                    A[row, (i0 + di) * s_side + j0 + dj] += wi * wj
+                    cols.append((i0 + di) * s_side + j0 + dj)
+                    weights.append(wi * wj)
+    A = np.zeros((dim_x, dim_theta))
+    A[np.arange(dim_x).repeat(4), cols] = weights  # a row's four columns are distinct
 
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 0:
@@ -365,27 +364,34 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
         # the initial one scaled by p on both sides plus the step noise q
         V, post_var = model._V, model._post_var
         keep = 1.0 - h / (post_var + s2)
-        p, q = np.ones(dim), np.zeros(dim)
-        for k in range(schedule.steps):
-            p, q = p * keep[k], keep[k] ** 2 * q + h[k]
-            check(k, p * p * init.max() + q)
+        P, Q, q = np.cumprod(keep, axis=0), np.empty_like(keep), np.zeros(dim)
+        for k, (keep2, h_k) in enumerate(zip(keep**2, h)):
+            q = Q[k] = keep2 * q + h_k
+        bound, p = P * P * init.max() + Q, P[-1]
+        k = int(np.argmin(np.isfinite(bound).all(axis=1)))  # the first step not finite, or 0
+        check(k, bound[k])
         cov = (p[:, None] * (V.T * init) @ V) * p + np.diag(q)
         offset = p * (mu0 @ V) + (1.0 - p) * model._posterior_mean_v(np.zeros(model.dim_x))
         gain, basis = V * ((1.0 - p) * post_var / model.sigma_n**2), model._UV
     else:
         # in U around mu_0 the prior decay is diag(keep_k), and h times the
-        # likelihood score is rate_k (x B W - gam (state + mu_0) W) W^T
+        # likelihood score is rate_k (x B W - gam (state + mu_0) W) W^T. The gain
+        # is carried as W G, so a step adds a row-scaled W^T to G M_k; a step is
+        # checked in full only when the sum of its moments is not finite
         W, gam = model._gram_v, model._gram_l
         keep = 1.0 - h / (lam + s2)
         rate = h / (model.sigma_n**2 + s2 * gam)
-        cov, gain, offset = np.diag(init), np.zeros((dim, dim)), np.zeros(dim)
+        cov, G, offset = np.diag(init), np.zeros((dim, dim)), np.zeros(dim)
         for k in range(schedule.steps):
-            M = (W * (-gam * rate[k])) @ W.T + np.diag(keep[k])
-            cov = M @ cov @ M + h[k] * np.eye(dim)
-            gain = gain @ M + (W * rate[k]) @ W.T
+            M = (W * (-gam * rate[k])) @ W.T
+            M.reshape(-1)[::dim + 1] += keep[k]
+            cov = M @ cov @ M
+            cov.reshape(-1)[::dim + 1] += h[k]
+            G = G @ M + rate[k][:, None] * W.T
             offset = offset @ M - (rate[k] * gam * (mu0 @ W)) @ W.T
-            check(k, cov, gain, offset)
-        offset, basis = offset + mu0, model._U
+            if not math.isfinite(cov.sum() + G.sum() + offset.sum()):
+                check(k, cov, W @ G, offset)
+        gain, offset, basis = W @ G, offset + mu0, model._U
     L = cholesky(0.5 * (cov + cov.T))
     return offset @ basis.T, model._B @ gain @ basis.T, basis @ L
 

@@ -29,11 +29,12 @@ def _fmt_points(xs, ys):
 
 
 def _curve_label(meta):
+    """The legend text, escaped for XML: a policy can echo a file path."""
     bits = [meta.get("method", "curve")]
     policy = meta.get("policy", "")
     if policy:
         bits.append(policy)
-    return " ".join(bits)
+    return " ".join(bits).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_coverage_svg(csv_paths, out_path):

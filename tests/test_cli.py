@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -485,6 +486,17 @@ class TestPlotCommand:
         svg = svg_path.read_text()
         assert svg.count("<polyline") == 3
         assert svg.count("<polygon") == 3
+
+    def test_legend_escapes_a_policy_path(self, tmp_path):
+        joint, post = TestCoverageCommand().make_files(tmp_path)
+        pfile = tmp_path / "a&b<1>.csv"
+        pfile.write_text("0.5,0.5\n-0.5,0.25\n")
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                   "--ref-policy", f"prior-file:{pfile}", "--out", str(out)) == 0
+        assert run("plot", "--in", str(out / "drp.csv"), "--out", str(tmp_path / "p.svg")) == 0
+        texts = [t.text for t in ElementTree.parse(tmp_path / "p.svg").iter("{http://www.w3.org/2000/svg}text")]
+        assert f"drp prior-file:{pfile}" in texts
 
     def test_header_only_csv_errors(self, tmp_path):
         bad = tmp_path / "empty.csv"

@@ -316,6 +316,26 @@ def test_a_sorted_file_is_grouped_without_a_copy(tmp_path):
     assert read < parse + values_bytes / 4, (read, parse)  # a copy would add values_bytes
 
 
+@pytest.mark.parametrize("kind, rows, dim, bound", [
+    ("prior", 20_000, 10, 2.4e6),      # the values are 1.6 MB
+    ("joint", 20_000, 10, 6.79e6),     # and the duplicate-id set about 1.5 MB
+    ("joint", 2_000, 200, 1.5 * 3.2e6),
+])
+def test_whole_file_reads_hold_the_values_once(tmp_path, kind, rows, dim, bound):
+    # the rows are parsed into one array grown chunk by chunk, and a joint
+    # file already in sim_id order is not reordered through a copy
+    values = np.random.default_rng(3).standard_normal((rows, dim))
+    path = tmp_path / f"{kind}.csv"
+    if kind == "prior":
+        np.savetxt(path, values, fmt="%.17g", delimiter=",")
+        read = lambda: fileio.read_prior_file(path, dim)
+    else:
+        fileio.write_joint_file(path, np.arange(rows), values)
+        read = lambda: fileio.read_joint_file(path)[1]
+    assert np.array_equal(read(), values)  # and numpy's lazy imports are done
+    assert traced_peak(read) <= bound
+
+
 # kind -> (reader, reference reader), both called with (path, dim)
 READERS = {
     "joint": (lambda p, d: fileio.read_joint_file(p), lambda p, d: ref_read_dense(p, "theta")),

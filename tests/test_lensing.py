@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from drpkit.coverage import drp_test
+from drpkit import lensing
 from drpkit.lensing import (
     SCORE_KINDS,
     DiffusionPosteriorSampler,
@@ -30,7 +31,7 @@ from drpkit.lensing import (
     rsde_sample_batch,
     simulate,
 )
-from drpkit.numerics import SeededRng
+from drpkit.numerics import SeededRng, cholesky
 
 
 def small_model(seed=0, kernel_scale=0.35, sigma_n=1.0):
@@ -118,6 +119,101 @@ def reference_law(model, schedule, kind, x):
     return mean, cov
 
 
+def pixelwise_operator(dim_theta, dim_x, seed):
+    """build_operator's matrix, before its rank check, from a per-pixel numpy
+    loop: the reference the float-only warp must equal bit for bit."""
+    s_side, o_side = math.isqrt(dim_theta), math.isqrt(dim_x)
+    g = SeededRng(seed).substream(lensing._OPERATOR_TAG).generator()
+    center = np.asarray(lensing._WARP_CENTER) + g.uniform(-lensing._WARP_CENTER_JITTER,
+                                                          lensing._WARP_CENTER_JITTER, 2)
+    A = np.zeros((dim_x, dim_theta))
+    for oi in range(o_side):
+        for oj in range(o_side):
+            u = np.array([oi / (o_side - 1), oj / (o_side - 1)])
+            w = u - center
+            r = math.hypot(w[0], w[1])
+            if r == 0.0:
+                src = center.copy()
+            else:
+                direction = w / r
+                tb = lensing._boundary_distance(center, direction)
+                rho = min(r / tb, 1.0)
+                src = center + direction * tb * rho**lensing._WARP_POWER
+            src = np.clip(src, 0.0, 1.0) * (s_side - 1)
+            i0 = min(int(src[0]), s_side - 2)
+            j0 = min(int(src[1]), s_side - 2)
+            fi, fj = src[0] - i0, src[1] - j0
+            row = oi * o_side + oj
+            for di, wi in ((0, 1 - fi), (1, fi)):
+                for dj, wj in ((0, 1 - fj), (1, fj)):
+                    A[row, (i0 + di) * s_side + j0 + dj] += wi * wj
+    return A
+
+
+def stepwise_chain_law(model, schedule, kind):
+    """_chain_law's (offset, gain, scale) from the plain recursion: five D x D
+    products per biased step, and every moment checked after every step."""
+    dt = 1.0 / schedule.steps
+    ratio = schedule.sigma_max / schedule.sigma_min
+    s2 = ((schedule.sigma_min * ratio ** (1.0 - dt * np.arange(schedule.steps))) ** 2)[:, None]
+    h = dt * (2.0 * s2 * math.log(ratio))
+    lam, mu0, dim = model._lam, model._mu0_eig, model.dim_theta
+    init = lam + schedule.sigma_max**2
+
+    def check(k, *moments):
+        if not all(np.isfinite(m).all() for m in moments):
+            raise DivergenceError(f"{kind} reverse SDE diverged at step {k}", step=k)
+
+    if kind == "exact":
+        V, post_var = model._V, model._post_var
+        keep = 1.0 - h / (post_var + s2)
+        p, q = np.ones(dim), np.zeros(dim)
+        for k in range(schedule.steps):
+            p, q = p * keep[k], keep[k] ** 2 * q + h[k]
+            check(k, p * p * init.max() + q)
+        cov = (p[:, None] * (V.T * init) @ V) * p + np.diag(q)
+        offset = p * (mu0 @ V) + (1.0 - p) * model._posterior_mean_v(np.zeros(model.dim_x))
+        gain, basis = V * ((1.0 - p) * post_var / model.sigma_n**2), model._UV
+    else:
+        W, gam = model._gram_v, model._gram_l
+        keep = 1.0 - h / (lam + s2)
+        rate = h / (model.sigma_n**2 + s2 * gam)
+        cov, gain, offset = np.diag(init), np.zeros((dim, dim)), np.zeros(dim)
+        for k in range(schedule.steps):
+            M = (W * (-gam * rate[k])) @ W.T + np.diag(keep[k])
+            cov = M @ cov @ M + h[k] * np.eye(dim)
+            gain = gain @ M + (W * rate[k]) @ W.T
+            offset = offset @ M - (rate[k] * gam * (mu0 @ W)) @ W.T
+            check(k, cov, gain, offset)
+        offset, basis = offset + mu0, model._U
+    L = cholesky(0.5 * (cov + cov.T))
+    return offset @ basis.T, model._B @ gain @ basis.T, basis @ L
+
+
+def assert_law_matches_stepwise(model, schedule, kind):
+    # the exact law and the biased offset and scale repeat the recursion's
+    # arithmetic; the biased gain is carried in another basis
+    offset, gain, scale = lensing._chain_law(model, schedule, kind)
+    ref_offset, ref_gain, ref_scale = stepwise_chain_law(model, schedule, kind)
+    assert offset.tobytes() == ref_offset.tobytes()
+    assert scale.tobytes() == ref_scale.tobytes()
+    if kind == "exact":
+        assert gain.tobytes() == ref_gain.tobytes()
+    else:
+        assert np.abs(gain - ref_gain).max() <= 1e-12 * np.abs(ref_gain).max()
+
+
+def divergence_step(law, model, schedule, kind):
+    """The step a DivergenceError names, checked against its message, or None."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            law(model, schedule, kind)
+    except DivergenceError as err:
+        assert str(err) == f"{kind} reverse SDE diverged at step {err.step}"
+        return err.step
+    return None
+
+
 class TestVeSchedule:
     def test_endpoints(self):
         sched = VeSchedule()
@@ -169,6 +265,11 @@ class TestBuildOperator:
     def test_deterministic_per_seed(self):
         assert np.array_equal(build_operator(16, 64, seed=3), build_operator(16, 64, seed=3))
         assert not np.array_equal(build_operator(16, 64, seed=3), build_operator(16, 64, seed=4))
+
+    @pytest.mark.parametrize("dims", [(16, 64), (64, 256), (256, 1024), (64, 100)])
+    def test_matches_pixelwise_reference(self, dims):
+        for seed in range(8):
+            assert build_operator(*dims, seed=seed).tobytes() == pixelwise_operator(*dims, seed).tobytes()
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
@@ -504,6 +605,24 @@ class TestRsdeSampler:
             assert str(err.value) == f"{kind} reverse SDE diverged at step 0"
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_divergence_names_the_stepwise_step(self, kind):
+        # scanning sigma_max moves the first non-finite moment of the stepwise
+        # recursion through steps 9..0; the law fails, or not, at the same step
+        model = small_model(seed=14)
+        named = set()
+        for exponent in range(120, 155):
+            sched = VeSchedule(sigma_max=10.0**exponent, steps=10)
+            expect = divergence_step(stepwise_chain_law, model, sched, kind)
+            assert divergence_step(lensing._chain_law, model, sched, kind) == expect
+            named.add(expect)
+        assert set(range(10)) <= named
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_law_matches_stepwise_recursion_at_d64(self, kind):
+        model = build_model(source_side=8, obs_side=16, kernel_scale=0.3, seed=1)
+        assert_law_matches_stepwise(model, VeSchedule(steps=300), kind)
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_fused_step_drift_equals_public_scores(self, kind):
         # a one-step schedule whose sigma_max is sigma_t of the base schedule
         # has the law of one step with h = g^2 at that noise level, driven by
@@ -546,6 +665,7 @@ class TestRsdeSampler:
         ref_mean, ref_cov = reference_law(model, sched, kind, x)
         assert rel_err(mean, ref_mean) < 1e-9
         assert rel_err(cov, ref_cov) < 1e-9
+        assert_law_matches_stepwise(model, sched, kind)
 
     def test_drp_ranks_independent_of_threads(self, monkeypatch):
         # one model shared by worker threads holds no per-schedule state
