@@ -16,8 +16,6 @@ from .numerics import (
     binomial_band,
     cholesky,
     ks_uniform_statistic,
-    mvn_sample,
-    mvn_sample_batch,
     norm_cdf,
     norm_isf,
 )
@@ -43,12 +41,10 @@ from .coverage import (
     default_levels,
     drp_rank,
     drp_test,
-    drp_test_precomputed,
     ecp_curve,
     fit_normalization,
     hpd_rank,
     hpd_test,
-    region_membership_ecp,
     sample_reference,
 )
 from .benchmarks import (
@@ -80,7 +76,6 @@ from .lensing import (
     likelihood_score,
     make_dataset,
     prior_score,
-    rsde_sample_batch,
     simulate,
 )
 

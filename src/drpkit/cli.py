@@ -40,7 +40,6 @@ from .coverage import (
     WeightedEuclidean,
     coverage_tests,
     drp_test,
-    drp_test_precomputed,
     fit_normalization,
 )
 from .fileio import (
@@ -62,10 +61,19 @@ from .lensing import (
     lensing_prior_policy,
     make_dataset,
 )
+from .numerics import SeededRng
 from .svgplot import render_coverage_svg
 
 _TOY_CASE_FLAGS = {"correct": "correct", "over": "overconfident",
                    "under": "underconfident", "biased": "biased"}
+
+
+def _seed(text):
+    """argparse type of --seed: an integer that SeededRng accepts."""
+    try:
+        return SeededRng(int(text)).seed
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--dim", type=int, default=10)
     toy.add_argument("--n-sims", type=int, default=500)
     toy.add_argument("--n-post", type=int, default=500)
-    toy.add_argument("--seed", type=int, default=0)
+    toy.add_argument("--seed", type=_seed, default=0)
     toy.add_argument("--methods", default="drp,hpd", help="comma list from {drp,hpd}")
     toy.add_argument("--ref-policy", choices=["hypercube", "prior"], default="hypercube")
     toy.add_argument("--repeats", type=int, default=1)
@@ -92,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     uni = sub.add_parser("uninformative", help="prior-as-posterior conjugate experiment")
     uni.add_argument("--n-sims", type=int, default=500)
     uni.add_argument("--n-post", type=int, default=500)
-    uni.add_argument("--seed", type=int, default=0)
+    uni.add_argument("--seed", type=_seed, default=0)
     uni.add_argument("--out", required=True)
     uni.set_defaults(func=_run_uninformative)
 
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     lens.add_argument("--n-sims", type=int, default=100)
     lens.add_argument("--n-post", type=int, default=200)
     lens.add_argument("--steps", type=int, default=300)
-    lens.add_argument("--seed", type=int, default=0)
+    lens.add_argument("--seed", type=_seed, default=0)
     lens.add_argument("--kernel-scale", type=float, default=0.3)
     lens.add_argument("--dump-grids", type=int, default=1,
                       help="write truth/mean/std/residual grids for the first K sims")
@@ -117,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="hypercube | prior-file:FILE | datashift:K,U")
     cov.add_argument("--metric", default="euclidean", help="euclidean | weighted:FILE")
     cov.add_argument("--bounds", default="auto", help="auto | LO:HI | file:PATH")
-    cov.add_argument("--seed", type=int, default=0)
+    cov.add_argument("--seed", type=_seed, default=0)
     cov.add_argument("--out", required=True)
     cov.set_defaults(func=_run_coverage)
 
@@ -295,8 +303,7 @@ def _run_coverage(args, parser) -> int:
 
     # each run of the posterior file is ranked as it is parsed, then dropped
     runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims))
-    curve = drp_test_precomputed(dataset, runs, policy=policy, metric=metric,
-                                 seed=args.seed, bounds=bounds)
+    curve = drp_test(dataset, runs, policy=policy, metric=metric, seed=args.seed, bounds=bounds)
     _prepare_out(args)
     write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,
                        policy=args.ref_policy, metric=args.metric)

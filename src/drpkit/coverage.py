@@ -18,7 +18,6 @@ any distance is computed; reference points pass through the same map.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -149,9 +148,6 @@ class NormalizationMap:
     def apply(self, theta) -> np.ndarray:
         return (np.asarray(theta, dtype=float) - self.offset) / self.scale
 
-    def apply_coordinate(self, value: float, dim: int) -> float:
-        return (float(value) - self.offset[dim]) / self.scale[dim]
-
 
 def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> NormalizationMap:
     """Normalization map from explicit per-dimension (lo, hi) bounds, or from
@@ -245,7 +241,7 @@ def sample_reference(policy: ReferencePolicy, x, dim: int, rng, nmap: Optional[N
                 f"observation has {arr.size} coordinates, DataShift needs index {policy.coordinate}"
             )
         u = g.uniform(-policy.half_width, policy.half_width) if policy.half_width > 0 else 0.0
-        return np.array([nmap.apply_coordinate(arr[policy.coordinate] + u, 0)])
+        return nmap.apply([arr[policy.coordinate] + u])
     raise TypeError(f"unknown reference policy {type(policy).__name__}")
 
 
@@ -303,11 +299,6 @@ class RankTable:
     n: Optional[np.ndarray] = None
 
 
-def _count_strictly_below(values: np.ndarray, threshold: float) -> int:
-    # strict comparison: ties do not count
-    return int(np.count_nonzero(values < threshold))
-
-
 def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclidean()) -> float:
     """Fraction of posterior samples strictly closer to theta_r than the truth is.
 
@@ -332,7 +323,7 @@ def _drp_count(post_samples, theta_true, theta_r, metric) -> int:
     d_truth = distances_to(metric, truth[None, :], ref)[0]
     if not (np.all(np.isfinite(d_samples)) and math.isfinite(d_truth)):
         raise ValueError("non-finite distance encountered")
-    return _count_strictly_below(d_samples, d_truth)
+    return int(np.count_nonzero(d_samples < d_truth))  # strict: ties do not count
 
 
 def hpd_rank(sample_densities, truth_density, log_scale: bool = False) -> float:
@@ -355,7 +346,7 @@ def _hpd_count(sample_densities, truth_density, log_scale) -> int:
         raise ValueError("densities must be finite")
     if not log_scale and (truth < 0 or np.any(dens < 0)):
         raise ValueError("densities must be nonnegative")
-    return _count_strictly_below(dens, truth)
+    return int(np.count_nonzero(dens < truth))  # strict: ties do not count
 
 
 # --- curve assembly -------------------------------------------------------------
@@ -407,8 +398,8 @@ def ecp_curve(ranks: RankTable, levels=None, n_post: int = 0,
         raise ValueError("levels must be a nonempty grid within [0, 1]")
     f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
-    if n_sims is None:
-        n_sims = np.unique(ranks.sim_id).size
+    if n_sims is None:  # distinct sim_ids: one plus the steps between sorted neighbours
+        n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))
     band = binomial_band(levels, n_sims, z=band_z)
     return CoverageCurve(levels=levels, ecp=ecp, band=band, n_sims=int(n_sims),
                          n_post=int(n_post), method=method, ranks=ranks)
@@ -440,9 +431,10 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
 
     ``runs`` yields (sim_id, item) pairs; a simulation may come in several
     runs, in any order. On a worker thread, ``draws(i, sim_id, item)`` gives
-    the run's (n, D) draws of simulation i and each ranker's ``rank(i,
-    samples)`` one (k, theta_r) pair per repeat, k counting the draws strictly
-    below the truth. Counts add up over a simulation's runs, so its rank is the
+    the run's (n, D) draws of simulation i, and each ranker ``(rank, repeats,
+    dim)`` ranks them: ``rank(i, samples)`` gives the repeats' counts k of draws
+    strictly below the truth and their (repeats, dim) reference points, or None
+    when dim is None. Counts add up over a simulation's runs, so its rank is the
     one its draws would get in one block. Draws are dropped once ranked and
     passed to ``on_draws(sid, samples)``, on the calling thread, in run order.
     Errors, and a simulation with no draws, are raised as SimulationError.
@@ -453,15 +445,16 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
         sid, item = run
         try:
             samples = draws(index[sid], sid, item)
-            return sid, samples, [rank(index[sid], samples) for rank in rankers]
+            return sid, samples, [rank(index[sid], samples) for rank, _, _ in rankers]
         except SimulationError:
             raise
         except Exception as e:
             raise SimulationError(sid, str(e)) from e
 
-    n = [0] * dataset.n_sims
-    k = [[None] * dataset.n_sims for _ in rankers]  # per ranker and sim_id: k per repeat
-    refs = [[None] * dataset.n_sims for _ in rankers]  # per ranker and sim_id: theta_r per repeat
+    n_sims = dataset.n_sims
+    n = np.zeros(n_sims, dtype=np.int64)
+    k = [np.zeros((n_sims, repeats), dtype=np.int64) for _, repeats, _ in rankers]
+    refs = [None if dim is None else np.empty((n_sims, repeats, dim)) for _, repeats, dim in rankers]
     with single_thread_blas():
         for sid, samples, ranks in parallel_map(one_run, runs):
             if on_draws is not None:
@@ -470,36 +463,19 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
                 except Exception as e:
                     raise SimulationError(sid, str(e)) from e
             n[sid] += len(samples)
-            for k_of, refs_of, pairs in zip(k, refs, ranks):
-                k_run, refs_of[sid] = zip(*pairs)
-                k_of[sid] = k_run if k_of[sid] is None else tuple(map(operator.add, k_of[sid], k_run))
-    if 0 in n:
-        raise SimulationError(n.index(0), "no posterior samples")
+            for k_of, refs_of, (counts, theta_r) in zip(k, refs, ranks):
+                k_of[sid] += counts
+                if refs_of is not None:
+                    refs_of[sid] = theta_r
+    if not n.all():
+        raise SimulationError(int(np.argmin(n)), "no posterior samples")
     tables = []
     for k_of, refs_of in zip(k, refs):
-        k_all = np.array(k_of, dtype=np.int64)
-        repeats = k_all.shape[1]
-        n_all = np.repeat(np.array(n, dtype=np.int64), repeats)
-        theta_r = None if refs_of[0][0] is None else np.array([ref for pairs in refs_of for ref in pairs])
-        tables.append(RankTable(sim_id=np.repeat(np.arange(dataset.n_sims), repeats),
-                                f=k_all.ravel() / n_all, theta_r=theta_r, k=k_all.ravel(), n=n_all))
+        n_all = np.repeat(n, k_of.shape[1])
+        tables.append(RankTable(sim_id=np.repeat(np.arange(n_sims), k_of.shape[1]), f=k_of.ravel() / n_all,
+                                theta_r=None if refs_of is None else refs_of.reshape(n_all.size, -1),
+                                k=k_of.ravel(), n=n_all))
     return tables
-
-
-def _sampler_draws(dataset: JointSampleSet, sampler, n_post: int, root: SeededRng):
-    """Draw source: n_post draws of simulation i from its "posterior" substream."""
-    shape = (n_post, dataset.dim_theta)
-
-    def draws(i, sid, _):
-        samples = np.asarray(sampler.sample(dataset.observations[i], n_post,
-                                            root.substream(_POST_TAG, sid)), dtype=float)
-        if samples.shape != shape:
-            raise SimulationError(sid, f"sampler returned shape {samples.shape}, expected {shape}")
-        if not np.all(np.isfinite(samples)):
-            raise SimulationError(sid, "sampler returned non-finite draws")
-        return samples
-
-    return draws
 
 
 def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
@@ -513,110 +489,108 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
         sid = int(dataset.sim_ids[i])
         norm_samples = nmap.apply(samples)
         norm_truth = nmap.apply(dataset.theta_true[i])
-        out = []
-        for r in range(spec.repeats):
-            theta_r = sample_reference(spec.policy, dataset.observations[i], nmap.dim,
-                                       root.substream(_REF_TAG, r, sid), nmap)
-            out.append((_drp_count(norm_samples, norm_truth, theta_r, spec.metric), theta_r))
-        return out
+        refs = np.array([sample_reference(spec.policy, dataset.observations[i], nmap.dim,
+                                          root.substream(_REF_TAG, r, sid), nmap)
+                         for r in range(spec.repeats)])
+        return [_drp_count(norm_samples, norm_truth, ref, spec.metric) for ref in refs], refs
 
-    return rank
+    return rank, spec.repeats, nmap.dim
 
 
-def _hpd_ranker(dataset: JointSampleSet, sampler):
+def _hpd_ranker(dataset: JointSampleSet, source):
     """Ranker: the truth's log density against the draws' log densities."""
-    if not has_density(sampler):
-        raise DensityUnavailableError(f"{type(sampler).__name__} does not expose log_density, "
+    if not has_density(source):
+        raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, "
                                       "required for the HPD test")
 
     def rank(i, samples):
         x = dataset.observations[i]
-        log_dens = np.asarray(sampler.log_density(samples, x), dtype=float).ravel()
-        log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-        return [(_hpd_count(log_dens, log_truth, log_scale=True), None)]
+        log_dens = np.asarray(source.log_density(samples, x), dtype=float).ravel()
+        log_truth = float(np.asarray(source.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
+        return [_hpd_count(log_dens, log_truth, log_scale=True)], None
 
-    return rank
+    return rank, 1, None
 
 
-def coverage_tests(dataset: JointSampleSet, sampler, tests, *, n_post: int, levels=None,
-                   seed: int = 0, band_z: float = 3.0, on_draws=None) -> list:
-    """Several coverage tests on one sampling pass: one curve per spec in ``tests``.
+def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
+                   levels=None, seed: int = 0, band_z: float = 3.0, on_draws=None) -> list:
+    """Several coverage tests on one pass over the draws: one curve per spec in ``tests``.
 
-    Per simulation i (keyed by its sim_id): n_post posterior draws from a
-    dedicated substream, ranked by every test, then dropped. A DRP test draws
-    one reference point per repeat from another substream, normalizes all
-    points through one map and ranks by distance. Each curve is deterministic
-    given the seed, invariant to simulation order and scheduling, and the same
-    as its drp_test or hpd_test call alone. Every argument is checked before the
-    first draw. ``on_draws(sim_id, draws)``, if given, gets each simulation's raw
-    (n_post, D) draws once, on the calling thread and in sim_id order, so
-    callers can keep or stream them without sampling again.
+    ``source`` is a sampler (anything with a callable ``sample``), which gives
+    simulation i (keyed by its sim_id) n_post draws from a dedicated
+    substream, or draws made elsewhere: a mapping {sim_id: (n_i, D) array}, or
+    an iterable of (sim_id, (rows, D) array) runs. Draws from elsewhere bring
+    their own counts, so they take no n_post; an HPD test needs the sampler's
+    log_density. A simulation's draws may come in several runs, in any order,
+    and an iterable is consumed once, as the workers take its runs, so it can
+    stream a file too large to hold (``fileio.read_posterior_runs``). Draws of
+    sim_ids outside the dataset are ignored.
+
+    Every test ranks each run's draws, which are then dropped. A DRP test
+    draws one reference point per repeat from another substream, normalizes
+    all points through one map and ranks by distance; its counts add up over a
+    simulation's runs. Each curve is deterministic given the seed, invariant
+    to simulation order and scheduling, and the same as its drp_test or
+    hpd_test call alone; draws dumped from a sampler give the sampler's curve
+    bit for bit. A curve's n_post is the common draw count, or 0 when counts
+    differ. Every argument is checked before the first draw.
+    ``on_draws(sim_id, draws)``, if given, gets each run's draws once, on the
+    calling thread and in run order (sim_id order for a sampler), so callers
+    can keep or stream them without sampling again.
     """
-    if n_post < 1:
-        raise ValueError(f"n_post must be >= 1, got {n_post}")
+    tests = list(tests)
     if not tests:
         raise ValueError("tests must hold at least one DrpSpec or HpdSpec")
+    sampled = callable(getattr(source, "sample", None))
+    if sampled and (n_post is None or n_post < 1):
+        raise ValueError(f"n_post must be >= 1 for a sampler, got {n_post}")
+    if not sampled and n_post is not None:
+        raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
     root = SeededRng(seed)
     rankers = []
     for spec in tests:
         if isinstance(spec, DrpSpec):
             rankers.append(_drp_ranker(dataset, spec, root))
         elif isinstance(spec, HpdSpec):
-            rankers.append(_hpd_ranker(dataset, sampler))
+            rankers.append(_hpd_ranker(dataset, source))
         else:
             raise TypeError(f"unknown coverage test {type(spec).__name__}")
-    runs = ((sid, None) for sid in range(dataset.n_sims))  # one per simulation, in sim_id order
-    tables = _rank_table(dataset, runs, _sampler_draws(dataset, sampler, n_post, root), rankers, on_draws)
-    return [ecp_curve(table, levels, n_post=n_post, n_sims=dataset.n_sims, band_z=band_z,
+    dim = dataset.dim_theta
+
+    def draws(i, sid, block):
+        if sampled:
+            block = source.sample(dataset.observations[i], n_post, root.substream(_POST_TAG, sid))
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != dim or not block.shape[0] or sampled and len(block) != n_post:
+            raise ValueError(f"draws have shape {block.shape}, expected ({n_post or 'n'}, {dim})")
+        if not np.isfinite(block).all():
+            raise ValueError("draws are not finite")
+        return block
+
+    if sampled:
+        runs = ((sid, None) for sid in range(dataset.n_sims))
+    else:
+        pairs = source.items() if isinstance(source, Mapping) else source
+        runs = ((int(sid), block) for sid, block in pairs if 0 <= sid < dataset.n_sims)
+    tables = _rank_table(dataset, runs, draws, rankers, on_draws)
+    n = tables[0].n
+    common = int(n[0]) if (n == n[0]).all() else 0
+    return [ecp_curve(table, levels, n_post=common, n_sims=dataset.n_sims, band_z=band_z,
                       method="drp" if isinstance(spec, DrpSpec) else "hpd")
             for table, spec in zip(tables, tests)]
 
 
-def drp_test(dataset: JointSampleSet, sampler, *, n_post: int,
+def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,
              policy: ReferencePolicy = UnitHypercubeUniform(),
              metric: DistanceMetric = Euclidean(),
              levels=None, seed: int = 0, bounds=None, repeats: int = 1,
              band_z: float = 3.0, on_draws=None) -> CoverageCurve:
-    """Distance-to-random-point coverage test over a validation set: the
-    one-test case of :func:`coverage_tests`, which describes it."""
-    return coverage_tests(dataset, sampler, [DrpSpec(policy, metric, bounds, repeats)],
+    """Distance-to-random-point coverage test over a validation set, on a
+    sampler's draws or on draws made elsewhere: the one-test case of
+    :func:`coverage_tests`, which describes it."""
+    return coverage_tests(dataset, source, [DrpSpec(policy, metric, bounds, repeats)],
                           n_post=n_post, levels=levels, seed=seed, band_z=band_z,
                           on_draws=on_draws)[0]
-
-
-def drp_test_precomputed(dataset: JointSampleSet, samples, *,
-                         policy: ReferencePolicy = UnitHypercubeUniform(),
-                         metric: DistanceMetric = Euclidean(),
-                         levels=None, seed: int = 0, bounds=None, repeats: int = 1,
-                         band_z: float = 3.0) -> CoverageCurve:
-    """DRP test over already-materialized posterior draws: a mapping {sim_id:
-    (n_i, D) array}, or an iterable of (sim_id, (rows, D) array) runs.
-
-    A simulation's draws may come in several runs, in any order: its reference
-    points come from its own substreams, so its rank counts add up over its
-    runs and equal those of the joined block. An iterable is consumed once, as
-    the workers take its runs, so it can stream a file too large to hold
-    (``fileio.read_posterior_runs``). Draws of sim_ids outside the dataset are
-    ignored. Shares drp_test's normalization, reference substreams and rank
-    computation exactly, so running it on draws dumped by drp_test (same seed)
-    reproduces the same curve bit for bit. Per-sim sample counts may differ;
-    the curve's n_post records the common count, or 0 when counts are mixed.
-    """
-    dim = dataset.dim_theta
-    runs = samples.items() if isinstance(samples, Mapping) else samples
-
-    def draws(i, sid, block):
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if block.shape[0] < 1 or block.shape[1] != dim:
-            raise ValueError(f"samples for sim {sid} have shape {block.shape}, expected (n, {dim})")
-        return block
-
-    ranker = _drp_ranker(dataset, DrpSpec(policy, metric, bounds, repeats), SeededRng(seed))
-    [table] = _rank_table(dataset, ((int(sid), block) for sid, block in runs
-                                    if 0 <= sid < dataset.n_sims), draws, [ranker])
-    counts = np.unique(table.n)
-    return ecp_curve(table, levels, n_post=counts[0] if counts.size == 1 else 0,
-                     n_sims=dataset.n_sims, method="drp", band_z=band_z)
 
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
@@ -625,61 +599,3 @@ def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
     one-test case of :func:`coverage_tests`, on the same draws as drp_test."""
     return coverage_tests(dataset, sampler, [HpdSpec()], n_post=n_post, levels=levels,
                           seed=seed, band_z=band_z, on_draws=on_draws)[0]
-
-
-# --- region-membership oracle -----------------------------------------------------
-
-def _ceil_count(c: float, n: int) -> int:
-    # smallest k with k/n >= c, robust to grid values like 0.3 * 500
-    return int(math.ceil(c * n - 1e-9))
-
-
-def region_membership_ecp(dataset: JointSampleSet, sampler, *, method: str, n_post: int,
-                          levels=None, seed: int = 0,
-                          policy: ReferencePolicy = UnitHypercubeUniform(),
-                          metric: DistanceMetric = Euclidean(), bounds=None) -> np.ndarray:
-    """ECP computed the explicit-region way, for cross-checking the rank path.
-
-    For each level c an empirical credible region of mass c is built outright
-    and the truth's membership is counted. For DRP that region is the smallest
-    ball around theta_r holding a fraction c of the samples, and membership
-    coincides with the rank event f < c up to rank quantization. For HPD the
-    rank convention counts sample densities below the truth's, so the region
-    consistent with it is the density-quantile region (the sample subset of
-    mass c taken upward from the lowest density); membership in it likewise
-    coincides with f < c. Consumes the same substreams as drp_test/hpd_test
-    with repeats=1, so both paths see identical draws. Intended for small
-    instances (n_sims <= 100, n_post <= 1000).
-    """
-    if method not in ("drp", "hpd"):
-        raise ValueError(f"method must be 'drp' or 'hpd', got {method!r}")
-    if dataset.n_sims > 100 or n_post > 1000:
-        raise ValueError("region-membership oracle is restricted to n_sims <= 100, n_post <= 1000")
-    if method == "hpd" and not has_density(sampler):
-        raise DensityUnavailableError("HPD region oracle requires sampler.log_density")
-    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
-    nmap = fit_normalization(dataset, bounds) if method == "drp" else None
-    root = SeededRng(seed)
-    dim = dataset.dim_theta
-    draws = _sampler_draws(dataset, sampler, n_post, root)
-    covered = np.zeros((dataset.n_sims, levels.size))
-
-    for i in range(dataset.n_sims):
-        sid = int(dataset.sim_ids[i])
-        x = dataset.observations[i]
-        samples = draws(i, sid, None)
-        if method == "drp":
-            theta_r = sample_reference(policy, x, dim, root.substream(_REF_TAG, 0, sid), nmap)
-            d = np.sort(distances_to(metric, nmap.apply(samples), theta_r))
-            d_truth = distances_to(metric, nmap.apply(dataset.theta_true[i])[None, :], theta_r)[0]
-            for j, c in enumerate(levels):
-                k = _ceil_count(c, n_post)
-                covered[i, j] = k >= 1 and d_truth <= d[k - 1]
-        else:
-            log_dens = np.sort(np.asarray(sampler.log_density(samples, x), dtype=float).ravel())
-            log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-            for j, c in enumerate(levels):
-                k = _ceil_count(c, n_post)
-                covered[i, j] = k >= 1 and log_truth <= log_dens[k - 1]
-
-    return covered.mean(axis=0)

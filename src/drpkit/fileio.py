@@ -286,7 +286,8 @@ def _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen):
                                dtype=[("ids", "i8", (len(fixed),)), ("values", "f8", (dim,))])
     if table is not None:
         ids, values = table["ids"][:, :1].ravel(), table["values"]
-        new = seen is None or (len(np.unique(ids)) == len(ids) and seen.isdisjoint(ids.tolist()))
+        # sorted, repeated ids sit side by side (np.unique would import numpy.ma)
+        new = seen is None or (np.diff(np.sort(ids)).all() and seen.isdisjoint(ids.tolist()))
         if new and np.isfinite(values).all():
             if seen is not None:
                 seen.update(ids.tolist())

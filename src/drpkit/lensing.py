@@ -336,7 +336,12 @@ def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta
 
 
 def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
-    """Law of the chain in `rsde_sample_batch`: draws are offset + x gain + z scale^T.
+    """Law of the reverse-SDE chain's output given x: draws are offset + x gain
+    + z scale^T with z i.i.d. standard normal.
+
+    The chain starts from the t=1 prior marginal N(mu_0, Sigma_0 + sigma_max^2
+    I) and takes `schedule.steps` uniform Euler-Maruyama steps to t=0, driven
+    by the prior score plus the likelihood score of the given kind.
 
     A step maps the state (a row in a basis set by the kind) to state M_k +
     c_k(x) + sqrt(h_k) noise, so the mean follows mean M_k + c_k(x) and the
@@ -396,17 +401,6 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
     return offset @ basis.T, model._B @ gain @ basis.T, basis @ L
 
 
-def rsde_sample_batch(model: LensingModel, schedule: VeSchedule, kind: str, x, n: int, rng) -> np.ndarray:
-    """n posterior draws from the reverse SDE, as an (n, dim_theta) array.
-
-    The chain starts from the t=1 prior marginal N(mu_0, Sigma_0 + sigma_max^2
-    I) and takes `schedule.steps` uniform Euler-Maruyama steps to t=0, driven
-    by the prior score plus the likelihood score of the given kind. The draws
-    come from the exact law of its output, built for this call.
-    """
-    return DiffusionPosteriorSampler(model, schedule, kind).sample(x, n, rng)
-
-
 def conjugate_posterior(model: LensingModel, x):
     """Closed-form posterior (mean, covariance) for the linear-Gaussian model.
 
@@ -425,8 +419,12 @@ def conjugate_posterior(model: LensingModel, x):
 class DiffusionPosteriorSampler(PosteriorSampler):
     """PosteriorSampler drawing from the law of the reverse-SDE chain (no density).
 
-    The law is built at construction (a diverging schedule or a noiseless
-    model fails there) and never written again, so threads may share it.
+    ``sample(x, n, rng)`` gives n posterior draws as an (n, dim_theta) array:
+    the output of the chain from the t=1 prior marginal through
+    `schedule.steps` Euler-Maruyama steps to t=0 under the prior score plus
+    the likelihood score of ``kind``, drawn from its exact law. The law is
+    built at construction (a diverging schedule or a noiseless model fails
+    there) and never written again, so threads may share it.
     """
 
     def __init__(self, model: LensingModel, schedule: VeSchedule, kind: str):

@@ -138,30 +138,6 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     raise DecompositionError(f"matrix is not positive definite: pivot {hi - 1}", pivot=hi - 1)
 
 
-def mvn_sample(mean, chol_cov, rng) -> np.ndarray:
-    """One multivariate-normal draw ``mean + L z`` with z i.i.d. standard normal.
-
-    ``rng`` may be a SeededRng (a fresh generator is opened) or a live numpy
-    Generator (draws continue the stream).
-    """
-    mean = np.asarray(mean, dtype=float)
-    L = np.asarray(chol_cov, dtype=float)
-    if L.shape != (mean.size, mean.size):
-        raise ValueError(f"dimension mismatch: mean {mean.shape}, chol {L.shape}")
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
-    return mean + L @ g.standard_normal(mean.size)
-
-
-def mvn_sample_batch(mean, chol_cov, n, rng) -> np.ndarray:
-    """n multivariate-normal draws as an (n, d) array; see :func:`mvn_sample`."""
-    mean = np.asarray(mean, dtype=float)
-    L = np.asarray(chol_cov, dtype=float)
-    if L.shape != (mean.size, mean.size):
-        raise ValueError(f"dimension mismatch: mean {mean.shape}, chol {L.shape}")
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
-    return mean + g.standard_normal((n, mean.size)) @ L.T
-
-
 def ks_uniform_statistic(values) -> float:
     """Two-sided Kolmogorov-Smirnov sup-distance between the empirical CDF of
     ``values`` and the uniform CDF on [0, 1]."""
@@ -185,10 +161,6 @@ class BinomialBand:
     half_widths: np.ndarray
     z: float
     n_sims: int
-
-    @property
-    def level_count(self) -> int:
-        return self.levels.size
 
 
 def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> BinomialBand:

@@ -1,0 +1,65 @@
+"""The explicit-region ECP: an oracle for the rank path of drp_test and hpd_test.
+
+It draws through the public sampler interface on the same substreams the
+engine uses, ("posterior", sim_id) and ("reference", 0, sim_id), but shares
+none of the engine's draw or rank code.
+"""
+
+import math
+
+import numpy as np
+
+from drpkit.coverage import (DensityUnavailableError, Euclidean, UnitHypercubeUniform, default_levels,
+                             distances_to, fit_normalization, has_density, sample_reference)
+from drpkit.numerics import SeededRng
+
+
+def _ceil_count(c: float, n: int) -> int:
+    # smallest k with k/n >= c, robust to grid values like 0.3 * 500
+    return int(math.ceil(c * n - 1e-9))
+
+
+def region_membership_ecp(dataset, sampler, *, method, n_post, levels=None, seed=0,
+                          policy=UnitHypercubeUniform(), metric=Euclidean(), bounds=None):
+    """ECP computed the explicit-region way, for cross-checking the rank path.
+
+    For each level c an empirical credible region of mass c is built outright
+    and the truth's membership is counted. For DRP that region is the smallest
+    ball around theta_r holding a fraction c of the samples, and membership
+    coincides with the rank event f < c up to rank quantization. For HPD the
+    rank convention counts sample densities below the truth's, so the region
+    consistent with it is the density-quantile region (the sample subset of
+    mass c taken upward from the lowest density); membership in it likewise
+    coincides with f < c. With repeats=1 both paths see identical draws.
+    Intended for small instances (n_sims <= 100, n_post <= 1000).
+    """
+    if method not in ("drp", "hpd"):
+        raise ValueError(f"method must be 'drp' or 'hpd', got {method!r}")
+    if dataset.n_sims > 100 or n_post > 1000:
+        raise ValueError("region-membership oracle is restricted to n_sims <= 100, n_post <= 1000")
+    if method == "hpd" and not has_density(sampler):
+        raise DensityUnavailableError("HPD region oracle requires sampler.log_density")
+    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
+    nmap = fit_normalization(dataset, bounds) if method == "drp" else None
+    root = SeededRng(seed)
+    covered = np.zeros((dataset.n_sims, levels.size))
+
+    for i in range(dataset.n_sims):
+        sid = int(dataset.sim_ids[i])
+        x = dataset.observations[i]
+        samples = np.asarray(sampler.sample(x, n_post, root.substream("posterior", sid)), dtype=float)
+        if method == "drp":
+            theta_r = sample_reference(policy, x, dataset.dim_theta, root.substream("reference", 0, sid), nmap)
+            d = np.sort(distances_to(metric, nmap.apply(samples), theta_r))
+            d_truth = distances_to(metric, nmap.apply(dataset.theta_true[i])[None, :], theta_r)[0]
+            for j, c in enumerate(levels):
+                k = _ceil_count(c, n_post)
+                covered[i, j] = k >= 1 and d_truth <= d[k - 1]
+        else:
+            log_dens = np.sort(np.asarray(sampler.log_density(samples, x), dtype=float).ravel())
+            log_truth = float(np.asarray(sampler.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
+            for j, c in enumerate(levels):
+                k = _ceil_count(c, n_post)
+                covered[i, j] = k >= 1 and log_truth <= log_dens[k - 1]
+
+    return covered.mean(axis=0)

@@ -23,7 +23,7 @@ from drpkit.benchmarks import (
     generate_toy,
     toy_prior_policy,
 )
-from drpkit.coverage import default_levels, drp_test, hpd_test, region_membership_ecp
+from drpkit.coverage import default_levels, drp_test, hpd_test
 from drpkit.lensing import (
     VeSchedule,
     DiffusionPosteriorSampler,
@@ -33,7 +33,6 @@ from drpkit.lensing import (
     likelihood_score,
     make_dataset,
     prior_score,
-    rsde_sample_batch,
     simulate,
 )
 from drpkit.numerics import (
@@ -167,8 +166,8 @@ def test_criterion_06_exact_sampler_oracle():
     for j in range(5):
         _, x = simulate(model, root.substream("acceptance-obs", j))
         mean, cov = conjugate_posterior(model, x)
-        draws = rsde_sample_batch(model, schedule, "exact", x, 2000,
-                                  root.substream("acceptance-draws", j))
+        draws = DiffusionPosteriorSampler(model, schedule, "exact").sample(
+            x, 2000, root.substream("acceptance-draws", j))
         se = np.sqrt(np.diag(cov) / 2000)
         worst_z = max(worst_z, float(np.max(np.abs(draws.mean(axis=0) - mean) / se)))
         worst_cov = max(worst_cov, float(np.linalg.norm(np.cov(draws.T) - cov)
@@ -239,6 +238,7 @@ def test_criterion_07_score_finite_differences():
 def test_criterion_08_region_rank_equivalence():
     """Rank-path ECP equals explicit-region ECP within 1/n at every level, for
     20 random small instances, both DRP and HPD."""
+    from region_oracle import region_membership_ecp
     from test_coverage import GaussianSampler, optimal_gaussian_setup
 
     master = SeededRng(2024)

@@ -508,6 +508,16 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("command", ["toy", "uninformative", "lensing", "coverage"])
+    def test_out_of_range_seed_is_a_usage_error_that_writes_nothing(self, tmp_path, capsys, command, seed):
+        flags = {"toy": ["--case", "correct"], "uninformative": [], "lensing": ["--estimator", "exact"],
+                 "coverage": ["--joint", str(tmp_path / "joint.csv"), "--posterior", str(tmp_path / "post.csv")]}
+        out = tmp_path / "o"
+        assert run(command, *flags[command], "--seed", str(seed), "--out", str(out)) == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         code = run("--version")
         assert code == 0
@@ -518,3 +528,30 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drpkit.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_coverage_run_loads_no_numpy_ma(tmp_path):
+    joint, post = TestCoverageCommand().make_files(tmp_path)
+    code = ("import sys; from drpkit import cli; "
+            f"assert cli.main(['coverage', '--joint', {str(joint)!r}, '--posterior', {str(post)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]) == 0; print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drpkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_public_names_are_pinned():
+    assert sorted(drpkit.__all__) == [
+        "BinomialBand", "ConjugateConfig", "CoverageCurve", "DataShift", "DecompositionError",
+        "DensityUnavailableError", "DiagonalGaussianSampler", "DiffusionPosteriorSampler", "DistanceMetric",
+        "DivergenceError", "DrpSpec", "Euclidean", "HpdSpec", "JointSampleSet", "LensingModel",
+        "NormalizationError", "NormalizationMap", "OperatorError", "PosteriorSampler", "PriorDraw", "PriorError",
+        "RankTable", "ReferencePolicy", "SeededRng", "SimulationError", "ToyConfig", "ToySimulation",
+        "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule", "WeightedEuclidean", "benchmarks",
+        "biased_mean", "binomial_band", "build_model", "build_operator", "build_prior", "cholesky",
+        "conjugate_datashift_policy", "conjugate_posterior", "conjugate_posterior_params",
+        "conjugate_prior_policy", "coverage", "coverage_tests", "default_levels", "drp_rank", "drp_test",
+        "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_rank", "hpd_test",
+        "ks_uniform_statistic", "lensing", "lensing_prior_policy", "likelihood_score", "make_dataset",
+        "norm_cdf", "norm_isf", "numerics", "prior_score", "sample_reference", "simulate", "toy_prior_policy",
+    ]

@@ -7,7 +7,9 @@ import pytest
 from drpkit.coverage import (
     DataShift,
     DensityUnavailableError,
+    DrpSpec,
     Euclidean,
+    HpdSpec,
     JointSampleSet,
     NormalizationError,
     NormalizationMap,
@@ -17,18 +19,18 @@ from drpkit.coverage import (
     SimulationError,
     UnitHypercubeUniform,
     WeightedEuclidean,
+    coverage_tests,
     default_levels,
     drp_rank,
     drp_test,
-    drp_test_precomputed,
     ecp_curve,
     fit_normalization,
     hpd_rank,
     hpd_test,
-    region_membership_ecp,
     sample_reference,
 )
 from drpkit.numerics import SeededRng, ks_uniform_statistic
+from region_oracle import region_membership_ecp
 
 # Monte-Carlo-calibrated null thresholds (99.9th percentile with margin):
 # KS of 1e4 ranks against the discrete uniform on {0..n}/n is below 0.0272
@@ -420,7 +422,7 @@ class TestDrpTest:
         root = SeededRng(42)
         draws = {int(sid): sampler.sample(ds.observations[i], 15, root.substream("posterior", int(sid)))
                  for i, sid in enumerate(ds.sim_ids)}
-        pre = drp_test_precomputed(ds, draws, seed=42)
+        pre = drp_test(ds, draws, seed=42)
         assert np.array_equal(live.ecp, pre.ecp)
         assert pre.n_post == 15
 
@@ -428,9 +430,55 @@ class TestDrpTest:
         ds = optimal_gaussian_setup(5, seed=6)
         draws = {s: np.zeros((4, 1)) for s in (0, 1, 2, 4)}
         with pytest.raises(SimulationError) as err:
-            drp_test_precomputed(ds, draws, seed=42)
+            drp_test(ds, draws, seed=42)
         assert str(err.value) == "simulation 3: no posterior samples"
         assert err.value.sim_id == 3
+
+
+class TestDrawSources:
+    def test_a_generator_of_specs_gives_every_curve(self):
+        ds = optimal_gaussian_setup(10, seed=6)
+        as_list = coverage_tests(ds, GaussianSampler(), [DrpSpec(), HpdSpec()], n_post=5)
+        curves = coverage_tests(ds, GaussianSampler(), (s for s in [DrpSpec(), HpdSpec()]), n_post=5)
+        assert [c.method for c in curves] == ["drp", "hpd"]
+        assert all(np.array_equal(c.ecp, ref.ecp) for c, ref in zip(curves, as_list))
+
+    def test_draws_from_elsewhere_take_no_n_post(self):
+        ds = optimal_gaussian_setup(4, seed=6)
+        with pytest.raises(ValueError, match="n_post"):
+            drp_test(ds, {s: np.zeros((5, 1)) for s in range(4)}, n_post=5)
+
+    def test_a_sampler_needs_n_post(self):
+        ds = optimal_gaussian_setup(4, seed=6)
+        with pytest.raises(ValueError, match="n_post"):
+            drp_test(ds, GaussianSampler())
+
+    @pytest.mark.parametrize("bad", [np.zeros((5, 2)), np.zeros((0, 1)), np.zeros(5), np.full((5, 1), np.nan)])
+    def test_both_sources_check_draws_alike(self, bad):
+        draws = {s: np.zeros((5, 1)) for s in range(4)}
+        draws[2] = bad
+        ds = make_dataset(np.arange(4.0)[:, None], observations=range(4))  # StoredSampler keys by x
+        for source, n_post in ((StoredSampler(draws), 5), (draws, None)):
+            with pytest.raises(SimulationError, match="simulation 2: draws"):
+                drp_test(ds, source, n_post=n_post)
+
+    def test_a_sampler_gives_n_post_draws(self):
+        ds = make_dataset(np.arange(4.0)[:, None], observations=range(4))
+        with pytest.raises(SimulationError, match=r"simulation 0: draws have shape \(5, 1\), expected \(6, 1\)"):
+            drp_test(ds, StoredSampler({s: np.zeros((5, 1)) for s in range(4)}), n_post=6)
+
+    def test_hpd_on_draws_fails_before_a_draw_is_read(self):
+        ds = optimal_gaussian_setup(4, seed=6)
+        read = []
+
+        def runs():
+            for s in range(4):
+                read.append(s)
+                yield s, np.zeros((5, 1))
+
+        with pytest.raises(DensityUnavailableError):
+            coverage_tests(ds, runs(), [DrpSpec(), HpdSpec()])
+        assert read == []
 
 
 class TestHpdTest:

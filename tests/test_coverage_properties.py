@@ -1,5 +1,6 @@
 """Property tests: the per-simulation engine shared by coverage_tests,
-drp_test, drp_test_precomputed and hpd_test, over random small validation sets."""
+drp_test and hpd_test, on a sampler or on draws made elsewhere, over random
+small validation sets."""
 
 import os
 import threading
@@ -23,7 +24,6 @@ from drpkit.coverage import (
     WeightedEuclidean,
     coverage_tests,
     drp_test,
-    drp_test_precomputed,
     hpd_test,
 )
 from drpkit.numerics import SeededRng
@@ -104,7 +104,7 @@ def test_precomputed_on_dumped_draws_equals_the_sampler_path(case, repeats):
     draws = {}
     live = drp_test(dataset, sampler, on_draws=draws.__setitem__, **kw)
     n_post = kw.pop("n_post")
-    pre = drp_test_precomputed(dataset, draws, **kw)
+    pre = drp_test(dataset, draws, **kw)
     assert same_table(pre.ranks, live.ranks)
     assert np.array_equal(pre.ecp, live.ecp)
     assert (pre.n_post, pre.n_sims) == (n_post, live.n_sims)
@@ -124,9 +124,9 @@ def test_runs_in_any_order_rank_as_their_joined_blocks(case, data, cap):
         cuts = data.draw(st.lists(st.booleans(), min_size=len(block) - 1, max_size=len(block) - 1))
         runs += [(sid, part) for part in np.split(block, [j + 1 for j, cut in enumerate(cuts) if cut])]
     runs = data.draw(st.permutations(runs))
-    whole = drp_test_precomputed(dataset, draws, **kw)
+    whole = drp_test(dataset, draws, **kw)
     with threads(cap):
-        streamed = drp_test_precomputed(dataset, iter(runs), **kw)
+        streamed = drp_test(dataset, iter(runs), **kw)
     assert same_table(streamed.ranks, whole.ranks)
     assert streamed.ecp.tobytes() == whole.ecp.tobytes()
     assert (streamed.n_post, streamed.n_sims) == (whole.n_post, whole.n_sims)

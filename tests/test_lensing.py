@@ -28,7 +28,6 @@ from drpkit.lensing import (
     likelihood_score,
     make_dataset,
     prior_score,
-    rsde_sample_batch,
     simulate,
 )
 from drpkit.numerics import SeededRng, cholesky
@@ -87,11 +86,12 @@ class ScriptedNormals:
 
 
 def sampled_law(model, schedule, kind, x):
-    """Mean and covariance of rsde_sample_batch's draws, read off by feeding it
+    """Mean and covariance of the sampler's draws, read off by feeding it
     a zero normal row (the mean) and the identity rows (the covariance's root)."""
     d = model.dim_theta
-    mean = rsde_sample_batch(model, schedule, kind, x, 1, ScriptedNormals(np.zeros((1, d))))[0]
-    spread = rsde_sample_batch(model, schedule, kind, x, d, ScriptedNormals(np.eye(d))) - mean
+    sampler = DiffusionPosteriorSampler(model, schedule, kind)
+    mean = sampler.sample(x, 1, ScriptedNormals(np.zeros((1, d))))[0]
+    spread = sampler.sample(x, d, ScriptedNormals(np.eye(d))) - mean
     return mean, spread.T @ spread
 
 
@@ -316,7 +316,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             conjugate_posterior(model, np.zeros(16))
         with pytest.raises(ValueError):
-            rsde_sample_batch(model, VeSchedule(steps=5), "exact", np.zeros(16), 2, SeededRng(1))
+            DiffusionPosteriorSampler(model, VeSchedule(steps=5), "exact").sample(np.zeros(16), 2, SeededRng(1))
         for kind in SCORE_KINDS:
             with pytest.raises(ValueError, match="sigma_n must be positive"):
                 DiffusionPosteriorSampler(model, VeSchedule(steps=5), kind)
@@ -520,11 +520,12 @@ class TestRsdeSampler:
         model = small_model(seed=10)
         sched = VeSchedule(steps=40)
         x = simulate(model, SeededRng(3))[1]
-        a = rsde_sample_batch(model, sched, "exact", x, 5, SeededRng(4))
-        b = rsde_sample_batch(model, sched, "exact", x, 5, SeededRng(4))
+        sampler = DiffusionPosteriorSampler(model, sched, "exact")
+        a = sampler.sample(x, 5, SeededRng(4))
+        b = sampler.sample(x, 5, SeededRng(4))
         assert a.shape == (5, model.dim_theta)
         assert np.array_equal(a, b)
-        single = rsde_sample_batch(model, sched, "exact", x, 1, SeededRng(4))
+        single = sampler.sample(x, 1, SeededRng(4))
         assert single.shape == (1, model.dim_theta)
 
     def test_uninformative_likelihood_limit(self):
@@ -532,7 +533,7 @@ class TestRsdeSampler:
         model = small_model(seed=11, sigma_n=1e6)
         sched = VeSchedule()
         x = np.zeros(model.dim_x)
-        draws = rsde_sample_batch(model, sched, "exact", x, 2000, SeededRng(5))
+        draws = DiffusionPosteriorSampler(model, sched, "exact").sample(x, 2000, SeededRng(5))
         se = draws.std(axis=0) / math.sqrt(2000)
         assert np.all(np.abs(draws.mean(axis=0) - model.prior_mean) < 3.5 * se)
 
@@ -541,7 +542,7 @@ class TestRsdeSampler:
         sched = VeSchedule()
         theta, x = simulate(model, SeededRng(6))
         mean, cov = conjugate_posterior(model, x)
-        draws = rsde_sample_batch(model, sched, "exact", x, 1500, SeededRng(7))
+        draws = DiffusionPosteriorSampler(model, sched, "exact").sample(x, 1500, SeededRng(7))
         se = np.sqrt(np.diag(cov) / 1500)
         assert np.max(np.abs(draws.mean(axis=0) - mean) / se) < 4.0
         assert rel_err(np.cov(draws.T), cov) < 0.2
@@ -551,7 +552,7 @@ class TestRsdeSampler:
         sched = VeSchedule()
         theta, x = simulate(model, SeededRng(6))
         mean, cov = conjugate_posterior(model, x)
-        draws = rsde_sample_batch(model, sched, "biased", x, 800, SeededRng(8))
+        draws = DiffusionPosteriorSampler(model, sched, "biased").sample(x, 800, SeededRng(8))
         delta = draws.mean(axis=0) - mean
         t2 = delta @ np.linalg.solve(cov / 800, delta)
         assert t2 > stats.chi2.ppf(0.99, model.dim_theta)
@@ -590,7 +591,7 @@ class TestRsdeSampler:
         x = np.zeros(model.dim_x)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                rsde_sample_batch(model, sched, "biased", x, 2, SeededRng(12))
+                DiffusionPosteriorSampler(model, sched, "biased").sample(x, 2, SeededRng(12))
         assert err.value.step is not None
         assert "step" in str(err.value)
 

@@ -13,8 +13,6 @@ from drpkit.numerics import (
     binomial_band,
     cholesky,
     ks_uniform_statistic,
-    mvn_sample,
-    mvn_sample_batch,
     norm_cdf,
     norm_isf,
     parallel_map,
@@ -150,26 +148,6 @@ class TestCholesky:
                 assert rel < 1e-8
                 # dual route against LAPACK
                 assert np.allclose(L, np.linalg.cholesky(m), rtol=1e-10, atol=1e-10)
-
-
-class TestMvnSample:
-    def test_zero_covariance(self):
-        out = mvn_sample([5.0, 5.0], np.zeros((2, 2)), SeededRng(1))
-        assert np.array_equal(out, [5.0, 5.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mvn_sample([0.0, 0.0], np.eye(3), SeededRng(1))
-
-    def test_standard_normal_moments(self):
-        draws = mvn_sample_batch(np.zeros(2), np.eye(2), 100_000, SeededRng(7))
-        assert np.all(np.abs(draws.mean(axis=0)) < 0.02)  # 3 / sqrt(1e5) CLT bound
-
-    def test_covariance_recovery(self):
-        cov = np.array([[4.0, 2.0], [2.0, 3.0]])
-        draws = mvn_sample_batch(np.zeros(2), cholesky(cov), 100_000, SeededRng(11))
-        emp = np.cov(draws.T)
-        assert np.linalg.norm(emp - cov) / np.linalg.norm(cov) < 0.05
 
 
 class TestKsUniformStatistic:
