@@ -10,7 +10,6 @@ source-reconstruction problem with exact and biased reverse-SDE samplers.
 __version__ = "0.1.0"
 
 from .numerics import (
-    BinomialBand,
     DecompositionError,
     SeededRng,
     binomial_band,
@@ -79,4 +78,19 @@ from .lensing import (
     simulate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DecompositionError", "SeededRng", "binomial_band", "cholesky", "ks_uniform_statistic",
+    "norm_cdf", "norm_isf",
+    "CoverageCurve", "DataShift", "DensityUnavailableError", "DistanceMetric", "DrpSpec",
+    "Euclidean", "HpdSpec", "JointSampleSet", "NormalizationError", "NormalizationMap",
+    "PosteriorSampler", "PriorDraw", "RankTable", "ReferencePolicy", "SimulationError",
+    "UnitHypercubeUniform", "WeightedEuclidean", "coverage_tests", "default_levels", "drp_rank",
+    "drp_test", "ecp_curve", "fit_normalization", "hpd_rank", "hpd_test", "sample_reference",
+    "ConjugateConfig", "DiagonalGaussianSampler", "ToyConfig", "ToySimulation",
+    "UninformativeSampler", "biased_mean", "conjugate_datashift_policy",
+    "conjugate_posterior_params", "conjugate_prior_policy", "generate_conjugate", "generate_toy",
+    "toy_prior_policy",
+    "DiffusionPosteriorSampler", "DivergenceError", "LensingModel", "OperatorError", "PriorError",
+    "VeSchedule", "build_model", "build_operator", "build_prior", "conjugate_posterior",
+    "lensing_prior_policy", "likelihood_score", "make_dataset", "prior_score", "simulate",
+]

@@ -24,8 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import (BinomialBand, SeededRng, binomial_band, parallel_map,
-                       single_thread_blas)
+from .numerics import SeededRng, binomial_band, parallel_map, single_thread_blas
 
 DEFAULT_LEVELS_COUNT = 101
 
@@ -289,14 +288,16 @@ class RankTable:
     """Ranks as arrays, one row per (simulation, repeat), in sim_id order with
     repeats in order: ``k`` of the ``n`` ranked draws fall strictly below the
     truth, and ``f = k / n``. ``theta_r`` (rows, D) holds the DRP reference
-    points and is None for HPD ranks. A table built from fractions alone has
-    no ``k`` and ``n``."""
+    points and is None for HPD ranks."""
 
     sim_id: np.ndarray
-    f: np.ndarray
+    k: np.ndarray
+    n: np.ndarray
     theta_r: Optional[np.ndarray] = None
-    k: Optional[np.ndarray] = None
-    n: Optional[np.ndarray] = None
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.k / self.n
 
 
 def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclidean()) -> float:
@@ -357,19 +358,16 @@ class CoverageCurve:
 
     levels: np.ndarray
     ecp: np.ndarray
-    band: BinomialBand
+    band: np.ndarray  # binomial half-width at each level
     n_sims: int
     n_post: int
     method: str
     ranks: RankTable
 
-    def rank_values(self) -> np.ndarray:
-        return self.ranks.f
-
     def in_band_fraction(self) -> float:
         """Fraction of grid levels where |ecp - c| is within the band half-width."""
         dev = np.abs(self.ecp - self.levels)
-        return float(np.mean(dev <= self.band.half_widths))
+        return float(np.mean(dev <= self.band))
 
     def max_sigma_deviation(self) -> float:
         """Largest |ecp - c| in units of the one-sigma binomial half-width.
@@ -384,25 +382,23 @@ class CoverageCurve:
         return float(np.max(np.abs(self.ecp - self.levels)[mask] / sigma[mask]))
 
 
-def ecp_curve(ranks: RankTable, levels=None, n_post: int = 0,
-              n_sims: Optional[int] = None, method: str = "", band_z: float = 3.0) -> CoverageCurve:
-    """Assemble a coverage curve: ecp(c) = #{f_i < c} / #ranks, with binomial band.
-
-    ``n_sims`` defaults to the number of distinct sim_ids (repeat runs pool
-    their ranks but do not shrink the band).
-    """
-    if ranks.f.size == 0:
+def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
+    """Assemble a coverage curve from the table alone: ecp(c) = #{f_i < c} / #ranks,
+    a 3-sigma binomial band over the n_sims distinct sim_ids (repeats pool their
+    ranks but do not shrink the band), n_post the common draw count (0 when
+    counts differ), and method "drp" when the table holds reference points, else "hpd"."""
+    if ranks.k.size == 0:
         raise ValueError("ecp_curve requires at least one rank")
     levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
-    if levels.size == 0 or levels.min() < 0 or levels.max() > 1:
+    if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
         raise ValueError("levels must be a nonempty grid within [0, 1]")
     f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
-    if n_sims is None:  # distinct sim_ids: one plus the steps between sorted neighbours
-        n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))
-    band = binomial_band(levels, n_sims, z=band_z)
-    return CoverageCurve(levels=levels, ecp=ecp, band=band, n_sims=int(n_sims),
-                         n_post=int(n_post), method=method, ranks=ranks)
+    n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))  # one plus the steps between sorted ids
+    n = ranks.n
+    return CoverageCurve(levels=levels, ecp=ecp, band=binomial_band(levels, n_sims), n_sims=int(n_sims),
+                         n_post=int(n[0]) if (n == n[0]).all() else 0,
+                         method="hpd" if ranks.theta_r is None else "drp", ranks=ranks)
 
 
 # --- the two tests ---------------------------------------------------------------
@@ -472,9 +468,8 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
     tables = []
     for k_of, refs_of in zip(k, refs):
         n_all = np.repeat(n, k_of.shape[1])
-        tables.append(RankTable(sim_id=np.repeat(np.arange(n_sims), k_of.shape[1]), f=k_of.ravel() / n_all,
-                                theta_r=None if refs_of is None else refs_of.reshape(n_all.size, -1),
-                                k=k_of.ravel(), n=n_all))
+        tables.append(RankTable(sim_id=np.repeat(np.arange(n_sims), k_of.shape[1]), k=k_of.ravel(), n=n_all,
+                                theta_r=None if refs_of is None else refs_of.reshape(n_all.size, -1)))
     return tables
 
 
@@ -484,6 +479,10 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     if spec.repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
     nmap = fit_normalization(dataset, spec.bounds)
+    if isinstance(spec.metric, WeightedEuclidean) and spec.metric.weights.size != nmap.dim:
+        raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
+    if isinstance(spec.policy, DataShift) and nmap.dim != 1:
+        raise ValueError(f"DataShift requires a scalar parameter space, got dim {nmap.dim}")
 
     def rank(i, samples):
         sid = int(dataset.sim_ids[i])
@@ -513,7 +512,7 @@ def _hpd_ranker(dataset: JointSampleSet, source):
 
 
 def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
-                   levels=None, seed: int = 0, band_z: float = 3.0, on_draws=None) -> list:
+                   levels=None, seed: int = 0, on_draws=None) -> list:
     """Several coverage tests on one pass over the draws: one curve per spec in ``tests``.
 
     ``source`` is a sampler (anything with a callable ``sample``), which gives
@@ -532,8 +531,7 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     simulation's runs. Each curve is deterministic given the seed, invariant
     to simulation order and scheduling, and the same as its drp_test or
     hpd_test call alone; draws dumped from a sampler give the sampler's curve
-    bit for bit. A curve's n_post is the common draw count, or 0 when counts
-    differ. Every argument is checked before the first draw.
+    bit for bit. Every argument is checked before the first draw.
     ``on_draws(sim_id, draws)``, if given, gets each run's draws once, on the
     calling thread and in run order (sim_id order for a sampler), so callers
     can keep or stream them without sampling again.
@@ -572,30 +570,24 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     else:
         pairs = source.items() if isinstance(source, Mapping) else source
         runs = ((int(sid), block) for sid, block in pairs if 0 <= sid < dataset.n_sims)
-    tables = _rank_table(dataset, runs, draws, rankers, on_draws)
-    n = tables[0].n
-    common = int(n[0]) if (n == n[0]).all() else 0
-    return [ecp_curve(table, levels, n_post=common, n_sims=dataset.n_sims, band_z=band_z,
-                      method="drp" if isinstance(spec, DrpSpec) else "hpd")
-            for table, spec in zip(tables, tests)]
+    return [ecp_curve(table, levels) for table in _rank_table(dataset, runs, draws, rankers, on_draws)]
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,
              policy: ReferencePolicy = UnitHypercubeUniform(),
              metric: DistanceMetric = Euclidean(),
              levels=None, seed: int = 0, bounds=None, repeats: int = 1,
-             band_z: float = 3.0, on_draws=None) -> CoverageCurve:
+             on_draws=None) -> CoverageCurve:
     """Distance-to-random-point coverage test over a validation set, on a
     sampler's draws or on draws made elsewhere: the one-test case of
     :func:`coverage_tests`, which describes it."""
     return coverage_tests(dataset, source, [DrpSpec(policy, metric, bounds, repeats)],
-                          n_post=n_post, levels=levels, seed=seed, band_z=band_z,
-                          on_draws=on_draws)[0]
+                          n_post=n_post, levels=levels, seed=seed, on_draws=on_draws)[0]
 
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
-             levels=None, seed: int = 0, band_z: float = 3.0, on_draws=None) -> CoverageCurve:
+             levels=None, seed: int = 0, on_draws=None) -> CoverageCurve:
     """Highest-posterior-density coverage test; requires sampler.log_density. The
     one-test case of :func:`coverage_tests`, on the same draws as drp_test."""
     return coverage_tests(dataset, sampler, [HpdSpec()], n_post=n_post, levels=levels,
-                          seed=seed, band_z=band_z, on_draws=on_draws)[0]
+                          seed=seed, on_draws=on_draws)[0]

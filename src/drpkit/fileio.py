@@ -92,7 +92,7 @@ def write_coverage_csv(path, curve: CoverageCurve, seed, policy: str = "", metri
     for i in order:
         c = curve.levels[i]
         e = curve.ecp[i]
-        hw = curve.band.half_widths[i]
+        hw = curve.band[i]
         lo = min(max(e - hw, 0.0), 1.0)
         hi = min(max(e + hw, 0.0), 1.0)
         lines.append(",".join(format_float(v) for v in (c, 1.0 - c, e, lo, hi)))
@@ -125,9 +125,12 @@ def read_coverage_csv(path):
         if len(parts) != 5:
             raise SchemaError(path, ln, f"expected 5 columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise SchemaError(path, ln, f"non-numeric value in {s!r}") from None
+        if not np.isfinite(row).all():
+            raise SchemaError(path, ln, f"non-finite value in {s!r}")
+        rows.append(row)
     if not rows:
         raise SchemaError(path, len(lines), "no data rows")
     arr = np.asarray(rows)

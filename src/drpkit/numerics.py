@@ -153,23 +153,12 @@ def ks_uniform_statistic(values) -> float:
     return float(max(d_plus, d_minus, 0.0))
 
 
-@dataclass(frozen=True)
-class BinomialBand:
-    """Pointwise binomial uncertainty half-widths for an ECP estimate."""
-
-    levels: np.ndarray
-    half_widths: np.ndarray
-    z: float
-    n_sims: int
-
-
-def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> BinomialBand:
-    """Half-width z * sqrt(c (1-c) / n_sims) at each credibility level c."""
+def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> np.ndarray:
+    """Pointwise binomial half-widths z * sqrt(c (1-c) / n_sims) of an ECP estimate, one per level c."""
     levels = np.asarray(credibility_levels, dtype=float).ravel()
     if n_sims < 1:
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
-    hw = z * np.sqrt(levels * (1.0 - levels) / n_sims)
-    return BinomialBand(levels=levels, half_widths=hw, z=float(z), n_sims=int(n_sims))
+    return z * np.sqrt(levels * (1.0 - levels) / n_sims)
 
 
 def thread_cap() -> int:

@@ -98,7 +98,7 @@ def test_criterion_03_over_under_signatures():
         dataset, sampler = generate_toy(config, seed=seed)
         curve = drp_test(dataset, sampler, n_post=500, seed=seed,
                          bounds=config.theta_bounds, policy=toy_prior_policy(config))
-        ranks[case] = curve.rank_values()
+        ranks[case] = curve.ranks.f
     mid = lambda f: float(np.mean((f >= 0.4) & (f <= 0.6)))
     tails = lambda f: float(np.mean((f <= 0.1) | (f >= 0.9)))
     se = lambda p: math.sqrt(p * (1 - p) / 500)
@@ -307,9 +307,9 @@ def test_criterion_10_numerics_suite():
     ks_ok = (ks_uniform_statistic([0.5]) == 0.5
              and ks_uniform_statistic([0.0, 0.0, 0.0, 0.0]) == 1.0
              and abs(ks_uniform_statistic([0.25, 0.5, 0.75]) - 0.25) < 1e-15)
-    band_ok = (binomial_band([0.5], 100, z=1.0).half_widths[0] == 0.05
-               and binomial_band([0.0], 100, z=3.0).half_widths[0] == 0.0
-               and abs(binomial_band([0.9], 500, z=3.0).half_widths[0]
+    band_ok = (binomial_band([0.5], 100, z=1.0)[0] == 0.05
+               and binomial_band([0.0], 100, z=3.0)[0] == 0.0
+               and abs(binomial_band([0.9], 500, z=3.0)[0]
                        - 3.0 * math.sqrt(0.09 / 500)) < 1e-15)
     ok = z_err <= 1e-8 and p_err <= 1e-10 and chol_err < 1e-8 and ks_ok and band_ok
     assert report(10, "numerics suite", ok,

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, file contracts, round trips."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import drpkit
 from drpkit import benchmarks, cli
-from drpkit.coverage import drp_test, hpd_test
+from drpkit.coverage import coverage_tests, drp_test, ecp_curve, hpd_test
 from drpkit.fileio import (format_float, read_coverage_csv, write_coverage_csv, write_joint_file,
                            write_observation_file, write_posterior_file)
 from drpkit.numerics import SeededRng
@@ -307,6 +308,16 @@ class TestCoverageCommand:
         hw = 3 * np.sqrt(levels * (1 - levels) / n_sims)
         assert np.mean(np.abs(ecp - levels) <= hw) >= 0.97
 
+    def test_weight_count_is_checked_before_any_simulation(self, tmp_path, capsys):
+        joint, post = self.make_files(tmp_path)
+        weights = tmp_path / "w.txt"
+        weights.write_text("1\n2\n3\n")
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                   "--metric", f"weighted:{weights}", "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: metric has 3 weights, parameters have dimension 2\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_posterior_sim_exits_one(self, tmp_path, capsys):
         joint, post = self.make_files(tmp_path)
         lines = post.read_text().splitlines()
@@ -503,6 +514,14 @@ class TestPlotCommand:
         bad.write_text("credibility,alpha,ecp,band_lo,band_hi\n")
         assert run("plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line_and_writes_no_svg(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"credibility,alpha,ecp,band_lo,band_hi\n0,1,0,0,0\n0.5,0.5,{value},0.4,0.6\n")
+        assert run("plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")) == 1
+        assert f"{bad}:3: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -542,16 +561,27 @@ def test_coverage_run_loads_no_numpy_ma(tmp_path):
 
 def test_public_names_are_pinned():
     assert sorted(drpkit.__all__) == [
-        "BinomialBand", "ConjugateConfig", "CoverageCurve", "DataShift", "DecompositionError",
+        "ConjugateConfig", "CoverageCurve", "DataShift", "DecompositionError",
         "DensityUnavailableError", "DiagonalGaussianSampler", "DiffusionPosteriorSampler", "DistanceMetric",
         "DivergenceError", "DrpSpec", "Euclidean", "HpdSpec", "JointSampleSet", "LensingModel",
         "NormalizationError", "NormalizationMap", "OperatorError", "PosteriorSampler", "PriorDraw", "PriorError",
         "RankTable", "ReferencePolicy", "SeededRng", "SimulationError", "ToyConfig", "ToySimulation",
-        "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule", "WeightedEuclidean", "benchmarks",
+        "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule", "WeightedEuclidean",
         "biased_mean", "binomial_band", "build_model", "build_operator", "build_prior", "cholesky",
         "conjugate_datashift_policy", "conjugate_posterior", "conjugate_posterior_params",
-        "conjugate_prior_policy", "coverage", "coverage_tests", "default_levels", "drp_rank", "drp_test",
+        "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_rank", "drp_test",
         "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_rank", "hpd_test",
-        "ks_uniform_statistic", "lensing", "lensing_prior_policy", "likelihood_score", "make_dataset",
-        "norm_cdf", "norm_isf", "numerics", "prior_score", "sample_reference", "simulate", "toy_prior_policy",
+        "ks_uniform_statistic", "lensing_prior_policy", "likelihood_score", "make_dataset",
+        "norm_cdf", "norm_isf", "prior_score", "sample_reference", "simulate", "toy_prior_policy",
     ]
+
+
+@pytest.mark.parametrize("fn, params", [
+    (coverage_tests, ["dataset", "source", "tests", "n_post", "levels", "seed", "on_draws"]),
+    (drp_test, ["dataset", "source", "n_post", "policy", "metric", "levels", "seed", "bounds", "repeats",
+                "on_draws"]),
+    (hpd_test, ["dataset", "sampler", "n_post", "levels", "seed", "on_draws"]),
+    (ecp_curve, ["ranks", "levels"]),
+])
+def test_engine_parameters_are_pinned(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

@@ -29,7 +29,7 @@ from drpkit.coverage import (
     hpd_test,
     sample_reference,
 )
-from drpkit.numerics import SeededRng, ks_uniform_statistic
+from drpkit.numerics import SeededRng, binomial_band, ks_uniform_statistic
 from region_oracle import region_membership_ecp
 
 # Monte-Carlo-calibrated null thresholds (99.9th percentile with margin):
@@ -270,44 +270,46 @@ class TestHpdRank:
         assert ks < RANK_KS_THRESHOLD
 
 
-def ranks_from(values):
-    return RankTable(sim_id=np.arange(len(values)), f=np.asarray(values, dtype=float))
+def ranks_from(k, n):
+    """An HPD-style table of counts k out of n draws, one simulation per count."""
+    k = np.asarray(k, dtype=np.int64)
+    return RankTable(sim_id=np.arange(k.size), k=k, n=np.full(k.size, n, dtype=np.int64))
 
 
 class TestEcpCurve:
     def test_counting(self):
-        curve = ecp_curve(ranks_from([0.2, 0.6, 0.9]), levels=[0.5], n_post=10)
+        curve = ecp_curve(ranks_from([2, 6, 9], 10), levels=[0.5])
         assert curve.ecp[0] == pytest.approx(1 / 3)
 
     def test_full_level_counts_everything_below_one(self):
-        curve = ecp_curve(ranks_from([0.2, 0.6, 0.9]), levels=[1.0], n_post=10)
+        curve = ecp_curve(ranks_from([2, 6, 9], 10), levels=[1.0])
         assert curve.ecp[0] == 1.0
 
     def test_zero_level(self):
-        curve = ecp_curve(ranks_from([0.0, 0.5]), levels=[0.0], n_post=10)
+        curve = ecp_curve(ranks_from([0, 5], 10), levels=[0.0])
         assert curve.ecp[0] == 0.0
 
     def test_monotone_nondecreasing(self):
         g = SeededRng(8).generator()
         for _ in range(20):
-            curve = ecp_curve(ranks_from(g.uniform(size=37)), n_post=10)
+            curve = ecp_curve(ranks_from(g.uniform(size=37) * 2**53, 2**53))
             assert np.all(np.diff(curve.ecp) >= 0)
 
     def test_uniform_ranks_hug_diagonal(self):
         g = SeededRng(4).generator()
-        curve = ecp_curve(ranks_from(g.uniform(size=500)), n_post=100)
+        curve = ecp_curve(ranks_from(g.uniform(size=500) * 2**53, 2**53))
         assert curve.in_band_fraction() >= 0.99
 
     def test_ranks_regenerate_ecp(self):
         g = SeededRng(9).generator()
-        curve = ecp_curve(ranks_from(g.uniform(size=64)), n_post=10)
-        f = np.sort(curve.rank_values())
+        curve = ecp_curve(ranks_from(g.uniform(size=64) * 2**53, 2**53))
+        f = np.sort(curve.ranks.f)
         regen = np.searchsorted(f, curve.levels, side="left") / f.size
         assert np.array_equal(regen, curve.ecp)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ecp_curve(ranks_from([]), n_post=10)
+            ecp_curve(ranks_from([], 10))
 
     def test_default_grid(self):
         levels = default_levels()
@@ -315,10 +317,27 @@ class TestEcpCurve:
         assert levels[0] == 0.0 and levels[-1] == 1.0
         assert np.array_equal(levels, np.arange(101) / 100.0)
 
+    def test_nan_level_rejected(self):
+        with pytest.raises(ValueError, match="levels"):
+            ecp_curve(ranks_from([2, 6, 9], 10), levels=[np.nan, 0.5])
+
+    def test_exact_fractions(self):
+        g = SeededRng(10).generator()
+        f = g.uniform(size=100_000)
+        assert np.array_equal(ranks_from(f * 2**53, 2**53).f, f)
+
+    def test_table_gives_n_sims_n_post_and_method(self):
+        hpd = ecp_curve(ranks_from([2, 6, 9], 10))
+        assert (hpd.n_sims, hpd.n_post, hpd.method) == (3, 10, "hpd")
+        drp = ecp_curve(RankTable(sim_id=np.array([1, 0, 1, 0]), k=np.array([1, 2, 3, 4]),
+                                  n=np.array([5, 5, 6, 6]), theta_r=np.zeros((4, 1))))
+        assert (drp.n_sims, drp.n_post, drp.method) == (2, 0, "drp")
+        assert np.array_equal(drp.band, binomial_band(drp.levels, 2))
+
     def test_max_sigma_deviation(self):
         levels = np.array([0.0, 0.5, 1.0])
-        ranks = ranks_from([0.1] * 64)  # ecp jumps to 1 above 0.1
-        curve = ecp_curve(ranks, levels=levels, n_post=10)
+        ranks = ranks_from([1] * 64, 10)  # ecp jumps to 1 above 0.1
+        curve = ecp_curve(ranks, levels=levels)
         sigma = np.sqrt(0.25 / 64)
         assert curve.max_sigma_deviation() == pytest.approx(0.5 / sigma)
 
@@ -351,11 +370,11 @@ class TestDrpTest:
         # and drops by exactly the saturated-rank fraction otherwise
         ds = optimal_gaussian_setup(200, seed=100)
         curve = drp_test(ds, GaussianSampler(), n_post=250, seed=0)
-        assert curve.rank_values().max() < 1.0
+        assert curve.ranks.f.max() < 1.0
         assert curve.ecp[-1] == 1.0
         ds = optimal_gaussian_setup(200, seed=101)
         curve = drp_test(ds, GaussianSampler(), n_post=250, seed=1)
-        saturated = np.mean(curve.rank_values() == 1.0)
+        saturated = np.mean(curve.ranks.f == 1.0)
         assert saturated > 0
         assert curve.ecp[-1] == 1.0 - saturated
 
@@ -403,7 +422,7 @@ class TestDrpTest:
         curve = drp_test(ds, GaussianSampler(), n_post=20, seed=6, repeats=3)
         assert curve.ranks.f.size == 90
         assert curve.n_sims == 30
-        f = np.sort(curve.rank_values())
+        f = np.sort(curve.ranks.f)
         assert np.array_equal(curve.ecp, np.searchsorted(f, curve.levels, side="left") / 90)
 
     def test_sampler_error_carries_sim_id(self):
@@ -481,6 +500,24 @@ class TestDrawSources:
         assert read == []
 
 
+class TestSpecChecks:
+    """A spec that cannot fit the dataset is refused before the first draw."""
+
+    @pytest.mark.parametrize("spec, message", [
+        (DrpSpec(metric=WeightedEuclidean(weights=np.ones(2))), "metric has 2 weights, parameters have dimension 3"),
+        (DrpSpec(policy=DataShift(coordinate=0, half_width=1.0)), "DataShift requires a scalar parameter space"),
+    ])
+    def test_refused_before_any_sample(self, spec, message):
+        class Untouchable(PosteriorSampler):
+            def sample(self, x, n, rng):
+                raise AssertionError("sample called")
+
+        ds = make_dataset(np.arange(12.0).reshape(4, 3), observations=tuple(range(4)))
+        with pytest.raises(ValueError, match=message) as err:
+            coverage_tests(ds, Untouchable(), [spec], n_post=5)
+        assert "simulation" not in str(err.value)
+
+
 class TestHpdTest:
     def test_requires_density(self):
         ds = optimal_gaussian_setup(5, seed=7)
@@ -509,7 +546,7 @@ class TestUnderOverconfidentSignatures:
         ds = optimal_gaussian_setup(500, seed=61)
         wide = drp_test(ds, GaussianSampler(scale=2.0), n_post=300, seed=62)
         correct = drp_test(ds, GaussianSampler(scale=1.0), n_post=300, seed=62)
-        mid = lambda c: np.mean((c.rank_values() >= 0.4) & (c.rank_values() <= 0.6))
+        mid = lambda c: np.mean((c.ranks.f >= 0.4) & (c.ranks.f <= 0.6))
         assert mid(wide) > mid(correct)
         at = np.searchsorted(correct.levels, 0.6)
         assert wide.ecp[at] > wide.levels[at]
@@ -518,7 +555,7 @@ class TestUnderOverconfidentSignatures:
         ds = optimal_gaussian_setup(500, seed=63)
         narrow = drp_test(ds, GaussianSampler(scale=0.5), n_post=300, seed=64)
         correct = drp_test(ds, GaussianSampler(scale=1.0), n_post=300, seed=64)
-        tails = lambda c: np.mean((c.rank_values() <= 0.1) | (c.rank_values() >= 0.9))
+        tails = lambda c: np.mean((c.ranks.f <= 0.1) | (c.ranks.f >= 0.9))
         assert tails(narrow) > tails(correct)
 
 

@@ -27,8 +27,9 @@ from drpkit.numerics import SeededRng
 
 def sample_curve(n=40, seed=5):
     g = SeededRng(seed).generator()
-    ranks = RankTable(sim_id=np.arange(n), f=g.uniform(size=n))
-    return ecp_curve(ranks, n_post=25, method="drp")
+    ranks = RankTable(sim_id=np.arange(n), k=g.integers(0, 26, size=n), n=np.full(n, 25),
+                      theta_r=g.uniform(size=(n, 1)))
+    return ecp_curve(ranks)
 
 
 class TestCoverageCsv:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 from drpkit.numerics import (
-    BinomialBand,
     DecompositionError,
     SeededRng,
     binomial_band,
@@ -184,20 +183,20 @@ class TestKsUniformStatistic:
 class TestBinomialBand:
     def test_arithmetic(self):
         band = binomial_band([0.5], 100, z=1.0)
-        assert band.half_widths[0] == pytest.approx(0.05, abs=1e-15)
+        assert band[0] == pytest.approx(0.05, abs=1e-15)
 
     def test_endpoint_zero(self):
         band = binomial_band([0.0], 100, z=3.0)
-        assert band.half_widths[0] == 0.0
+        assert band[0] == 0.0
 
     def test_derived_value(self):
         band = binomial_band([0.9], 500, z=3.0)
-        assert band.half_widths[0] == pytest.approx(3.0 * np.sqrt(0.09 / 500), abs=1e-15)
-        assert band.half_widths[0] == pytest.approx(0.04025, abs=1e-5)
+        assert band[0] == pytest.approx(3.0 * np.sqrt(0.09 / 500), abs=1e-15)
+        assert band[0] == pytest.approx(0.04025, abs=1e-5)
 
     def test_width_shrinks_with_n(self):
-        wide = binomial_band([0.5], 100).half_widths[0]
-        narrow = binomial_band([0.5], 10_000).half_widths[0]
+        wide = binomial_band([0.5], 100)[0]
+        narrow = binomial_band([0.5], 10_000)[0]
         assert narrow < wide
 
     def test_rejects_zero_sims(self):
