@@ -84,12 +84,16 @@ class DiagonalGaussianSampler(PosteriorSampler):
     """Posterior estimator N(estimator_mean, diag(estimator_sigma^2)) per simulation."""
 
     def sample(self, x: ToySimulation, n: int, rng: SeededRng) -> np.ndarray:
-        g = rng.generator()
-        return x.estimator_mean + x.estimator_sigma * g.standard_normal((n, x.estimator_mean.size))
+        z = rng.generator().standard_normal((n, x.estimator_mean.size))
+        z *= x.estimator_sigma
+        z += x.estimator_mean
+        return z
 
     def log_density(self, theta, x: ToySimulation) -> np.ndarray:
-        z = (np.atleast_2d(theta) - x.estimator_mean) / x.estimator_sigma
-        return -0.5 * (z * z).sum(axis=1) - np.log(x.estimator_sigma).sum()
+        z = np.atleast_2d(theta) - x.estimator_mean
+        z /= x.estimator_sigma
+        z *= z
+        return -0.5 * z.sum(axis=1) - np.log(x.estimator_sigma).sum()
 
 
 def generate_toy(config: ToyConfig, seed: int = 0):
@@ -199,8 +203,10 @@ class UninformativeSampler(PosteriorSampler):
         self.config = config
 
     def sample(self, x, n: int, rng: SeededRng) -> np.ndarray:
-        g = rng.generator()
-        return self.config.mu0 + self.config.sigma0 * g.standard_normal((n, 1))
+        z = rng.generator().standard_normal((n, 1))
+        z *= self.config.sigma0
+        z += self.config.mu0
+        return z
 
     def log_density(self, theta, x) -> np.ndarray:
         z = (np.atleast_2d(theta)[:, 0] - self.config.mu0) / self.config.sigma0

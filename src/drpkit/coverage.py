@@ -145,7 +145,9 @@ class NormalizationMap:
         return self.offset.size
 
     def apply(self, theta) -> np.ndarray:
-        return (np.asarray(theta, dtype=float) - self.offset) / self.scale
+        out = np.subtract(theta, self.offset, dtype=float)  # a new array, never ``theta``
+        out /= self.scale
+        return out
 
 
 def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> NormalizationMap:
@@ -266,19 +268,19 @@ DistanceMetric = Union[Euclidean, WeightedEuclidean]
 
 
 def distances_to(metric: DistanceMetric, points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``points`` to ``ref`` under the metric."""
-    diff = np.atleast_2d(points) - ref
-    if isinstance(metric, Euclidean):
-        sq = (diff * diff).sum(axis=1)
-    elif isinstance(metric, WeightedEuclidean):
-        if metric.weights.size != diff.shape[1]:
+    """Distances from each row of ``points`` to ``ref`` under the metric; the
+    differences are squared and weighted in one scratch buffer."""
+    sq = np.subtract(np.atleast_2d(points), ref, dtype=float)
+    sq *= sq
+    if isinstance(metric, WeightedEuclidean):
+        if metric.weights.size != sq.shape[1]:
             raise ValueError(
-                f"metric has {metric.weights.size} weights, points have dimension {diff.shape[1]}"
+                f"metric has {metric.weights.size} weights, points have dimension {sq.shape[1]}"
             )
-        sq = (diff * diff * metric.weights).sum(axis=1)
-    else:
+        sq *= metric.weights
+    elif not isinstance(metric, Euclidean):
         raise TypeError(f"unknown metric {type(metric).__name__}")
-    return np.sqrt(sq)
+    return np.sqrt(sq.sum(axis=1))
 
 
 # --- rank statistics ----------------------------------------------------------
@@ -306,11 +308,6 @@ def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclide
     All inputs are expected in normalized coordinates. Equal distances count as
     not closer, so a point-mass estimator at the truth yields f = 0.
     """
-    return _drp_count(post_samples, theta_true, theta_r, metric) / len(np.atleast_2d(post_samples))
-
-
-def _drp_count(post_samples, theta_true, theta_r, metric) -> int:
-    """The number of posterior samples strictly closer to theta_r than the truth is."""
     samples = np.atleast_2d(np.asarray(post_samples, dtype=float))
     truth = np.asarray(theta_true, dtype=float).ravel()
     ref = np.asarray(theta_r, dtype=float).ravel()
@@ -320,6 +317,12 @@ def _drp_count(post_samples, theta_true, theta_r, metric) -> int:
         raise ValueError(
             f"dimension mismatch: samples {samples.shape}, truth {truth.shape}, ref {ref.shape}"
         )
+    return _drp_count(samples, truth, ref, metric) / len(samples)
+
+
+def _drp_count(samples: np.ndarray, truth: np.ndarray, ref: np.ndarray, metric) -> int:
+    """The number of rows of ``samples`` (n, D) strictly closer to ``ref`` (D,)
+    than ``truth`` (D,) is; float arrays of matching dimension."""
     d_samples = distances_to(metric, samples, ref)
     d_truth = distances_to(metric, truth[None, :], ref)[0]
     if not (np.all(np.isfinite(d_samples)) and math.isfinite(d_truth)):
@@ -382,6 +385,14 @@ class CoverageCurve:
         return float(np.max(np.abs(self.ecp - self.levels)[mask] / sigma[mask]))
 
 
+def _checked_levels(levels) -> np.ndarray:
+    """The credibility grid: the default for None, else ``levels`` checked."""
+    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
+    if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
+        raise ValueError("levels must be a nonempty grid within [0, 1]")
+    return levels
+
+
 def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
     """Assemble a coverage curve from the table alone: ecp(c) = #{f_i < c} / #ranks,
     a 3-sigma binomial band over the n_sims distinct sim_ids (repeats pool their
@@ -389,9 +400,7 @@ def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
     counts differ), and method "drp" when the table holds reference points, else "hpd"."""
     if ranks.k.size == 0:
         raise ValueError("ecp_curve requires at least one rank")
-    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
-    if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
-        raise ValueError("levels must be a nonempty grid within [0, 1]")
+    levels = _checked_levels(levels)
     f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
     n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))  # one plus the steps between sorted ids
@@ -483,15 +492,19 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
         raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
     if isinstance(spec.policy, DataShift) and nmap.dim != 1:
         raise ValueError(f"DataShift requires a scalar parameter space, got dim {nmap.dim}")
+    if not isinstance(spec.policy, ReferencePolicy):
+        raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
+    if not isinstance(spec.metric, DistanceMetric):
+        raise TypeError(f"unknown metric {type(spec.metric).__name__}")
+    truths = nmap.apply(dataset.theta_true)
 
     def rank(i, samples):
         sid = int(dataset.sim_ids[i])
         norm_samples = nmap.apply(samples)
-        norm_truth = nmap.apply(dataset.theta_true[i])
         refs = np.array([sample_reference(spec.policy, dataset.observations[i], nmap.dim,
                                           root.substream(_REF_TAG, r, sid), nmap)
                          for r in range(spec.repeats)])
-        return [_drp_count(norm_samples, norm_truth, ref, spec.metric) for ref in refs], refs
+        return [_drp_count(norm_samples, truths[i], ref, spec.metric) for ref in refs], refs
 
     return rank, spec.repeats, nmap.dim
 
@@ -544,6 +557,7 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         raise ValueError(f"n_post must be >= 1 for a sampler, got {n_post}")
     if not sampled and n_post is not None:
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
+    levels = _checked_levels(levels)
     root = SeededRng(seed)
     rankers = []
     for spec in tests:

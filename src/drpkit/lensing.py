@@ -441,7 +441,9 @@ class DiffusionPosteriorSampler(PosteriorSampler):
             raise ValueError(f"observation has dimension {x.size}, model expects {self.model.dim_x}")
         offset, gain, scale = self._law
         g = rng.generator() if isinstance(rng, SeededRng) else rng
-        return offset + x @ gain + g.standard_normal((n, offset.size)) @ scale.T
+        draws = g.standard_normal((n, offset.size)) @ scale.T
+        draws += offset + x @ gain
+        return draws
 
 
 def lensing_prior_policy(model: LensingModel) -> PriorDraw:

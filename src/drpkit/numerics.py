@@ -2,8 +2,8 @@
 and statistics utilities shared by the coverage engines and benchmarks.
 
 Random numbers come from numpy's Philox bit generator, a counter-based PRNG with a
-128-bit key. A stream is identified by the pair (seed, stream), passed as the key
-list ``[seed, stream]``: equal pairs reproduce bit-identical draws on every platform
+128-bit key. A stream is identified by the pair (seed, stream), keyed as numpy keys
+the list ``[seed, stream]``: equal pairs reproduce bit-identical draws on every platform
 (for a fixed numpy version). numpy rounds that list through float64 when a value is
 >= 2**63, as for about half of all substreams, so such nearby streams can share
 draws (2**63 + 4096 and 2**63 + 4097 do) and 2**64 - 1 gets the key of stream 0.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -88,7 +89,31 @@ class SeededRng:
         return SeededRng(self.seed, int.from_bytes(h.digest(), "little"))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        return np.random.Generator(np.random.Philox(_philox_key()(self.seed, self.stream)))
+
+
+@functools.cache
+def _philox_key() -> type:
+    """Philox's seed sequence for the key numpy derives from [seed, stream], drawing
+    no OS entropy; made on first use, as numpy.random takes about 60 ms to import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _PhiloxKey(ISeedSequence):
+        __qualname__ = "_PhiloxKey"  # pickled by name, through the module __getattr__
+
+        def __init__(self, seed, stream):
+            self.key = np.asarray([seed, stream]).astype(np.uint64)
+
+        def generate_state(self, n_words, dtype=None):  # Philox asks for the two uint64 key words
+            return self.key
+
+    return _PhiloxKey
+
+
+def __getattr__(name):
+    if name != "_PhiloxKey":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _philox_key()
 
 
 def norm_cdf(z: float) -> float:

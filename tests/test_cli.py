@@ -549,6 +549,13 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_random():
+    code = "import sys, drpkit.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drpkit.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_coverage_run_loads_no_numpy_ma(tmp_path):
     joint, post = TestCoverageCommand().make_files(tmp_path)
     code = ("import sys; from drpkit import cli; "

@@ -508,13 +508,32 @@ class TestSpecChecks:
         (DrpSpec(policy=DataShift(coordinate=0, half_width=1.0)), "DataShift requires a scalar parameter space"),
     ])
     def test_refused_before_any_sample(self, spec, message):
+        self.assert_refused(ValueError, message, [spec])
+
+    @pytest.mark.parametrize("levels", [[2.0], [], [np.nan, 0.5]])
+    def test_bad_levels_refused_before_any_sample(self, levels):
+        self.assert_refused(ValueError, "levels must be a nonempty grid within", [DrpSpec(), HpdSpec()],
+                            levels=levels)
+
+    @pytest.mark.parametrize("spec, message", [
+        (DrpSpec(policy="bogus"), "unknown reference policy str"),
+        (DrpSpec(metric=None), "unknown metric NoneType"),
+    ])
+    def test_unknown_policy_or_metric_type_refused_before_any_sample(self, spec, message):
+        self.assert_refused(TypeError, message, [spec])
+
+    @staticmethod
+    def assert_refused(error, message, specs, **kwargs):
         class Untouchable(PosteriorSampler):
             def sample(self, x, n, rng):
                 raise AssertionError("sample called")
 
+            def log_density(self, theta, x):
+                raise AssertionError("log_density called")
+
         ds = make_dataset(np.arange(12.0).reshape(4, 3), observations=tuple(range(4)))
-        with pytest.raises(ValueError, match=message) as err:
-            coverage_tests(ds, Untouchable(), [spec], n_post=5)
+        with pytest.raises(error, match=message) as err:
+            coverage_tests(ds, Untouchable(), specs, n_post=5, **kwargs)
         assert "simulation" not in str(err.value)
 
 

@@ -1,5 +1,7 @@
 """Tests for random streams, normal special functions, and stat utilities."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,26 @@ class TestSeededRng:
         x = SeededRng(0, a).generator().standard_normal(8)
         y = SeededRng(0, b).generator().standard_normal(8)
         assert not np.array_equal(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**63 - 1, 2**63, 2**63 + 4097, 2**64 - 1])),
+           st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**63, 2**63 + 4096, 2**64 - 1])))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_generator_draws_the_stream_numpy_keys_from_the_pair(self, seed, stream):
+        g = SeededRng(seed, stream).generator()
+        expected = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        assert np.array_equal(g.integers(0, 2**64, 4, dtype=np.uint64),
+                              expected.integers(0, 2**64, 4, dtype=np.uint64))
+        assert np.array_equal(g.standard_normal(3), expected.standard_normal(3))
+        seq = g.bit_generator.seed_seq  # the key itself, not an entropy-drawn SeedSequence
+        assert not isinstance(seq, np.random.SeedSequence)
+        assert np.array_equal(seq.generate_state(2, np.uint64), expected.bit_generator.state["state"]["key"])
+
+    def test_generator_pickles(self):
+        g = SeededRng(7, 2**63 + 5).generator()
+        g.random(3)
+        h = pickle.loads(pickle.dumps(g))
+        assert np.array_equal(h.random(5), g.random(5))
 
     def test_substream_key_types(self):
         with pytest.raises(TypeError):
