@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import SeededRng, binomial_band, parallel_map, single_thread_blas
+from .numerics import SeededRng, binomial_band
 
 DEFAULT_LEVELS_COUNT = 101
 
@@ -102,8 +102,10 @@ class PosteriorSampler:
 
     ``sample(x, n, rng)`` must return an (n, dim) float array of draws from
     p_hat(theta | x). Estimators usable with the HPD test additionally expose
-    ``log_density(theta, x)`` returning per-row log densities (any fixed
-    per-x offset is irrelevant: only the ordering at fixed x is used).
+    ``log_density(theta, x)`` returning per-row log densities. The HPD test
+    scores a simulation's truth and draws in one call, so each row's value
+    must depend on that row alone, apart from an offset shared by the rows of
+    one call (only the ordering at fixed x is used).
     """
 
     log_density = None
@@ -434,44 +436,36 @@ class HpdSpec:
 def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) -> list:
     """The loop of every test: one RankTable per ranker, in sim_id order.
 
-    ``runs`` yields (sim_id, item) pairs; a simulation may come in several
-    runs, in any order. On a worker thread, ``draws(i, sim_id, item)`` gives
+    ``runs`` yields (sim_id, item) pairs, pulled one at a time; a simulation
+    may come in several runs, in any order. ``draws(i, sim_id, item)`` gives
     the run's (n, D) draws of simulation i, and each ranker ``(rank, repeats,
     dim)`` ranks them: ``rank(i, samples)`` gives the repeats' counts k of draws
     strictly below the truth and their (repeats, dim) reference points, or None
     when dim is None. Counts add up over a simulation's runs, so its rank is the
-    one its draws would get in one block. Draws are dropped once ranked and
-    passed to ``on_draws(sid, samples)``, on the calling thread, in run order.
-    Errors, and a simulation with no draws, are raised as SimulationError.
+    one its draws would get in one block. The draws are then passed to
+    ``on_draws(sid, samples)`` and dropped. Errors, and a simulation with no
+    draws, are raised as SimulationError.
     """
     index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
-
-    def one_run(run):
-        sid, item = run
-        try:
-            samples = draws(index[sid], sid, item)
-            return sid, samples, [rank(index[sid], samples) for rank, _, _ in rankers]
-        except SimulationError:
-            raise
-        except Exception as e:
-            raise SimulationError(sid, str(e)) from e
-
     n_sims = dataset.n_sims
     n = np.zeros(n_sims, dtype=np.int64)
     k = [np.zeros((n_sims, repeats), dtype=np.int64) for _, repeats, _ in rankers]
     refs = [None if dim is None else np.empty((n_sims, repeats, dim)) for _, repeats, dim in rankers]
-    with single_thread_blas():
-        for sid, samples, ranks in parallel_map(one_run, runs):
-            if on_draws is not None:
-                try:
-                    on_draws(sid, samples)
-                except Exception as e:
-                    raise SimulationError(sid, str(e)) from e
-            n[sid] += len(samples)
-            for k_of, refs_of, (counts, theta_r) in zip(k, refs, ranks):
+    for sid, item in runs:
+        try:
+            samples = draws(index[sid], sid, item)
+            for (rank, _, _), k_of, refs_of in zip(rankers, k, refs):
+                counts, theta_r = rank(index[sid], samples)
                 k_of[sid] += counts
                 if refs_of is not None:
                     refs_of[sid] = theta_r
+            if on_draws is not None:
+                on_draws(sid, samples)
+        except SimulationError:
+            raise
+        except Exception as e:
+            raise SimulationError(sid, str(e)) from e
+        n[sid] += len(samples)
     if not n.all():
         raise SimulationError(int(np.argmin(n)), "no posterior samples")
     tables = []
@@ -516,10 +510,11 @@ def _hpd_ranker(dataset: JointSampleSet, source):
                                       "required for the HPD test")
 
     def rank(i, samples):
-        x = dataset.observations[i]
-        log_dens = np.asarray(source.log_density(samples, x), dtype=float).ravel()
-        log_truth = float(np.asarray(source.log_density(dataset.theta_true[i][None, :], x)).ravel()[0])
-        return [_hpd_count(log_dens, log_truth, log_scale=True)], None
+        rows = np.empty((len(samples) + 1, samples.shape[1]))  # the truth in row 0, the draws below
+        rows[0] = dataset.theta_true[i]
+        rows[1:] = samples
+        log_dens = np.asarray(source.log_density(rows, dataset.observations[i]), dtype=float).ravel()
+        return [_hpd_count(log_dens[1:], log_dens[0], log_scale=True)], None
 
     return rank, 1, None
 
@@ -534,20 +529,20 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     an iterable of (sim_id, (rows, D) array) runs. Draws from elsewhere bring
     their own counts, so they take no n_post; an HPD test needs the sampler's
     log_density. A simulation's draws may come in several runs, in any order,
-    and an iterable is consumed once, as the workers take its runs, so it can
-    stream a file too large to hold (``fileio.read_posterior_runs``). Draws of
+    and an iterable is consumed once, one run at a time, so it can stream a
+    file too large to hold (``fileio.read_posterior_runs``). Draws of
     sim_ids outside the dataset are ignored.
 
     Every test ranks each run's draws, which are then dropped. A DRP test
     draws one reference point per repeat from another substream, normalizes
     all points through one map and ranks by distance; its counts add up over a
     simulation's runs. Each curve is deterministic given the seed, invariant
-    to simulation order and scheduling, and the same as its drp_test or
-    hpd_test call alone; draws dumped from a sampler give the sampler's curve
-    bit for bit. Every argument is checked before the first draw.
-    ``on_draws(sim_id, draws)``, if given, gets each run's draws once, on the
-    calling thread and in run order (sim_id order for a sampler), so callers
-    can keep or stream them without sampling again.
+    to simulation order, and the same as its drp_test or hpd_test call alone;
+    draws dumped from a sampler give the sampler's curve bit for bit. Every argument is checked before the first draw.
+    ``on_draws(sim_id, draws)``, if given, gets each run's draws once, in run
+    order (sim_id order for a sampler), so callers can keep or stream them
+    without sampling again. Simulations run one after another on the calling
+    thread; BLAS threads are whatever the environment sets.
     """
     tests = list(tests)
     if not tests:

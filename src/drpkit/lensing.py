@@ -197,8 +197,8 @@ class LensingModel:
     Holds one-time factorizations: the Cholesky factor and eigenbasis U of the
     prior covariance, the eigenbasis W of the Gram matrix B^T B (B = A U), and,
     when sigma_n > 0, the eigenbasis V of the posterior precision
-    diag(1/lambda) + B^T B / sigma_n^2. Nothing else is stored, so one model is
-    safe to share across threads, samples and schedules. A noiseless model
+    diag(1/lambda) + B^T B / sigma_n^2. Nothing else is stored, so one model
+    serves any number of samplers and schedules. A noiseless model
     (sigma_n = 0) only supports :func:`simulate`.
     """
 
@@ -424,7 +424,7 @@ class DiffusionPosteriorSampler(PosteriorSampler):
     `schedule.steps` Euler-Maruyama steps to t=0 under the prior score plus
     the likelihood score of ``kind``, drawn from its exact law. The law is
     built at construction (a diverging schedule or a noiseless model fails
-    there) and never written again, so threads may share it.
+    there) and never written again.
     """
 
     def __init__(self, model: LensingModel, schedule: VeSchedule, kind: str):

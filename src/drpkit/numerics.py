@@ -15,37 +15,17 @@ a simulation id.
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import functools
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits as _threadpool_limits
-except ImportError:  # pragma: no cover
-    _threadpool_limits = None
-
 _U64 = 1 << 64
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
-
-
-def single_thread_blas():
-    """Context manager pinning BLAS pools to one thread.
-
-    The coverage and sampler loops are long sequences of small dense ops where
-    BLAS-internal threading costs far more than it gains (and fights with the
-    package's own simulation-level threads); they run under this limit.
-    """
-    if _threadpool_limits is None:  # pragma: no cover
-        return contextlib.nullcontext()
-    return _threadpool_limits(limits=1, user_api="blas")
 
 
 class DecompositionError(ValueError):
@@ -185,46 +165,3 @@ def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> np.ndarray
         raise ValueError(f"n_sims must be >= 1, got {n_sims}")
     return z * np.sqrt(levels * (1.0 - levels) / n_sims)
 
-
-def thread_cap() -> int:
-    """Worker-thread cap from DRPKIT_THREADS: unset -> 1, 0 -> cpu count, k -> k;
-    anything else raises ValueError."""
-    raw = os.environ.get("DRPKIT_THREADS", "").strip()
-    if raw == "":
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1  # not an integer: the same error as a negative count
-    if cap < 0:
-        raise ValueError(f"DRPKIT_THREADS must be a non-negative integer, got {raw!r}")
-    return cap or os.cpu_count() or 1
-
-
-def parallel_map(fn, items):
-    """Map ``fn`` over ``items`` on up to thread_cap() threads, yielding the
-    results in order.
-
-    Tasks must be pure given their arguments (independently seeded); the result
-    is identical to a serial map regardless of scheduling. ``items`` is consumed
-    lazily: at most two tasks per thread are in flight, so neither items nor
-    results pile up ahead of the consumer.
-    """
-    workers = thread_cap()
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = collections.deque()
-        try:
-            for item in items:
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(fn, item))
-            while pending:
-                yield pending.popleft().result()
-        finally:  # a failed task or an abandoned iterator starts no further task
-            for future in pending:
-                future.cancel()

@@ -115,19 +115,7 @@ class TestToyCommand:
         assert len(calls) == 9
         assert set(calls) == {SeededRng(4).substream("posterior", s) for s in range(9)}
 
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        run(*toy_args(tmp_path / "serial", extra=("--dump-samples",)))
-        monkeypatch.setenv("DRPKIT_THREADS", "3")
-        run(*toy_args(tmp_path / "threads", extra=("--dump-samples",)))
-        for name in ("drp.csv", "toy_posterior.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "threads" / name).read_bytes()
-
-    @pytest.mark.parametrize("threads", [None, "3"])
-    def test_dump_holds_one_simulation_at_a_time(self, tmp_path, monkeypatch, threads):
-        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        if threads is not None:
-            monkeypatch.setenv("DRPKIT_THREADS", threads)
+    def test_dump_holds_one_simulation_at_a_time(self, tmp_path):
         draws_bytes = 200 * 500 * 10 * 8  # all the draws the dump writes: 8 MB
         tracemalloc.start()
         try:
@@ -140,7 +128,7 @@ class TestToyCommand:
 
 
 class TestRoundTrip:
-    def test_coverage_holds_one_chunk_and_one_simulation(self, tmp_path, monkeypatch):
+    def test_coverage_holds_one_chunk_and_one_simulation(self, tmp_path):
         # a 20 MB posterior file, about 80 chunks of text, holding 8 MB of draws
         toy = tmp_path / "toy"
         assert run(*toy_args(toy, dim=10, n_sims=200, n_post=500,
@@ -148,19 +136,16 @@ class TestRoundTrip:
         draws_bytes = 200 * 500 * 10 * 8
         argv = ["coverage", "--joint", str(toy / "toy_joint.csv"), "--posterior", str(toy / "toy_posterior.csv"),
                 "--bounds=-5:5", "--seed", "7"]
-        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
         assert run(*argv, "--out", str(tmp_path / "untraced")) == 0  # also imports what a run needs
         assert (tmp_path / "untraced" / "drp.csv").read_bytes() == (toy / "drp.csv").read_bytes()
-        for threads in ("1", "3"):
-            monkeypatch.setenv("DRPKIT_THREADS", threads)
-            tracemalloc.start()
-            try:
-                assert run(*argv, "--out", str(tmp_path / threads)) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < draws_bytes / 3, (threads, peak)
-            assert (tmp_path / threads / "drp.csv").read_bytes() == (toy / "drp.csv").read_bytes()
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--out", str(tmp_path / "traced")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < draws_bytes / 3, peak
+        assert (tmp_path / "traced" / "drp.csv").read_bytes() == (toy / "drp.csv").read_bytes()
 
     def test_coverage_reproduces_toy_drp_bit_exact(self, tmp_path):
         out = tmp_path / "toy"
@@ -233,7 +218,6 @@ class TestLensingCommand:
 
     def test_grids_come_from_the_test_draws(self, tmp_path, monkeypatch):
         from drpkit import lensing as lensing_mod
-        from drpkit.numerics import single_thread_blas
 
         calls = []
         sample = lensing_mod.DiffusionPosteriorSampler.sample
@@ -253,8 +237,7 @@ class TestLensingCommand:
                                         kernel_scale=0.3, seed=3)
         dataset = lensing_mod.make_dataset(model, 5, seed=3)
         sampler = lensing_mod.DiffusionPosteriorSampler(model, lensing_mod.VeSchedule(steps=30), "biased")
-        with single_thread_blas():
-            draws = sampler.sample(dataset.observations[0], 12, SeededRng(3).substream("posterior", 0))
+        draws = sampler.sample(dataset.observations[0], 12, SeededRng(3).substream("posterior", 0))
         cli._grid_csv(tmp_path / "expect.csv", 8, dataset.theta_true[0],
                       draws.mean(axis=0), draws.std(axis=0))
         assert (out / "sim000_grids.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()

@@ -1,6 +1,8 @@
 """Tests for the coverage engines: normalization, reference policies, rank
 statistics, curve assembly, and the two full tests with their region oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -396,12 +398,42 @@ class TestDrpTest:
         assert np.array_equal(a.ranks.f, b.ranks.f)
 
     def test_scheduling_invariance(self, monkeypatch):
+        # simulations run one after another: a stale DRPKIT_THREADS changes
+        # nothing, and every sampler, ranker and on_draws call is on this thread
+        calls = []
+
+        class Recording(GaussianSampler):
+            def sample(self, x, n, rng):
+                calls.append(("sample", threading.get_ident()))
+                return super().sample(x, n, rng)
+
+            def log_density(self, theta, x):
+                calls.append(("log_density", threading.get_ident()))
+                return super().log_density(theta, x)
+
+        def prior(g):
+            calls.append(("reference", threading.get_ident()))
+            return g.normal(size=1)
+
         ds = optimal_gaussian_setup(40, seed=3)
+        specs = [DrpSpec(), DrpSpec(policy=PriorDraw(draw=prior)), HpdSpec()]
+
+        def run():
+            calls.clear()
+            return coverage_tests(ds, Recording(), specs, n_post=30, seed=5,
+                                  on_draws=lambda sid, draws: calls.append(("on_draws", threading.get_ident())))
+
         monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        serial = drp_test(ds, GaussianSampler(), n_post=30, seed=5)
-        monkeypatch.setenv("DRPKIT_THREADS", "4")
-        threaded = drp_test(ds, GaussianSampler(), n_post=30, seed=5)
-        assert np.array_equal(serial.ecp, threaded.ecp)
+        serial = run()
+        monkeypatch.setenv("DRPKIT_THREADS", "3")
+        stale = run()
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert sorted(kind for kind, _ in calls) == sorted(["sample", "reference", "log_density", "on_draws"] * 40)
+        for a, b in zip(serial, stale):
+            assert a.ecp.tobytes() == b.ecp.tobytes()
+            assert a.ranks.k.tobytes() == b.ranks.k.tobytes()
+            assert (a.ranks.theta_r is None) == (b.ranks.theta_r is None)
+            assert a.ranks.theta_r is None or a.ranks.theta_r.tobytes() == b.ranks.theta_r.tobytes()
 
     def test_metric_invariance_for_optimal(self):
         g = SeededRng(77).generator()
@@ -433,6 +465,22 @@ class TestDrpTest:
         ds = optimal_gaussian_setup(3, seed=5)
         with pytest.raises(SimulationError, match="simulation 0"):
             drp_test(ds, Broken(), n_post=5, seed=1)
+
+    def test_no_simulation_starts_after_a_failing_one(self):
+        asked = []
+
+        class BrokenAtThree(PosteriorSampler):
+            def sample(self, x, n, rng):
+                asked.append(x)
+                if x == 3:
+                    raise RuntimeError("boom")
+                return np.full((n, 1), float(x))
+
+        ds = make_dataset(np.arange(8.0)[:, None], observations=range(8))  # x is the sim_id
+        with pytest.raises(SimulationError, match="^simulation 3: boom$") as err:
+            drp_test(ds, BrokenAtThree(), n_post=5)
+        assert err.value.sim_id == 3
+        assert asked == [0, 1, 2, 3]
 
     def test_precomputed_matches_live(self):
         ds = optimal_gaussian_setup(25, seed=6)
@@ -485,6 +533,18 @@ class TestDrawSources:
         ds = make_dataset(np.arange(4.0)[:, None], observations=range(4))
         with pytest.raises(SimulationError, match=r"simulation 0: draws have shape \(5, 1\), expected \(6, 1\)"):
             drp_test(ds, StoredSampler({s: np.zeros((5, 1)) for s in range(4)}), n_post=6)
+
+    def test_runs_are_pulled_one_at_a_time(self):
+        ds = optimal_gaussian_setup(5, seed=6)
+        events = []
+
+        def runs():
+            for s in range(5):
+                events.append(("pull", s))
+                yield s, np.zeros((4, 1))
+
+        drp_test(ds, runs(), on_draws=lambda sid, draws: events.append(("draws", sid)))
+        assert events == [(event, s) for s in range(5) for event in ("pull", "draws")]
 
     def test_hpd_on_draws_fails_before_a_draw_is_read(self):
         ds = optimal_gaussian_setup(4, seed=6)
@@ -550,6 +610,18 @@ class TestHpdTest:
         hpd_test(ds, GaussianSampler(), n_post=9, seed=3, on_draws=seen["hpd"].__setitem__)
         assert sorted(seen["hpd"]) == list(range(12))
         assert all(np.array_equal(seen["hpd"][s], seen["drp"][s]) for s in range(12))
+
+    def test_one_log_density_call_per_simulation(self):
+        rows = []
+
+        class Counting(GaussianSampler):
+            def log_density(self, theta, x):
+                rows.append(len(theta))
+                return super().log_density(theta, x)
+
+        ds = optimal_gaussian_setup(12, seed=9)
+        hpd_test(ds, Counting(), n_post=7, seed=2)
+        assert rows == [8] * 12  # the truth and its 7 draws, scored together
 
     def test_optimal_estimator_in_band(self):
         ds = optimal_gaussian_setup(400, seed=53)

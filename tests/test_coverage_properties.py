@@ -2,9 +2,7 @@
 drp_test and hpd_test, on a sampler or on draws made elsewhere, over random
 small validation sets."""
 
-import os
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,28 +70,18 @@ def same_table(a, b):
             and (a.theta_r is None or a.theta_r.tobytes() == b.theta_r.tobytes()))
 
 
-def threads(value):
-    env = {k: v for k, v in os.environ.items() if k != "DRPKIT_THREADS"}
-    if value is not None:
-        env["DRPKIT_THREADS"] = value
-    return mock.patch.dict(os.environ, env, clear=True)
-
-
 PROPS = settings(max_examples=40, deadline=None)
 
 
 @PROPS
 @given(cases(), st.data())
-def test_tables_ignore_simulation_order_and_threads(case, data):
+def test_tables_ignore_simulation_order(case, data):
     dataset, sampler, kw = case
     shuffled = dataset.permuted(data.draw(st.permutations(range(dataset.n_sims))))
-    with threads(None):
-        drp = drp_test(dataset, sampler, **kw).ranks
-        hpd = hpd_test(dataset, sampler, **hpd_kw(kw)).ranks
-    for ds, cap in ((shuffled, None), (dataset, "3"), (shuffled, "3")):
-        with threads(cap):
-            assert same_table(drp_test(ds, sampler, **kw).ranks, drp)
-            assert same_table(hpd_test(ds, sampler, **hpd_kw(kw)).ranks, hpd)
+    drp = drp_test(dataset, sampler, **kw).ranks
+    hpd = hpd_test(dataset, sampler, **hpd_kw(kw)).ranks
+    assert same_table(drp_test(shuffled, sampler, **kw).ranks, drp)
+    assert same_table(hpd_test(shuffled, sampler, **hpd_kw(kw)).ranks, hpd)
 
 
 @PROPS
@@ -111,8 +99,8 @@ def test_precomputed_on_dumped_draws_equals_the_sampler_path(case, repeats):
 
 
 @PROPS
-@given(cases(), st.data(), st.sampled_from([None, "3"]))
-def test_runs_in_any_order_rank_as_their_joined_blocks(case, data, cap):
+@given(cases(), st.data())
+def test_runs_in_any_order_rank_as_their_joined_blocks(case, data):
     dataset, sampler, kw = case
     kw.pop("n_post")
     root = SeededRng(kw["seed"])
@@ -125,8 +113,7 @@ def test_runs_in_any_order_rank_as_their_joined_blocks(case, data, cap):
         runs += [(sid, part) for part in np.split(block, [j + 1 for j, cut in enumerate(cuts) if cut])]
     runs = data.draw(st.permutations(runs))
     whole = drp_test(dataset, draws, **kw)
-    with threads(cap):
-        streamed = drp_test(dataset, iter(runs), **kw)
+    streamed = drp_test(dataset, iter(runs), **kw)
     assert same_table(streamed.ranks, whole.ranks)
     assert streamed.ecp.tobytes() == whole.ecp.tobytes()
     assert (streamed.n_post, streamed.n_sims) == (whole.n_post, whole.n_sims)
@@ -158,13 +145,12 @@ def test_ranks_are_fractions_in_sim_id_order(case):
 
 
 @PROPS
-@given(cases(), st.sampled_from([None, "3"]))
-def test_hpd_and_drp_hand_on_the_same_draws(case, cap):
+@given(cases())
+def test_hpd_and_drp_hand_on_the_same_draws(case):
     dataset, sampler, kw = case
     seen = {"drp": {}, "hpd": {}}
-    with threads(cap):
-        drp_test(dataset, sampler, on_draws=seen["drp"].__setitem__, **kw)
-        hpd_test(dataset, sampler, on_draws=seen["hpd"].__setitem__, **hpd_kw(kw))
+    drp_test(dataset, sampler, on_draws=seen["drp"].__setitem__, **kw)
+    hpd_test(dataset, sampler, on_draws=seen["hpd"].__setitem__, **hpd_kw(kw))
     assert sorted(seen["drp"]) == sorted(seen["hpd"]) == list(range(dataset.n_sims))
     assert all(seen["drp"][s].tobytes() == seen["hpd"][s].tobytes() for s in seen["drp"])
     assert all(seen["drp"][s].shape == (kw["n_post"], dataset.dim_theta) for s in seen["drp"])
@@ -196,22 +182,20 @@ def alone(dataset, sampler, spec, n_post, seed):
 
 
 @PROPS
-@given(cases(), st.data(), st.sampled_from([None, "3"]))
-def test_one_pass_gives_each_test_its_own_curve(case, data, cap):
+@given(cases(), st.data())
+def test_one_pass_gives_each_test_its_own_curve(case, data):
     dataset, sampler, kw = case
     specs = data.draw(spec_lists(dataset))
     seen = []
-    with threads(cap):
-        curves = coverage_tests(dataset, sampler, specs, n_post=kw["n_post"], seed=kw["seed"],
-                                on_draws=lambda sid, draws: seen.append((sid, threading.get_ident())))
+    curves = coverage_tests(dataset, sampler, specs, n_post=kw["n_post"], seed=kw["seed"],
+                            on_draws=lambda sid, draws: seen.append((sid, threading.get_ident())))
     assert seen == [(sid, threading.get_ident()) for sid in range(dataset.n_sims)]  # calling thread, sim_id order
     assert len(curves) == len(specs)
-    with threads(None):
-        for spec, curve in zip(specs, curves):
-            ref = alone(dataset, sampler, spec, kw["n_post"], kw["seed"])
-            assert same_table(curve.ranks, ref.ranks)
-            assert curve.ecp.tobytes() == ref.ecp.tobytes()
-            assert (curve.n_post, curve.n_sims, curve.method) == (ref.n_post, ref.n_sims, ref.method)
+    for spec, curve in zip(specs, curves):
+        ref = alone(dataset, sampler, spec, kw["n_post"], kw["seed"])
+        assert same_table(curve.ranks, ref.ranks)
+        assert curve.ecp.tobytes() == ref.ecp.tobytes()
+        assert (curve.n_post, curve.n_sims, curve.method) == (ref.n_post, ref.n_sims, ref.method)
 
 
 class NoDensity(ShiftedGaussian):

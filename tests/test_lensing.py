@@ -668,20 +668,18 @@ class TestRsdeSampler:
         assert rel_err(cov, ref_cov) < 1e-9
         assert_law_matches_stepwise(model, sched, kind)
 
-    def test_drp_ranks_independent_of_threads(self, monkeypatch):
-        # one model shared by worker threads holds no per-schedule state
+    def test_drp_runs_leave_the_model_unchanged(self):
+        # one model shared by samplers of both kinds holds no per-schedule state
         model = small_model(seed=16)
         fields = dict(vars(model))
         dataset = make_dataset(model, 8, seed=2)
         policy = lensing_prior_policy(model)
         for kind in SCORE_KINDS:
             sampler = DiffusionPosteriorSampler(model, VeSchedule(steps=30), kind)
-            monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-            serial = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
-            monkeypatch.setenv("DRPKIT_THREADS", "2")
-            threaded = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
-            assert np.array_equal(serial.ranks.f, threaded.ranks.f)
-            assert np.array_equal(serial.ecp, threaded.ecp)
+            first = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
+            again = drp_test(dataset, sampler, n_post=20, seed=5, policy=policy)
+            assert np.array_equal(first.ranks.f, again.ranks.f)
+            assert np.array_equal(first.ecp, again.ecp)
         assert vars(model).keys() == fields.keys()
         assert all(vars(model)[k] is v for k, v in fields.items())
 

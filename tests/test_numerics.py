@@ -16,8 +16,6 @@ from drpkit.numerics import (
     ks_uniform_statistic,
     norm_cdf,
     norm_isf,
-    parallel_map,
-    thread_cap,
 )
 
 
@@ -263,67 +261,3 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(1 << 64)
 
-
-class TestParallelMap:
-    def test_serial_default(self, monkeypatch):
-        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        assert thread_cap() == 1
-        assert list(parallel_map(lambda v: v * v, range(10))) == [v * v for v in range(10)]
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        def work(i):
-            g = SeededRng(5).substream("task", i).generator()
-            return g.standard_normal(100).sum()
-
-        monkeypatch.delenv("DRPKIT_THREADS", raising=False)
-        serial = list(parallel_map(work, range(32)))
-        monkeypatch.setenv("DRPKIT_THREADS", "4")
-        assert thread_cap() == 4
-        threaded = list(parallel_map(work, range(32)))
-        assert serial == threaded
-
-    @pytest.mark.parametrize("cap", ["1", "3"])
-    def test_results_are_yielded_with_few_tasks_in_flight(self, monkeypatch, cap):
-        monkeypatch.setenv("DRPKIT_THREADS", cap)
-        started = []
-
-        def work(i):
-            started.append(i)
-            if i == 20:
-                raise RuntimeError("task 20")
-            return i
-
-        results = parallel_map(work, range(40))
-        for i in range(20):
-            assert next(results) == i
-            assert len(started) <= i + 1 + 2 * int(cap)  # at most two tasks per thread ahead
-        with pytest.raises(RuntimeError, match="task 20"):
-            next(results)
-        assert len(started) <= 21 + 2 * int(cap)  # no task starts after the failure
-
-    def test_auto_cap(self, monkeypatch):
-        monkeypatch.setenv("DRPKIT_THREADS", "0")
-        assert thread_cap() >= 1
-
-    @pytest.mark.parametrize("cap", ["1", "3"])
-    def test_items_are_pulled_only_as_tasks_start(self, monkeypatch, cap):
-        monkeypatch.setenv("DRPKIT_THREADS", cap)
-        pulled = []
-
-        def source():
-            for i in range(40):
-                pulled.append(i)
-                yield i
-
-        results = parallel_map(lambda v: -v, source())
-        assert not pulled  # nothing is pulled before the first result is asked for
-        for i in range(40):
-            assert next(results) == -i
-            assert len(pulled) <= i + 2 * int(cap) + 1
-        assert next(results, None) is None
-
-    @pytest.mark.parametrize("raw", ["many", "-1"])
-    def test_invalid_cap(self, monkeypatch, raw):
-        monkeypatch.setenv("DRPKIT_THREADS", raw)
-        with pytest.raises(ValueError, match="non-negative integer"):
-            thread_cap()
