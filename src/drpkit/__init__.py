@@ -38,11 +38,9 @@ from .coverage import (
     WeightedEuclidean,
     coverage_tests,
     default_levels,
-    drp_rank,
     drp_test,
     ecp_curve,
     fit_normalization,
-    hpd_rank,
     hpd_test,
     sample_reference,
 )
@@ -84,8 +82,8 @@ __all__ = [
     "CoverageCurve", "DataShift", "DensityUnavailableError", "DistanceMetric", "DrpSpec",
     "Euclidean", "HpdSpec", "JointSampleSet", "NormalizationError", "NormalizationMap",
     "PosteriorSampler", "PriorDraw", "RankTable", "ReferencePolicy", "SimulationError",
-    "UnitHypercubeUniform", "WeightedEuclidean", "coverage_tests", "default_levels", "drp_rank",
-    "drp_test", "ecp_curve", "fit_normalization", "hpd_rank", "hpd_test", "sample_reference",
+    "UnitHypercubeUniform", "WeightedEuclidean", "coverage_tests", "default_levels", "drp_test",
+    "ecp_curve", "fit_normalization", "hpd_test", "sample_reference",
     "ConjugateConfig", "DiagonalGaussianSampler", "ToyConfig", "ToySimulation",
     "UninformativeSampler", "biased_mean", "conjugate_datashift_policy",
     "conjugate_posterior_params", "conjugate_prior_policy", "generate_conjugate", "generate_toy",

@@ -18,6 +18,7 @@ any distance is computed; reference points pass through the same map.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -209,6 +210,8 @@ class DataShift:
     half_width: float
 
     def __post_init__(self):
+        if isinstance(self.coordinate, bool) or not isinstance(self.coordinate, numbers.Integral):
+            raise ValueError(f"coordinate must be an integer, got {self.coordinate!r}")
         if self.coordinate < 0:
             raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
         if not 0 <= self.half_width < math.inf:
@@ -304,57 +307,6 @@ class RankTable:
         return self.k / self.n
 
 
-def drp_rank(post_samples, theta_true, theta_r, metric: DistanceMetric = Euclidean()) -> float:
-    """Fraction of posterior samples strictly closer to theta_r than the truth is.
-
-    All inputs are expected in normalized coordinates. Equal distances count as
-    not closer, so a point-mass estimator at the truth yields f = 0.
-    """
-    samples = np.atleast_2d(np.asarray(post_samples, dtype=float))
-    truth = np.asarray(theta_true, dtype=float).ravel()
-    ref = np.asarray(theta_r, dtype=float).ravel()
-    if samples.shape[0] < 1:
-        raise ValueError("drp_rank requires at least one posterior sample")
-    if samples.shape[1] != truth.size or truth.size != ref.size:
-        raise ValueError(
-            f"dimension mismatch: samples {samples.shape}, truth {truth.shape}, ref {ref.shape}"
-        )
-    return _drp_count(samples, truth, ref, metric) / len(samples)
-
-
-def _drp_count(samples: np.ndarray, truth: np.ndarray, ref: np.ndarray, metric) -> int:
-    """The number of rows of ``samples`` (n, D) strictly closer to ``ref`` (D,)
-    than ``truth`` (D,) is; float arrays of matching dimension."""
-    d_samples = distances_to(metric, samples, ref)
-    d_truth = distances_to(metric, truth[None, :], ref)[0]
-    if not (np.all(np.isfinite(d_samples)) and math.isfinite(d_truth)):
-        raise ValueError("non-finite distance encountered")
-    return int(np.count_nonzero(d_samples < d_truth))  # strict: ties do not count
-
-
-def hpd_rank(sample_densities, truth_density, log_scale: bool = False) -> float:
-    """Fraction of sample densities strictly below the truth's density.
-
-    With ``log_scale=False`` (the default) inputs are plain densities and must
-    be nonnegative; with ``log_scale=True`` they are log densities and may take
-    any finite value (the comparison only uses ordering at fixed x).
-    """
-    return _hpd_count(sample_densities, truth_density, log_scale) / np.size(sample_densities)
-
-
-def _hpd_count(sample_densities, truth_density, log_scale) -> int:
-    """The number of sample densities strictly below the truth's density."""
-    dens = np.asarray(sample_densities, dtype=float).ravel()
-    truth = float(truth_density)
-    if dens.size < 1:
-        raise ValueError("hpd_rank requires at least one sample density")
-    if not np.all(np.isfinite(dens)) or not math.isfinite(truth):
-        raise ValueError("densities must be finite")
-    if not log_scale and (truth < 0 or np.any(dens < 0)):
-        raise ValueError("densities must be nonnegative")
-    return int(np.count_nonzero(dens < truth))  # strict: ties do not count
-
-
 # --- curve assembly -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -438,13 +390,13 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
 
     ``runs`` yields (sim_id, item) pairs, pulled one at a time; a simulation
     may come in several runs, in any order. ``draws(i, sim_id, item)`` gives
-    the run's (n, D) draws of simulation i, and each ranker ``(rank, repeats,
-    dim)`` ranks them: ``rank(i, samples)`` gives the repeats' counts k of draws
-    strictly below the truth and their (repeats, dim) reference points, or None
-    when dim is None. Counts add up over a simulation's runs, so its rank is the
-    one its draws would get in one block. The draws are then passed to
-    ``on_draws(sid, samples)`` and dropped. Errors, and a simulation with no
-    draws, are raised as SimulationError.
+    (n + 1, D) rows: the truth of simulation i, then the run's n draws. Each
+    ranker ``(rank, repeats, dim)`` ranks them: ``rank(i, rows)`` gives the
+    repeats' counts k of draws strictly below the truth and their (repeats,
+    dim) reference points, or None when dim is None. Counts add up over a
+    simulation's runs, so its rank is the one its draws would get in one block.
+    The draws are then passed to ``on_draws(sid, draws)`` and dropped. Errors,
+    and a simulation with no draws, are raised as SimulationError.
     """
     index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
     n_sims = dataset.n_sims
@@ -453,19 +405,19 @@ def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) ->
     refs = [None if dim is None else np.empty((n_sims, repeats, dim)) for _, repeats, dim in rankers]
     for sid, item in runs:
         try:
-            samples = draws(index[sid], sid, item)
+            rows = draws(index[sid], sid, item)
             for (rank, _, _), k_of, refs_of in zip(rankers, k, refs):
-                counts, theta_r = rank(index[sid], samples)
+                counts, theta_r = rank(index[sid], rows)
                 k_of[sid] += counts
                 if refs_of is not None:
                     refs_of[sid] = theta_r
             if on_draws is not None:
-                on_draws(sid, samples)
+                on_draws(sid, rows[1:])
         except SimulationError:
             raise
         except Exception as e:
             raise SimulationError(sid, str(e)) from e
-        n[sid] += len(samples)
+        n[sid] += len(rows) - 1
     if not n.all():
         raise SimulationError(int(np.argmin(n)), "no posterior samples")
     tables = []
@@ -490,15 +442,17 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
         raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
-    truths = nmap.apply(dataset.theta_true)
 
-    def rank(i, samples):
+    def rank(i, rows):
         sid = int(dataset.sim_ids[i])
-        norm_samples = nmap.apply(samples)
+        rows = nmap.apply(rows)
         refs = np.array([sample_reference(spec.policy, dataset.observations[i], nmap.dim,
                                           root.substream(_REF_TAG, r, sid), nmap)
                          for r in range(spec.repeats)])
-        return [_drp_count(norm_samples, truths[i], ref, spec.metric) for ref in refs], refs
+        dists = [distances_to(spec.metric, rows, ref) for ref in refs]
+        if not np.isfinite(dists).all():
+            raise ValueError("non-finite distance encountered")
+        return [int(np.count_nonzero(d[1:] < d[0])) for d in dists], refs  # strict: ties do not count
 
     return rank, spec.repeats, nmap.dim
 
@@ -509,12 +463,13 @@ def _hpd_ranker(dataset: JointSampleSet, source):
         raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, "
                                       "required for the HPD test")
 
-    def rank(i, samples):
-        rows = np.empty((len(samples) + 1, samples.shape[1]))  # the truth in row 0, the draws below
-        rows[0] = dataset.theta_true[i]
-        rows[1:] = samples
+    def rank(i, rows):
         log_dens = np.asarray(source.log_density(rows, dataset.observations[i]), dtype=float).ravel()
-        return [_hpd_count(log_dens[1:], log_dens[0], log_scale=True)], None
+        if log_dens.size != len(rows):
+            raise ValueError(f"log_density gave {log_dens.size} values for {len(rows)} rows")
+        if not np.isfinite(log_dens).all():
+            raise ValueError("densities must be finite")
+        return [int(np.count_nonzero(log_dens[1:] < log_dens[0]))], None  # strict: ties do not count
 
     return rank, 1, None
 
@@ -572,7 +527,7 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
             raise ValueError(f"draws have shape {block.shape}, expected ({n_post or 'n'}, {dim})")
         if not np.isfinite(block).all():
             raise ValueError("draws are not finite")
-        return block
+        return np.vstack((dataset.theta_true[i], block))  # the truth in row 0, the draws below
 
     if sampled:
         runs = ((sid, None) for sid in range(dataset.n_sims))

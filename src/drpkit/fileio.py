@@ -386,17 +386,6 @@ def read_posterior_runs(path, n_sims: Optional[int] = None):
                                    f"(every sim needs >= 1 sample)")
 
 
-def read_posterior_file(path, n_sims: Optional[int] = None):
-    """Returns {sim_id: (n_i, D) array}, keyed in order of first appearance,
-    each the runs of :func:`read_posterior_runs` for that sim_id joined in file
-    order; validates coverage of 0..n_sims-1 when given."""
-    by_sim = {}
-    for sid, _, block in read_posterior_runs(path, n_sims):
-        by_sim.setdefault(sid, []).append(block)
-    return {sid: blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            for sid, blocks in by_sim.items()}
-
-
 def read_observation_file(path, n_sims: Optional[int] = None):
     """Returns (sim_ids (N,), xs (N, M))."""
     sim_ids, xs = _read_table(path, ("sim_id",), "x", dense=True)

@@ -559,8 +559,8 @@ def test_public_names_are_pinned():
         "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule", "WeightedEuclidean",
         "biased_mean", "binomial_band", "build_model", "build_operator", "build_prior", "cholesky",
         "conjugate_datashift_policy", "conjugate_posterior", "conjugate_posterior_params",
-        "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_rank", "drp_test",
-        "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_rank", "hpd_test",
+        "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_test",
+        "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_test",
         "ks_uniform_statistic", "lensing_prior_policy", "likelihood_score", "make_dataset",
         "norm_cdf", "norm_isf", "prior_score", "sample_reference", "simulate", "toy_prior_policy",
     ]

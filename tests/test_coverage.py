@@ -23,11 +23,9 @@ from drpkit.coverage import (
     WeightedEuclidean,
     coverage_tests,
     default_levels,
-    drp_rank,
     drp_test,
     ecp_curve,
     fit_normalization,
-    hpd_rank,
     hpd_test,
     sample_reference,
 )
@@ -173,11 +171,15 @@ class TestSampleReference:
 
     @pytest.mark.parametrize("coordinate, half_width, message", [
         (-1, 1.0, "coordinate"), (0, -0.5, "half_width"), (0, np.nan, "half_width"),
-        (0, np.inf, "half_width"),
+        (0, np.inf, "half_width"), (1.5, 1.0, "coordinate must be an integer, got 1.5"),
+        (0.0, 1.0, "coordinate must be an integer, got 0.0"),
     ])
     def test_datashift_validation(self, coordinate, half_width, message):
         with pytest.raises(ValueError, match=message):
             DataShift(coordinate, half_width)
+
+    def test_datashift_takes_numpy_integers(self):
+        assert DataShift(np.int64(1), 0.5).coordinate == 1
 
     def test_datashift_missing_coordinate(self):
         ds = make_dataset([[0.0], [1.0]])
@@ -186,20 +188,49 @@ class TestSampleReference:
             sample_reference(DataShift(4, 1.0), np.array([0.3, 0.4]), 1, SeededRng(0), nmap)
 
 
+def drp_ranks(truths, draws, ref, metric=Euclidean()):
+    """DRP ranks through drp_test: simulation i ranks its truth truths[i]
+    against its draws draws[i], a mapping source, by distance to the fixed
+    reference ``ref``; bounds (0, 1) map every point to itself."""
+    curve = drp_test(make_dataset(truths), dict(enumerate(draws)), policy=PriorDraw(draw=lambda g: ref),
+                     metric=metric, bounds=(0.0, 1.0))
+    return curve.ranks.f
+
+
+def hpd_ranks(truths, draws, log_density=lambda theta: theta[:, 0]):
+    """HPD ranks through hpd_test: a StoredSampler gives simulation i the 1-D
+    draws draws[i], and ``log_density`` scores its truth truths[i] and draws;
+    by default each point is its own log density."""
+    draws = np.asarray(draws, dtype=float)[..., None]
+    sampler = StoredSampler(dict(enumerate(draws)), [log_density] * len(draws))
+    ds = make_dataset(np.asarray(truths, dtype=float)[:, None], observations=range(len(draws)))
+    return hpd_test(ds, sampler, n_post=draws.shape[1]).ranks.f
+
+
+def discrete_uniform_ks(fs, n):
+    """KS distance of ranks f = k / n from the discrete uniform CDF (k + 1) / (n + 1)."""
+    ecdf_x = np.sort(fs)
+    cdf = (np.round(ecdf_x * n) + 1) / (n + 1)
+    i = np.arange(1, fs.size + 1)
+    return max((i / fs.size - cdf).max(), (cdf - (i - 1) / fs.size).max())
+
+
 class TestDrpRank:
     def test_counting(self):
         # 1-D: reference at origin, samples at distances .1/.5/.9, truth at .4
-        f = drp_rank(np.array([[0.1], [0.5], [0.9]]), np.array([0.4]), np.array([0.0]))
-        assert f == pytest.approx(1 / 3)
+        f = drp_ranks([[0.4]], [np.array([[0.1], [0.5], [0.9]])], np.array([0.0]))
+        assert f[0] == pytest.approx(1 / 3)
 
     def test_tie_rule(self):
         truth = np.array([0.3, 0.7])
         samples = np.tile(truth, (5, 1))
-        assert drp_rank(samples, truth, np.array([0.0, 0.0])) == 0.0
+        assert drp_ranks([truth], [samples], np.array([0.0, 0.0]))[0] == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            drp_rank(np.ones((3, 2)), np.ones(3), np.ones(2))
+        with pytest.raises(SimulationError, match=r"simulation 0: draws have shape \(3, 2\), expected \(n, 3\)"):
+            drp_ranks([np.ones(3)], [np.ones((3, 2))], np.ones(3))
+        with pytest.raises(SimulationError, match="simulation 0: prior draw has dimension 2, expected 3"):
+            drp_ranks([np.ones(3)], [np.ones((3, 3))], np.ones(2))
 
     def test_weighted_metric_changes_order(self):
         # truth beats the sample on axis 0, loses on axis 1
@@ -208,8 +239,8 @@ class TestDrpRank:
         ref = np.zeros(2)
         heavy0 = WeightedEuclidean(weights=np.array([100.0, 1.0]))
         heavy1 = WeightedEuclidean(weights=np.array([1.0, 100.0]))
-        assert drp_rank(samples, truth, ref, heavy0) == 0.0  # sample farther
-        assert drp_rank(samples, truth, ref, heavy1) == 1.0  # sample closer
+        assert drp_ranks([truth], [samples], ref, heavy0)[0] == 0.0  # sample farther
+        assert drp_ranks([truth], [samples], ref, heavy1)[0] == 1.0  # sample closer
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -223,53 +254,49 @@ class TestDrpRank:
     def test_rank_quantization(self):
         g = SeededRng(3).generator()
         samples = g.standard_normal((17, 2))
-        f = drp_rank(samples, g.standard_normal(2), g.standard_normal(2))
+        f = drp_ranks([g.standard_normal(2)], [samples], g.standard_normal(2))[0]
         assert (f * 17) == pytest.approx(round(f * 17), abs=1e-12)
+
+    def test_non_finite_distance_names_the_simulation(self):
+        with pytest.raises(SimulationError, match="^simulation 0: non-finite distance encountered$"):
+            drp_ranks([[0.4]], [np.array([[0.1]])], np.array([np.inf]))
 
     def test_uniform_for_exchangeable_draws(self):
         # truth and samples i.i.d. from the same distribution: rank uniform on
         # {0, 1/n, ..., 1}; KS against the discrete CDF (k+1)/(n+1)
         g = SeededRng(21).generator()
         n, trials = 100, 10_000
-        theta_r = np.array([2.0])
-        fs = np.empty(trials)
-        for t in range(trials):
-            draws = g.standard_normal(n + 1)
-            fs[t] = drp_rank(draws[1:, None], draws[:1], theta_r)
-        ecdf_x = np.sort(fs)
-        cdf = (np.round(ecdf_x * n) + 1) / (n + 1)
-        i = np.arange(1, trials + 1)
-        ks = max((i / trials - cdf).max(), (cdf - (i - 1) / trials).max())
-        assert ks < RANK_KS_THRESHOLD
+        draws = g.standard_normal((trials, n + 1))
+        fs = drp_ranks(draws[:, :1], draws[:, 1:, None], np.array([2.0]))
+        assert discrete_uniform_ks(fs, n) < RANK_KS_THRESHOLD
 
 
 class TestHpdRank:
     def test_counting(self):
-        assert hpd_rank([0.1, 0.3, 0.2], 0.25) == pytest.approx(2 / 3)
-
-    def test_truth_density_zero(self):
-        assert hpd_rank([0.1, 0.3], 0.0) == 0.0
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
-            hpd_rank([0.1, -0.2], 0.5)
+        assert hpd_ranks([0.25], [[0.1, 0.3, 0.2]])[0] == pytest.approx(2 / 3)
 
     def test_log_scale_allows_negatives(self):
-        assert hpd_rank([-10.0, -1.0], -5.0, log_scale=True) == 0.5
+        assert hpd_ranks([-5.0], [[-10.0, -1.0]])[0] == 0.5
+
+    def test_tie_rule(self):
+        assert hpd_ranks([-1.0], [[-1.0, -1.0, -2.0]])[0] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_densities_must_be_finite(self, bad):
+        with pytest.raises(SimulationError, match="^simulation 1: densities must be finite$"):
+            hpd_ranks([0.0, 0.0], [[1.0, 2.0], [1.0, 3.0]],
+                      log_density=lambda theta: np.where(theta[:, 0] == 3.0, bad, theta[:, 0]))
+
+    def test_one_log_density_per_row(self):
+        with pytest.raises(SimulationError, match="^simulation 0: log_density gave 1 values for 3 rows$"):
+            hpd_ranks([0.0], [[1.0, 2.0]], log_density=lambda theta: theta[:1, 0])
 
     def test_uniform_for_matched_estimator(self):
         g = SeededRng(33).generator()
         n, trials = 100, 10_000
-        fs = np.empty(trials)
-        for t in range(trials):
-            draws = g.standard_normal(n + 1)
-            logd = -0.5 * draws * draws
-            fs[t] = hpd_rank(logd[1:], logd[0], log_scale=True)
-        ecdf_x = np.sort(fs)
-        cdf = (np.round(ecdf_x * n) + 1) / (n + 1)
-        i = np.arange(1, trials + 1)
-        ks = max((i / trials - cdf).max(), (cdf - (i - 1) / trials).max())
-        assert ks < RANK_KS_THRESHOLD
+        draws = g.standard_normal((trials, n + 1))
+        fs = hpd_ranks(draws[:, 0], draws[:, 1:], log_density=lambda theta: -0.5 * theta[:, 0] ** 2)
+        assert discrete_uniform_ks(fs, n) < RANK_KS_THRESHOLD
 
 
 def ranks_from(k, n):
@@ -368,14 +395,18 @@ class TestDrpTest:
 
     def test_full_credibility_endpoint(self):
         # ecp(1) counts ranks strictly below 1; it reaches exactly 1 whenever
-        # no simulation has every sample beating the truth (seed chosen so),
-        # and drops by exactly the saturated-rank fraction otherwise
-        ds = optimal_gaussian_setup(200, seed=100)
-        curve = drp_test(ds, GaussianSampler(), n_post=250, seed=0)
+        # no simulation has every sample beating the truth, and drops by
+        # exactly the saturated-rank fraction otherwise. Simulation i puts
+        # on_ref[i] of its 10 draws on the reference and the rest far from it.
+        def curve_of(on_ref):
+            draws = {i: np.where(np.arange(10) < k, 0.0, 1.0)[:, None] for i, k in enumerate(on_ref)}
+            return drp_test(make_dataset(np.full((len(on_ref), 1), 0.5)), draws,
+                            policy=PriorDraw(draw=lambda g: np.zeros(1)), bounds=(0.0, 1.0))
+
+        curve = curve_of([0, 3, 9, 5, 1, 7])
         assert curve.ranks.f.max() < 1.0
         assert curve.ecp[-1] == 1.0
-        ds = optimal_gaussian_setup(200, seed=101)
-        curve = drp_test(ds, GaussianSampler(), n_post=250, seed=1)
+        curve = curve_of([10, 0, 10, 4, 7])
         saturated = np.mean(curve.ranks.f == 1.0)
         assert saturated > 0
         assert curve.ecp[-1] == 1.0 - saturated

@@ -15,7 +15,7 @@ from drpkit.fileio import (
     read_coverage_csv,
     read_joint_file,
     read_observation_file,
-    read_posterior_file,
+    read_posterior_runs,
     write_coverage_csv,
     write_joint_file,
     write_observation_file,
@@ -96,9 +96,10 @@ class TestSampleFiles:
         draws = {i: g.standard_normal((4, 2)) for i in range(3)}
         path = tmp_path / "post.csv"
         write_posterior_file(path, draws)
-        back = read_posterior_file(path, n_sims=3)
-        for i in range(3):
-            assert np.array_equal(back[i], draws[i])
+        back = list(read_posterior_runs(path, n_sims=3))
+        assert [(sid, line) for sid, line, _ in back] == [(0, 2), (1, 6), (2, 10)]
+        for i, (_, _, rows) in enumerate(back):
+            assert np.array_equal(rows, draws[i])
 
     def test_observation_round_trip(self, tmp_path):
         g = SeededRng(4).generator()
@@ -165,7 +166,7 @@ class TestSampleFiles:
         path = tmp_path / "post.csv"
         write_posterior_file(path, {0: g.standard_normal((2, 1))})
         with pytest.raises(SchemaError) as err:
-            read_posterior_file(path, n_sims=2)
+            list(read_posterior_runs(path, n_sims=2))
         assert "sim_id 1" in str(err.value)
 
     def test_non_finite_named_line(self, tmp_path):

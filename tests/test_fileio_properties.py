@@ -196,6 +196,15 @@ def test_joint_and_observation_writers_match_reference(tmp_path, dim, n, data):
 
 # --- the reader ----------------------------------------------------------------------
 
+def grouped_runs(path, n_sims=None):
+    """The runs of read_posterior_runs joined per sim_id in file order, keyed
+    in order of first appearance."""
+    by_sim = {}
+    for sid, _, rows in fileio.read_posterior_runs(path, n_sims):
+        by_sim.setdefault(sid, []).append(rows)
+    return {sid: blocks[0] if len(blocks) == 1 else np.concatenate(blocks) for sid, blocks in by_sim.items()}
+
+
 def assert_same_posterior(new, ref):
     assert list(new) == list(ref)  # same keys in the same order
     assert all(same_array(new[k], ref[k]) for k in ref)
@@ -206,7 +215,7 @@ def assert_same_posterior(new, ref):
 def test_posterior_reader_matches_reference(tmp_path, draws):
     path = tmp_path / "post.csv"
     path.write_text(ref_posterior_text(draws))
-    new = outcome(fileio.read_posterior_file, path)
+    new = outcome(grouped_runs, path)
     ref = outcome(ref_read_posterior, path)
     assert new[0] == ref[0]
     if ref[0] == "ok":
@@ -216,7 +225,7 @@ def test_posterior_reader_matches_reference(tmp_path, draws):
 
 
 def argsort_grouping(sim_ids, values):
-    """The grouping read_posterior_file once used for every file: split a stable
+    """A grouping of a whole file's rows by sim_id: split a stable
     argsort copy of the values by sim_id, keyed in order of first appearance."""
     order = np.argsort(sim_ids, kind="stable")
     keys, starts = np.unique(np.asarray(sim_ids)[order], return_index=True)
@@ -253,7 +262,7 @@ def test_grouping_matches_the_argsort_copy(tmp_path, draws, layout, chunk, data)
     path.write_text(text)
     sim_ids, values = fileio._read_table(path, ("sim_id", "sample_id"), "theta")
     with chunked(chunk):
-        assert_same_posterior(fileio.read_posterior_file(path), argsort_grouping(sim_ids, values))
+        assert_same_posterior(grouped_runs(path), argsort_grouping(sim_ids, values))
 
 
 def ref_runs(path, n_sims):
@@ -312,7 +321,7 @@ def test_a_sorted_file_is_grouped_without_a_copy(tmp_path):
     path = tmp_path / "post.csv"
     fileio.write_posterior_file(path, draws)
     parse = traced_peak(lambda: fileio._read_table(path, ("sim_id", "sample_id"), "theta"))
-    read = traced_peak(lambda: fileio.read_posterior_file(path))
+    read = traced_peak(lambda: grouped_runs(path))
     assert read < parse + values_bytes / 4, (read, parse)  # a copy would add values_bytes
 
 
@@ -340,7 +349,7 @@ def test_whole_file_reads_hold_the_values_once(tmp_path, kind, rows, dim, bound)
 READERS = {
     "joint": (lambda p, d: fileio.read_joint_file(p), lambda p, d: ref_read_dense(p, "theta")),
     "observation": (lambda p, d: fileio.read_observation_file(p), lambda p, d: ref_read_dense(p, "x")),
-    "posterior": (lambda p, d: fileio.read_posterior_file(p), lambda p, d: ref_read_posterior(p)),
+    "posterior": (lambda p, d: grouped_runs(p), lambda p, d: ref_read_posterior(p)),
     "prior": (fileio.read_prior_file, ref_read_prior),
 }
 BAD_TOKENS = ["abc", "", " ", "nan", "inf", "-inf", "1e999", "3.0", "0x1", "1,2", " 4 ", "1_0", "+7", "-0"]
@@ -477,7 +486,7 @@ def test_error_past_the_first_chunk_names_its_line(tmp_path, line, token, messag
     path = tmp_path / "post.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError) as new:
-        fileio.read_posterior_file(path)
+        grouped_runs(path)
     with pytest.raises(SchemaError) as ref:
         ref_read_posterior(path)
     assert (str(new.value), new.value.line) == (str(ref.value), ref.value.line)
