@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -212,8 +213,8 @@ def _grid_csv(path, side, truth, mean, std):
 
 def _run_lensing(args, parser) -> int:
     _require_positive(parser, args, "n-sims", "n-post", "steps")
-    if args.kernel_scale <= 0:
-        parser.error("--kernel-scale must be positive")
+    if not 0 < args.kernel_scale < math.inf:
+        parser.error(f"--kernel-scale must be finite and positive, got {args.kernel_scale}")
     if args.dump_grids < 0:
         parser.error("--dump-grids must be >= 0")
     _prepare_out(args, {"obs_size": 2 * args.source_size, "sigma_n": 1.0})

@@ -28,13 +28,15 @@ Every Euler-Maruyama step is affine in the state plus fresh Gaussian noise, so
 the chain's output given x is exactly Gaussian, with a mean affine in x and a
 covariance free of x. The samplers draw from that law instead of stepping. It
 costs O(steps D) plus one D x D product per (model, schedule) for the exact
-kind and four D x D products per step for the biased kind; a simulation then
-costs one (n, D) block of standard normals and one (n, D) x (D, D) product.
+kind and four D x D products per step for the biased kind, whose covariance and
+gain are carried in W; a simulation then costs one (n, D) block of standard
+normals and one (n, D) x (D, D) product.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +89,8 @@ class VeSchedule:
     def __post_init__(self):
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError(f"need 0 < sigma_min < sigma_max, got ({self.sigma_min}, {self.sigma_max})")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -110,17 +114,6 @@ def _pixel_grid(side: int) -> np.ndarray:
     return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _boundary_distance(center, direction):
-    # distance from center to the unit-box boundary along a unit direction
-    tb = math.inf
-    for c, d in zip(center, direction):
-        if d > 0:
-            tb = min(tb, (1.0 - c) / d)
-        elif d < 0:
-            tb = min(tb, c / -d)
-    return tb
-
-
 def build_operator(dim_theta: int, dim_x: int, seed: int = 0) -> np.ndarray:
     """Forward operator mapping dim_theta source pixels to dim_x observation pixels.
 
@@ -135,28 +128,24 @@ def build_operator(dim_theta: int, dim_x: int, seed: int = 0) -> np.ndarray:
     s_side = _square_side(dim_theta, "dim_theta")
     o_side = _square_side(dim_x, "dim_x")
     g = SeededRng(seed).substream(_OPERATOR_TAG).generator()
-    # one pixel at a time on Python floats, which round as numpy's float64 does
-    cx, cy = (np.asarray(_WARP_CENTER) + g.uniform(-_WARP_CENTER_JITTER, _WARP_CENTER_JITTER, 2)).tolist()
-    cols, weights = [], []
-    for oi in range(o_side):
-        for oj in range(o_side):
-            wx, wy = oi / (o_side - 1) - cx, oj / (o_side - 1) - cy
-            r = math.hypot(wx, wy)
-            sx, sy = cx, cy
-            if r > 0.0:
-                dx, dy = wx / r, wy / r
-                tb = _boundary_distance((cx, cy), (dx, dy))
-                power = min(r / tb, 1.0) ** _WARP_POWER
-                sx, sy = cx + dx * tb * power, cy + dy * tb * power
-            sx, sy = min(max(sx, 0.0), 1.0) * (s_side - 1), min(max(sy, 0.0), 1.0) * (s_side - 1)
-            i0, j0 = min(int(sx), s_side - 2), min(int(sy), s_side - 2)
-            fi, fj = sx - i0, sy - j0
-            for di, wi in ((0, 1 - fi), (1, fi)):
-                for dj, wj in ((0, 1 - fj), (1, fj)):
-                    cols.append((i0 + di) * s_side + j0 + dj)
-                    weights.append(wi * wj)
+    # all pixels at once; hypot and the power stay per element on Python floats,
+    # whose last bits numpy's hypot and power do not always match
+    center = np.asarray(_WARP_CENTER) + g.uniform(-_WARP_CENTER_JITTER, _WARP_CENTER_JITTER, 2)
+    w = np.stack(np.divmod(np.arange(dim_x), o_side), axis=1) / (o_side - 1) - center
+    r = np.array(list(map(math.hypot, *w.T.tolist())))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 stays at the center
+        d = w / r
+        # distance from the center to the unit-box boundary along d
+        tb = np.where(d > 0, (1.0 - center) / d, np.where(d < 0, center / -d, math.inf))
+        tb = tb.min(axis=1, keepdims=True)
+        power = np.array([v ** _WARP_POWER for v in np.minimum(r / tb, 1.0).ravel().tolist()])[:, None]
+    src = np.clip(np.where(r > 0.0, center + d * tb * power, center), 0.0, 1.0) * (s_side - 1)
+    ij = np.minimum(src.astype(int), s_side - 2)
+    (fi, fj), (i0, j0) = (src - ij).T, ij.T
+    cols = (i0 * s_side + j0)[:, None] + [0, 1, s_side, s_side + 1]
+    weights = np.stack([(1 - fi) * (1 - fj), (1 - fi) * fj, fi * (1 - fj), fi * fj], axis=1)
     A = np.zeros((dim_x, dim_theta))
-    A[np.arange(dim_x).repeat(4), cols] = weights  # a row's four columns are distinct
+    A[np.arange(dim_x)[:, None], cols] = weights  # a row's four columns are distinct
 
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= 0:
@@ -174,8 +163,8 @@ def build_prior(dim_theta: int, kernel_scale: float = 0.3, seed: int = 0):
     squared-exponential kernel over pixel coordinates plus 1e-4 I jitter, with
     positive definiteness verified by Cholesky.
     """
-    if kernel_scale <= 0:
-        raise ValueError(f"kernel_scale must be positive, got {kernel_scale}")
+    if not 0 < kernel_scale < math.inf:
+        raise ValueError(f"kernel_scale must be finite and positive, got {kernel_scale}")
     side = _square_side(dim_theta, "dim_theta")
     grid = _pixel_grid(side)
     g = SeededRng(seed).substream(_PRIOR_TAG).generator()
@@ -343,10 +332,10 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
     I) and takes `schedule.steps` uniform Euler-Maruyama steps to t=0, driven
     by the prior score plus the likelihood score of the given kind.
 
-    A step maps the state (a row in a basis set by the kind) to state M_k +
-    c_k(x) + sqrt(h_k) noise, so the mean follows mean M_k + c_k(x) and the
-    covariance M_k^T C M_k + h_k I. DivergenceError names the first
-    non-finite step.
+    A step maps the state (a row in a basis set by the kind: V for exact, W
+    for biased) to state M_k + c_k(x) + sqrt(h_k) noise, so the mean follows
+    mean M_k + c_k(x) and the covariance M_k^T C M_k + h_k I. DivergenceError
+    names the first non-finite step.
     """
     _check_kind(kind)
     model._require_noise()
@@ -379,24 +368,32 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
         offset = p * (mu0 @ V) + (1.0 - p) * model._posterior_mean_v(np.zeros(model.dim_x))
         gain, basis = V * ((1.0 - p) * post_var / model.sigma_n**2), model._UV
     else:
-        # in U around mu_0 the prior decay is diag(keep_k), and h times the
-        # likelihood score is rate_k (x B W - gam (state + mu_0) W) W^T. The gain
-        # is carried as W G, so a step adds a row-scaled W^T to G M_k; a step is
-        # checked in full only when the sum of its moments is not finite
+        # in W around mu_0 the prior decay is W^T diag(keep_k) W and the
+        # likelihood decay diag(gam rate_k), so the symmetric step matrix is
+        # M_k = W^T diag(keep_k) W - diag(gam rate_k), and the gain G from x B W
+        # gains diag(rate_k) per step. By induction the offset is -(gam (mu_0
+        # W)) G after every step, so it needs no recursion. Non-finite values
+        # stay non-finite, so only the last step is checked, and a chain that
+        # ends non-finite runs again, checking each step to name the first.
+        # cov and G go back to U once, after the last step
         W, gam = model._gram_v, model._gram_l
         keep = 1.0 - h / (lam + s2)
         rate = h / (model.sigma_n**2 + s2 * gam)
-        cov, G, offset = np.diag(init), np.zeros((dim, dim)), np.zeros(dim)
-        for k in range(schedule.steps):
-            M = (W * (-gam * rate[k])) @ W.T
-            M.reshape(-1)[::dim + 1] += keep[k]
-            cov = M @ cov @ M
-            cov.reshape(-1)[::dim + 1] += h[k]
-            G = G @ M + rate[k][:, None] * W.T
-            offset = offset @ M - (rate[k] * gam * (mu0 @ W)) @ W.T
-            if not math.isfinite(cov.sum() + G.sum() + offset.sum()):
-                check(k, cov, W @ G, offset)
-        gain, offset, basis = W @ G, offset + mu0, model._U
+        for checked in (False, True):
+            cov, G = (W.T * init) @ W, np.zeros((dim, dim))
+            for k in range(schedule.steps):
+                M = (W.T * keep[k]) @ W
+                M.reshape(-1)[::dim + 1] -= gam * rate[k]
+                cov = M @ cov @ M
+                cov.reshape(-1)[::dim + 1] += h[k]
+                G = G @ M
+                G.reshape(-1)[::dim + 1] += rate[k]
+                if checked:
+                    check(k, cov, G)
+            if math.isfinite(cov.sum() + G.sum()):
+                break
+        G, cov = G @ W.T, W @ cov @ W.T
+        gain, offset, basis = W @ G, mu0 - ((mu0 @ W) * gam) @ G, model._U
     L = cholesky(0.5 * (cov + cov.T))
     return offset @ basis.T, model._B @ gain @ basis.T, basis @ L
 

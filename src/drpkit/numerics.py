@@ -61,6 +61,8 @@ class SeededRng:
         h.update(self.stream.to_bytes(8, "little"))
         for k in keys:
             if isinstance(k, (int, np.integer)):
+                if not -(1 << 63) <= int(k) < 1 << 63:
+                    raise ValueError(f"substream int keys must fit in a signed 64-bit integer, got {k}")
                 h.update(b"i" + int(k).to_bytes(8, "little", signed=True))
             elif isinstance(k, str):
                 h.update(b"s" + k.encode("utf-8") + b"\x00")

@@ -246,6 +246,12 @@ class TestLensingCommand:
         assert run("lensing", "--estimator", "exact", "--steps", "0",
                    "--out", str(tmp_path / "l")) == 2
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+    def test_kernel_scale_must_be_finite_and_positive(self, tmp_path, capsys, scale):
+        assert run("lensing", "--estimator", "exact", "--kernel-scale", scale,
+                   "--out", str(tmp_path / "l")) == 2
+        assert "--kernel-scale" in capsys.readouterr().err
+
     def test_divergence_exits_one_with_context(self, tmp_path, monkeypatch, capsys):
         from drpkit import lensing as lensing_mod
 

@@ -122,6 +122,16 @@ def reference_law(model, schedule, kind, x):
 def pixelwise_operator(dim_theta, dim_x, seed):
     """build_operator's matrix, before its rank check, from a per-pixel numpy
     loop: the reference the float-only warp must equal bit for bit."""
+    def boundary_distance(center, direction):
+        # distance from center to the unit-box boundary along a unit direction
+        tb = math.inf
+        for c, d in zip(center, direction):
+            if d > 0:
+                tb = min(tb, (1.0 - c) / d)
+            elif d < 0:
+                tb = min(tb, c / -d)
+        return tb
+
     s_side, o_side = math.isqrt(dim_theta), math.isqrt(dim_x)
     g = SeededRng(seed).substream(lensing._OPERATOR_TAG).generator()
     center = np.asarray(lensing._WARP_CENTER) + g.uniform(-lensing._WARP_CENTER_JITTER,
@@ -136,7 +146,7 @@ def pixelwise_operator(dim_theta, dim_x, seed):
                 src = center.copy()
             else:
                 direction = w / r
-                tb = lensing._boundary_distance(center, direction)
+                tb = boundary_distance(center, direction)
                 rho = min(r / tb, 1.0)
                 src = center + direction * tb * rho**lensing._WARP_POWER
             src = np.clip(src, 0.0, 1.0) * (s_side - 1)
@@ -191,15 +201,17 @@ def stepwise_chain_law(model, schedule, kind):
 
 
 def assert_law_matches_stepwise(model, schedule, kind):
-    # the exact law and the biased offset and scale repeat the recursion's
-    # arithmetic; the biased gain is carried in another basis
+    # the exact law repeats the recursion's arithmetic; the biased law is
+    # carried in the Gram eigenbasis, so it agrees to rounding
     offset, gain, scale = lensing._chain_law(model, schedule, kind)
     ref_offset, ref_gain, ref_scale = stepwise_chain_law(model, schedule, kind)
-    assert offset.tobytes() == ref_offset.tobytes()
-    assert scale.tobytes() == ref_scale.tobytes()
     if kind == "exact":
+        assert offset.tobytes() == ref_offset.tobytes()
+        assert scale.tobytes() == ref_scale.tobytes()
         assert gain.tobytes() == ref_gain.tobytes()
     else:
+        assert np.abs(offset - ref_offset).max() <= 1e-11 * np.abs(ref_offset).max()
+        assert np.abs(scale - ref_scale).max() <= 1e-11 * np.abs(ref_scale).max()
         assert np.abs(gain - ref_gain).max() <= 1e-12 * np.abs(ref_gain).max()
 
 
@@ -239,6 +251,12 @@ class TestVeSchedule:
             VeSchedule(sigma_min=1.0, sigma_max=0.5)
         with pytest.raises(ValueError):
             VeSchedule(steps=0)
+
+    def test_steps_must_be_an_integer(self):
+        for steps in (1.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+                VeSchedule(steps=steps)
+        assert VeSchedule(steps=np.int64(3)).steps == 3
 
     def test_g_squared_is_variance_rate(self):
         # finite-difference oracle on sigma_t^2
@@ -301,6 +319,9 @@ class TestBuildPrior:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             build_prior(64, kernel_scale=0.0)
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"kernel_scale must be finite and positive, got {scale}"):
+                build_prior(64, kernel_scale=scale)
 
 
 class TestSimulate:

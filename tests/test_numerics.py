@@ -254,6 +254,9 @@ class TestSeededRng:
     def test_substream_key_types(self):
         with pytest.raises(TypeError):
             SeededRng(3).substream(1.5)
+        for key in (2**63, np.uint64(2**63), -2**63 - 1):
+            with pytest.raises(ValueError, match="signed 64-bit integer"):
+                SeededRng(0).substream(key)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
