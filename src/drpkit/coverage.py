@@ -385,54 +385,15 @@ class HpdSpec:
     """An HPD test for :func:`coverage_tests`; needs sampler.log_density."""
 
 
-def _rank_table(dataset: JointSampleSet, runs, draws, rankers, on_draws=None) -> list:
-    """The loop of every test: one RankTable per ranker, in sim_id order.
-
-    ``runs`` yields (sim_id, item) pairs, pulled one at a time; a simulation
-    may come in several runs, in any order. ``draws(i, sim_id, item)`` gives
-    (n + 1, D) rows: the truth of simulation i, then the run's n draws. Each
-    ranker ``(rank, repeats, dim)`` ranks them: ``rank(i, rows)`` gives the
-    repeats' counts k of draws strictly below the truth and their (repeats,
-    dim) reference points, or None when dim is None. Counts add up over a
-    simulation's runs, so its rank is the one its draws would get in one block.
-    The draws are then passed to ``on_draws(sid, draws)`` and dropped. Errors,
-    and a simulation with no draws, are raised as SimulationError.
-    """
-    index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
-    n_sims = dataset.n_sims
-    n = np.zeros(n_sims, dtype=np.int64)
-    k = [np.zeros((n_sims, repeats), dtype=np.int64) for _, repeats, _ in rankers]
-    refs = [None if dim is None else np.empty((n_sims, repeats, dim)) for _, repeats, dim in rankers]
-    for sid, item in runs:
-        try:
-            rows = draws(index[sid], sid, item)
-            for (rank, _, _), k_of, refs_of in zip(rankers, k, refs):
-                counts, theta_r = rank(index[sid], rows)
-                k_of[sid] += counts
-                if refs_of is not None:
-                    refs_of[sid] = theta_r
-            if on_draws is not None:
-                on_draws(sid, rows[1:])
-        except SimulationError:
-            raise
-        except Exception as e:
-            raise SimulationError(sid, str(e)) from e
-        n[sid] += len(rows) - 1
-    if not n.all():
-        raise SimulationError(int(np.argmin(n)), "no posterior samples")
-    tables = []
-    for k_of, refs_of in zip(k, refs):
-        n_all = np.repeat(n, k_of.shape[1])
-        tables.append(RankTable(sim_id=np.repeat(np.arange(n_sims), k_of.shape[1]), k=k_of.ravel(), n=n_all,
-                                theta_r=None if refs_of is None else refs_of.reshape(n_all.size, -1)))
-    return tables
-
-
 def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
-    """Ranker: per repeat r, a reference point from substream ("reference", r,
-    sim_id) and the DRP rank, all in normalized coordinates."""
-    if spec.repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {spec.repeats}")
+    """Ranker ``(rank, table)``: ``rank(i, sid, rows)`` adds a run's counts to
+    its own ``k`` and stores the (repeats, D) reference points, drawn from
+    substreams ("reference", r, sid), at sid; ``table(n)`` gives the RankTable."""
+    repeats = spec.repeats
+    if isinstance(repeats, bool) or not isinstance(repeats, numbers.Integral):
+        raise ValueError(f"repeats must be an integer, got {repeats!r}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     nmap = fit_normalization(dataset, spec.bounds)
     if isinstance(spec.metric, WeightedEuclidean) and spec.metric.weights.size != nmap.dim:
         raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
@@ -442,36 +403,44 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
         raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
+    k = np.zeros((dataset.n_sims, repeats), dtype=np.int64)
+    refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 
-    def rank(i, rows):
-        sid = int(dataset.sim_ids[i])
+    def rank(i, sid, rows):
         rows = nmap.apply(rows)
-        refs = np.array([sample_reference(spec.policy, dataset.observations[i], nmap.dim,
-                                          root.substream(_REF_TAG, r, sid), nmap)
-                         for r in range(spec.repeats)])
-        dists = [distances_to(spec.metric, rows, ref) for ref in refs]
+        refs[sid] = [sample_reference(spec.policy, dataset.observations[i], nmap.dim,
+                                      root.substream(_REF_TAG, r, sid), nmap) for r in range(repeats)]
+        dists = [distances_to(spec.metric, rows, ref) for ref in refs[sid]]
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance encountered")
-        return [int(np.count_nonzero(d[1:] < d[0])) for d in dists], refs  # strict: ties do not count
+        k[sid] += [int(np.count_nonzero(d[1:] < d[0])) for d in dists]  # strict: ties do not count
 
-    return rank, spec.repeats, nmap.dim
+    def table(n):
+        return RankTable(sim_id=np.repeat(np.arange(n.size), repeats), k=k.ravel(), n=np.repeat(n, repeats),
+                         theta_r=refs.reshape(-1, nmap.dim))
+
+    return rank, table
 
 
 def _hpd_ranker(dataset: JointSampleSet, source):
-    """Ranker: the truth's log density against the draws' log densities."""
+    """Ranker ``(rank, table)`` as in :func:`_drp_ranker`, by the truth's log density against the draws'."""
     if not has_density(source):
         raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, "
                                       "required for the HPD test")
+    k = np.zeros(dataset.n_sims, dtype=np.int64)
 
-    def rank(i, rows):
+    def rank(i, sid, rows):
         log_dens = np.asarray(source.log_density(rows, dataset.observations[i]), dtype=float).ravel()
         if log_dens.size != len(rows):
             raise ValueError(f"log_density gave {log_dens.size} values for {len(rows)} rows")
         if not np.isfinite(log_dens).all():
             raise ValueError("densities must be finite")
-        return [int(np.count_nonzero(log_dens[1:] < log_dens[0]))], None  # strict: ties do not count
+        k[sid] += np.count_nonzero(log_dens[1:] < log_dens[0])  # strict: ties do not count
 
-    return rank, 1, None
+    def table(n):
+        return RankTable(sim_id=np.arange(n.size), k=k, n=n.copy())
+
+    return rank, table
 
 
 def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
@@ -479,31 +448,32 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     """Several coverage tests on one pass over the draws: one curve per spec in ``tests``.
 
     ``source`` is a sampler (anything with a callable ``sample``), which gives
-    simulation i (keyed by its sim_id) n_post draws from a dedicated
-    substream, or draws made elsewhere: a mapping {sim_id: (n_i, D) array}, or
-    an iterable of (sim_id, (rows, D) array) runs. Draws from elsewhere bring
-    their own counts, so they take no n_post; an HPD test needs the sampler's
-    log_density. A simulation's draws may come in several runs, in any order,
-    and an iterable is consumed once, one run at a time, so it can stream a
-    file too large to hold (``fileio.read_posterior_runs``). Draws of
-    sim_ids outside the dataset are ignored.
+    each simulation n_post draws from a substream keyed by its sim_id, or draws
+    made elsewhere, keyed by integer sim_ids: a mapping {sim_id: (n_i, D)
+    array} or an iterable of (sim_id, (rows, D) array) runs, pulled one at a
+    time so it can stream a large file (``fileio.read_posterior_runs``). Those
+    bring their own counts, so they take no n_post, and HPD needs a sampler's
+    log_density. A simulation may come in several runs, in any order; sim_ids
+    outside the dataset are skipped, and a key that is not an integer is
+    refused when its run is reached.
 
-    Every test ranks each run's draws, which are then dropped. A DRP test
-    draws one reference point per repeat from another substream, normalizes
-    all points through one map and ranks by distance; its counts add up over a
-    simulation's runs. Each curve is deterministic given the seed, invariant
-    to simulation order, and the same as its drp_test or hpd_test call alone;
-    draws dumped from a sampler give the sampler's curve bit for bit. Every argument is checked before the first draw.
-    ``on_draws(sim_id, draws)``, if given, gets each run's draws once, in run
-    order (sim_id order for a sampler), so callers can keep or stream them
-    without sampling again. Simulations run one after another on the calling
-    thread; BLAS threads are whatever the environment sets.
+    Each run's draws are checked, stacked below the truth, ranked by every test
+    (DRP: by distance to one reference point per repeat, from another
+    substream, after one normalization map), passed to ``on_draws(sim_id,
+    draws)`` if given (in run order; sim_id order for a sampler), and dropped;
+    counts add up over a simulation's runs. Each curve is deterministic given
+    the seed, invariant to simulation order, and the same as its drp_test or
+    hpd_test call alone; dumped draws give the sampler's curve bit for bit.
+    Every argument is checked before the first draw; errors in a run, and a
+    simulation with no draws, raise SimulationError. Runs are serial.
     """
     tests = list(tests)
     if not tests:
         raise ValueError("tests must hold at least one DrpSpec or HpdSpec")
     sampled = callable(getattr(source, "sample", None))
-    if sampled and (n_post is None or n_post < 1):
+    if sampled and (isinstance(n_post, bool) or not isinstance(n_post, numbers.Integral)):
+        raise ValueError(f"n_post must be an integer, got {n_post!r}")
+    if sampled and n_post < 1:
         raise ValueError(f"n_post must be >= 1 for a sampler, got {n_post}")
     if not sampled and n_post is not None:
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
@@ -511,30 +481,40 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     root = SeededRng(seed)
     rankers = []
     for spec in tests:
-        if isinstance(spec, DrpSpec):
-            rankers.append(_drp_ranker(dataset, spec, root))
-        elif isinstance(spec, HpdSpec):
-            rankers.append(_hpd_ranker(dataset, source))
-        else:
+        if not isinstance(spec, (DrpSpec, HpdSpec)):
             raise TypeError(f"unknown coverage test {type(spec).__name__}")
-    dim = dataset.dim_theta
+        rankers.append(_drp_ranker(dataset, spec, root) if isinstance(spec, DrpSpec) else _hpd_ranker(dataset, source))
 
-    def draws(i, sid, block):
-        if sampled:
-            block = source.sample(dataset.observations[i], n_post, root.substream(_POST_TAG, sid))
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != dim or not block.shape[0] or sampled and len(block) != n_post:
-            raise ValueError(f"draws have shape {block.shape}, expected ({n_post or 'n'}, {dim})")
-        if not np.isfinite(block).all():
-            raise ValueError("draws are not finite")
-        return np.vstack((dataset.theta_true[i], block))  # the truth in row 0, the draws below
-
-    if sampled:
-        runs = ((sid, None) for sid in range(dataset.n_sims))
-    else:
-        pairs = source.items() if isinstance(source, Mapping) else source
-        runs = ((int(sid), block) for sid, block in pairs if 0 <= sid < dataset.n_sims)
-    return [ecp_curve(table, levels) for table in _rank_table(dataset, runs, draws, rankers, on_draws)]
+    dim, n_sims, n = dataset.dim_theta, dataset.n_sims, np.zeros(dataset.n_sims, dtype=np.int64)
+    index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
+    runs = ((sid, None) for sid in range(n_sims)) if sampled else source  # a sampler draws each block
+    for sid, block in runs.items() if isinstance(runs, Mapping) else runs:
+        if isinstance(sid, bool) or not isinstance(sid, numbers.Integral):
+            raise ValueError(f"sim_id must be an integer, got {sid!r}")
+        if not 0 <= sid < n_sims:
+            continue
+        sid, i = int(sid), index[sid]
+        try:
+            if sampled:
+                block = source.sample(dataset.observations[i], n_post, root.substream(_POST_TAG, sid))
+            block = np.asarray(block, dtype=float)
+            if block.ndim != 2 or block.shape[1] != dim or not block.shape[0] or sampled and len(block) != n_post:
+                raise ValueError(f"draws have shape {block.shape}, expected ({n_post or 'n'}, {dim})")
+            if not np.isfinite(block).all():
+                raise ValueError("draws are not finite")
+            rows = np.vstack((dataset.theta_true[i], block))  # the truth in row 0, the draws below
+            for rank, _ in rankers:
+                rank(i, sid, rows)
+            if on_draws is not None:
+                on_draws(sid, rows[1:])
+        except SimulationError:
+            raise
+        except Exception as e:
+            raise SimulationError(sid, str(e)) from e
+        n[sid] += len(block)
+    if not n.all():
+        raise SimulationError(int(np.argmin(n)), "no posterior samples")
+    return [ecp_curve(table(n), levels) for _, table in rankers]
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,

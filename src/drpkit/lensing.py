@@ -87,8 +87,8 @@ class VeSchedule:
     steps: int = 300
 
     def __post_init__(self):
-        if not 0 < self.sigma_min < self.sigma_max:
-            raise ValueError(f"need 0 < sigma_min < sigma_max, got ({self.sigma_min}, {self.sigma_max})")
+        if not 0 < self.sigma_min < self.sigma_max < math.inf:
+            raise ValueError(f"need 0 < sigma_min < sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
@@ -160,8 +160,8 @@ def build_prior(dim_theta: int, kernel_scale: float = 0.3, seed: int = 0):
     """Structured Gaussian prior over the source pixel grid.
 
     Mean: a smooth radial bump (center jittered from the seed). Covariance:
-    squared-exponential kernel over pixel coordinates plus 1e-4 I jitter, with
-    positive definiteness verified by Cholesky.
+    squared-exponential kernel over pixel coordinates plus 1e-4 I jitter, so
+    every eigenvalue is at least 1e-4; :class:`LensingModel` factors it.
     """
     if not 0 < kernel_scale < math.inf:
         raise ValueError(f"kernel_scale must be finite and positive, got {kernel_scale}")
@@ -173,10 +173,6 @@ def build_prior(dim_theta: int, kernel_scale: float = 0.3, seed: int = 0):
     mu0 = _BUMP_AMPLITUDE * np.exp(-((grid - bump_center) ** 2).sum(axis=1) / (2.0 * _BUMP_WIDTH**2))
     d2 = ((grid[:, None, :] - grid[None, :, :]) ** 2).sum(axis=-1)
     cov = np.exp(-d2 / (2.0 * kernel_scale**2)) + _PRIOR_JITTER * np.eye(dim_theta)
-    try:
-        cholesky(cov)
-    except DecompositionError as e:
-        raise PriorError(f"prior covariance is not positive definite: {e}") from e
     return mu0, cov
 
 
@@ -205,7 +201,10 @@ class LensingModel:
         self.sigma_n = float(sigma_n)
         self.prior_mean = mu0
         self.prior_cov = cov
-        self.prior_chol = cholesky(cov)  # validates SPD
+        try:
+            self.prior_chol = cholesky(cov)
+        except DecompositionError as e:
+            raise PriorError(f"prior covariance is not positive definite: {e}") from e
         lam, U = np.linalg.eigh(cov)
         if lam[0] <= 0:
             raise PriorError(f"prior covariance has non-positive eigenvalue {lam[0]:.3g}")

@@ -1,6 +1,7 @@
 """Tests for the coverage engines: normalization, reference policies, rank
 statistics, curve assembly, and the two full tests with their region oracle."""
 
+import re
 import threading
 
 import numpy as np
@@ -576,6 +577,30 @@ class TestDrawSources:
 
         drp_test(ds, runs(), on_draws=lambda sid, draws: events.append(("draws", sid)))
         assert events == [(event, s) for s in range(5) for event in ("pull", "draws")]
+
+    @pytest.mark.parametrize("key", [0.7, "a", True, None])
+    def test_a_key_that_is_not_an_integer_is_refused_when_reached(self, key):
+        ds = optimal_gaussian_setup(4, seed=6)
+        block, seen = np.zeros((5, 1)), []
+        runs = [(0, block), (key, block), *((s, block) for s in range(1, 4))]
+        with pytest.raises(ValueError, match=re.escape(f"sim_id must be an integer, got {key!r}")):
+            drp_test(ds, runs, on_draws=lambda sid, draws: seen.append(sid))
+        assert seen == [0]
+
+    def test_a_float_key_is_not_added_to_simulation_0(self):
+        ds = optimal_gaussian_setup(4, seed=6)
+        draws = {s: np.zeros((5, 1)) for s in range(4)}
+        with pytest.raises(ValueError, match=r"sim_id must be an integer, got 0\.7"):
+            drp_test(ds, {**draws, 0.7: np.zeros((5, 1))})
+
+    def test_numpy_integer_keys_are_sim_ids(self):
+        ds = optimal_gaussian_setup(4, seed=6)
+        g = SeededRng(6).generator()
+        draws = {s: g.normal(size=(5, 1)) for s in range(4)}
+        numpy_keyed = drp_test(ds, {np.int64(s): block for s, block in draws.items()}, seed=1)
+        ref = drp_test(ds, draws, seed=1)
+        assert numpy_keyed.ecp.tobytes() == ref.ecp.tobytes()
+        assert numpy_keyed.ranks.theta_r.tobytes() == ref.ranks.theta_r.tobytes()
 
     def test_hpd_on_draws_fails_before_a_draw_is_read(self):
         ds = optimal_gaussian_setup(4, seed=6)

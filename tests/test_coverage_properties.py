@@ -213,7 +213,8 @@ class NoDensity(ShiftedGaussian):
 
 
 @PROPS
-@given(cases(), st.data(), st.sampled_from(["density", "repeats", "bounds", "n_post"]))
+@given(cases(), st.data(),
+       st.sampled_from(["density", "repeats", "bounds", "n_post", "repeats_type", "n_post_type"]))
 def test_every_argument_is_checked_before_the_first_draw(case, data, fault):
     dataset, _, kw = case
     sampler = NoDensity()
@@ -225,9 +226,14 @@ def test_every_argument_is_checked_before_the_first_draw(case, data, fault):
     if fault in ("repeats", "bounds"):
         bad = DrpSpec(repeats=0) if fault == "repeats" else DrpSpec(bounds=(1.0, 1.0))
         specs.insert(data.draw(st.integers(0, len(specs))), bad)
+    if fault == "repeats_type":
+        specs.insert(data.draw(st.integers(0, len(specs))), DrpSpec(repeats=data.draw(st.sampled_from([1.5, True]))))
     n_post = 0 if fault == "n_post" else kw["n_post"]
+    if fault == "n_post_type":
+        n_post = data.draw(st.sampled_from([2.5, True, "5"]))
     error = {"density": DensityUnavailableError, "repeats": ValueError,
-             "bounds": NormalizationError, "n_post": ValueError}[fault]
+             "bounds": NormalizationError, "n_post": ValueError,
+             "repeats_type": ValueError, "n_post_type": ValueError}[fault]
     with pytest.raises(error):
         coverage_tests(dataset, sampler, specs, n_post=n_post, seed=kw["seed"])
     assert sampler.calls == 0

@@ -19,6 +19,7 @@ from drpkit.lensing import (
     DivergenceError,
     LensingModel,
     OperatorError,
+    PriorError,
     VeSchedule,
     build_model,
     build_operator,
@@ -258,6 +259,10 @@ class TestVeSchedule:
                 VeSchedule(steps=steps)
         assert VeSchedule(steps=np.int64(3)).steps == 3
 
+    def test_sigma_max_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"sigma_max < inf, got \(0.01, inf\)"):
+            VeSchedule(sigma_max=math.inf)
+
     def test_g_squared_is_variance_rate(self):
         # finite-difference oracle on sigma_t^2
         sched = VeSchedule()
@@ -310,6 +315,16 @@ class TestBuildPrior:
     def test_large_grid_positive_definite(self):
         mu0, cov = build_prior(256, kernel_scale=0.3, seed=0)
         LensingModel(np.eye(256), 1.0, mu0, cov)  # construction runs Cholesky
+
+    def test_model_raises_its_cholesky_failure_as_prior_error(self):
+        with pytest.raises(PriorError, match="prior covariance is not positive definite"):
+            LensingModel(np.eye(2), 1.0, np.zeros(2), [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_build_model_factors_the_prior_once(self, monkeypatch):
+        factored = []
+        monkeypatch.setattr(lensing, "cholesky", lambda m: factored.append(m) or cholesky(m))
+        model = build_model(source_side=4, obs_side=8)
+        assert len(factored) == 1 and model.prior_chol.tobytes() == cholesky(model.prior_cov).tobytes()
 
     def test_mean_is_smooth_bump(self):
         mu0, _ = build_prior(64, kernel_scale=0.3, seed=0)
