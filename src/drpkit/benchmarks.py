@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import DataShift, JointSampleSet, PosteriorSampler, PriorDraw
-from .numerics import SeededRng, norm_isf
+from .numerics import SeededRng, _check_int, norm_isf
 
 TOY_CASES = ("correct", "overconfident", "underconfident", "biased")
 
@@ -44,13 +44,15 @@ class ToyConfig:
     def __post_init__(self):
         if self.case not in TOY_CASES:
             raise ValueError(f"case must be one of {TOY_CASES}, got {self.case!r}")
-        if self.dim < 1 or self.n_sims < 1:
-            raise ValueError("dim and n_sims must be >= 1")
-        if not (self.theta_bounds[0] < self.theta_bounds[1]
-                and self.log_sigma_bounds[0] < self.log_sigma_bounds[1]):
-            raise ValueError("bounds must be ordered (lo < hi)")
-        if self.narrow_factor <= 0 or self.wide_factor <= 0:
-            raise ValueError("scale factors must be positive")
+        _check_int(self.dim, "dim", 1)
+        _check_int(self.n_sims, "n_sims", 1)
+        for name in ("theta_bounds", "log_sigma_bounds"):
+            lo, hi = getattr(self, name)
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{name} must be finite and ordered (lo < hi), got {(lo, hi)}")
+        for name in ("narrow_factor", "wide_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,13 @@ class ConjugateConfig:
     n_sims: int = 500
 
     def __post_init__(self):
-        if self.sigma0 <= 0 or self.sigma_x <= 0:
-            raise ValueError("sigma0 and sigma_x must be positive")
-        if self.n_obs < 0 or self.n_sims < 1:
-            raise ValueError("n_obs must be >= 0 and n_sims >= 1")
+        if not math.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
+        for name in ("sigma0", "sigma_x"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        _check_int(self.n_obs, "n_obs", 0)
+        _check_int(self.n_sims, "n_sims", 1)
 
 
 def conjugate_posterior_params(xs, config: ConjugateConfig):

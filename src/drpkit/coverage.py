@@ -18,14 +18,13 @@ any distance is computed; reference points pass through the same map.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import SeededRng, binomial_band
+from .numerics import SeededRng, _check_int, binomial_band
 
 DEFAULT_LEVELS_COUNT = 101
 
@@ -135,11 +134,10 @@ class NormalizationMap:
         if bad.size:
             raise NormalizationError(f"offset and scale must be finite; dimension {bad[0]} has "
                                      f"offset {off[bad[0]]}, scale {sc[bad[0]]}", dimension=int(bad[0]))
-        if not np.all(sc > 0):
-            raise NormalizationError(
-                f"scale must be positive in every dimension, got min {sc.min()}",
-                dimension=int(np.argmin(sc)),
-            )
+        bad = np.nonzero(sc <= 0)[0]
+        if bad.size:
+            raise NormalizationError(f"bounds must satisfy lo < hi; dimension {bad[0]} has "
+                                     f"lo {off[bad[0]]}, hi {off[bad[0]] + sc[bad[0]]}", dimension=int(bad[0]))
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "scale", sc)
 
@@ -164,23 +162,10 @@ def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> Normaliz
         if b.shape != (d, 2):
             raise ValueError(f"explicit_bounds must be (lo, hi) or ({d}, 2), got {b.shape}")
         lo, hi = b[:, 0], b[:, 1]
-        bad = np.nonzero(~(lo < hi))[0]
-        if bad.size:
-            raise NormalizationError(
-                f"bounds must satisfy lo < hi; dimension {bad[0]} has ({lo[bad[0]]}, {hi[bad[0]]})",
-                dimension=int(bad[0]),
-            )
     else:
         lo = dataset.theta_true.min(axis=0)
         hi = dataset.theta_true.max(axis=0)
-        bad = np.nonzero(~(lo < hi))[0]
-        if bad.size:
-            raise NormalizationError(
-                f"dimension {bad[0]} is degenerate (min == max == {lo[bad[0]]}); "
-                "provide explicit bounds",
-                dimension=int(bad[0]),
-            )
-    with np.errstate(over="ignore"):  # an infinite scale is NormalizationMap's error to report
+    with np.errstate(over="ignore"):  # NormalizationMap reports bad bounds, an infinite scale too
         scale = hi - lo
     return NormalizationMap(offset=lo, scale=scale)
 
@@ -210,15 +195,20 @@ class DataShift:
     half_width: float
 
     def __post_init__(self):
-        if isinstance(self.coordinate, bool) or not isinstance(self.coordinate, numbers.Integral):
-            raise ValueError(f"coordinate must be an integer, got {self.coordinate!r}")
-        if self.coordinate < 0:
-            raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
+        _check_int(self.coordinate, "coordinate", 0)
         if not 0 <= self.half_width < math.inf:
             raise ValueError(f"half_width must be finite and >= 0, got {self.half_width}")
 
 
 ReferencePolicy = Union[UnitHypercubeUniform, PriorDraw, DataShift]
+
+
+def _check_policy(policy, dim: int):
+    """Refuse an unknown policy type, and DataShift outside scalar parameters."""
+    if not isinstance(policy, ReferencePolicy):
+        raise TypeError(f"unknown reference policy {type(policy).__name__}")
+    if isinstance(policy, DataShift) and dim != 1:
+        raise ValueError(f"DataShift requires a scalar parameter space, got dim {dim}")
 
 
 def sample_reference(policy: ReferencePolicy, x, dim: int, rng, nmap: Optional[NormalizationMap] = None) -> np.ndarray:
@@ -228,6 +218,7 @@ def sample_reference(policy: ReferencePolicy, x, dim: int, rng, nmap: Optional[N
     policies require ``nmap`` to map their raw-space point through the active
     normalization.
     """
+    _check_policy(policy, dim)
     g = rng.generator() if isinstance(rng, SeededRng) else rng
     if isinstance(policy, UnitHypercubeUniform):
         return g.uniform(size=dim)
@@ -238,17 +229,11 @@ def sample_reference(policy: ReferencePolicy, x, dim: int, rng, nmap: Optional[N
         if point.size != dim:
             raise ValueError(f"prior draw has dimension {point.size}, expected {dim}")
         return nmap.apply(point)
-    if isinstance(policy, DataShift):
-        if dim != 1:
-            raise ValueError(f"DataShift requires a scalar parameter space, got dim {dim}")
-        arr = np.asarray(x, dtype=float).ravel()
-        if policy.coordinate >= arr.size:
-            raise ValueError(
-                f"observation has {arr.size} coordinates, DataShift needs index {policy.coordinate}"
-            )
-        u = g.uniform(-policy.half_width, policy.half_width) if policy.half_width > 0 else 0.0
-        return nmap.apply([arr[policy.coordinate] + u])
-    raise TypeError(f"unknown reference policy {type(policy).__name__}")
+    arr = np.asarray(x, dtype=float).ravel()  # DataShift
+    if policy.coordinate >= arr.size:
+        raise ValueError(f"observation has {arr.size} coordinates, DataShift needs index {policy.coordinate}")
+    u = g.uniform(-policy.half_width, policy.half_width) if policy.half_width > 0 else 0.0
+    return nmap.apply([arr[policy.coordinate] + u])
 
 
 # --- distance metrics -----------------------------------------------------------
@@ -273,18 +258,13 @@ DistanceMetric = Union[Euclidean, WeightedEuclidean]
 
 
 def distances_to(metric: DistanceMetric, points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``points`` to ``ref`` under the metric; the
-    differences are squared and weighted in one scratch buffer."""
+    """Distances from each row of ``points`` to ``ref`` under a metric that
+    fits them (the caller checks it); the differences are squared and weighted
+    in one scratch buffer."""
     sq = np.subtract(np.atleast_2d(points), ref, dtype=float)
     sq *= sq
     if isinstance(metric, WeightedEuclidean):
-        if metric.weights.size != sq.shape[1]:
-            raise ValueError(
-                f"metric has {metric.weights.size} weights, points have dimension {sq.shape[1]}"
-            )
         sq *= metric.weights
-    elif not isinstance(metric, Euclidean):
-        raise TypeError(f"unknown metric {type(metric).__name__}")
     return np.sqrt(sq.sum(axis=1))
 
 
@@ -389,20 +369,13 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     """Ranker ``(rank, table)``: ``rank(i, sid, rows)`` adds a run's counts to
     its own ``k`` and stores the (repeats, D) reference points, drawn from
     substreams ("reference", r, sid), at sid; ``table(n)`` gives the RankTable."""
-    repeats = spec.repeats
-    if isinstance(repeats, bool) or not isinstance(repeats, numbers.Integral):
-        raise ValueError(f"repeats must be an integer, got {repeats!r}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = _check_int(spec.repeats, "repeats", 1)
     nmap = fit_normalization(dataset, spec.bounds)
     if isinstance(spec.metric, WeightedEuclidean) and spec.metric.weights.size != nmap.dim:
         raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
-    if isinstance(spec.policy, DataShift) and nmap.dim != 1:
-        raise ValueError(f"DataShift requires a scalar parameter space, got dim {nmap.dim}")
-    if not isinstance(spec.policy, ReferencePolicy):
-        raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
+    _check_policy(spec.policy, nmap.dim)
     k = np.zeros((dataset.n_sims, repeats), dtype=np.int64)
     refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 
@@ -471,11 +444,9 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     if not tests:
         raise ValueError("tests must hold at least one DrpSpec or HpdSpec")
     sampled = callable(getattr(source, "sample", None))
-    if sampled and (isinstance(n_post, bool) or not isinstance(n_post, numbers.Integral)):
-        raise ValueError(f"n_post must be an integer, got {n_post!r}")
-    if sampled and n_post < 1:
-        raise ValueError(f"n_post must be >= 1 for a sampler, got {n_post}")
-    if not sampled and n_post is not None:
+    if sampled:
+        _check_int(n_post, "n_post", 1)
+    elif n_post is not None:
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
     levels = _checked_levels(levels)
     root = SeededRng(seed)
@@ -489,11 +460,10 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
     runs = ((sid, None) for sid in range(n_sims)) if sampled else source  # a sampler draws each block
     for sid, block in runs.items() if isinstance(runs, Mapping) else runs:
-        if isinstance(sid, bool) or not isinstance(sid, numbers.Integral):
-            raise ValueError(f"sim_id must be an integer, got {sid!r}")
+        sid = _check_int(sid, "sim_id")
         if not 0 <= sid < n_sims:
             continue
-        sid, i = int(sid), index[sid]
+        i = index[sid]
         try:
             if sampled:
                 block = source.sample(dataset.observations[i], n_post, root.substream(_POST_TAG, sid))

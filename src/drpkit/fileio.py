@@ -124,13 +124,7 @@ def read_coverage_csv(path):
         parts = s.split(",")
         if len(parts) != 5:
             raise SchemaError(path, ln, f"expected 5 columns, got {len(parts)}")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise SchemaError(path, ln, f"non-numeric value in {s!r}") from None
-        if not np.isfinite(row).all():
-            raise SchemaError(path, ln, f"non-finite value in {s!r}")
-        rows.append(row)
+        rows.append(_parse_floats(path, ln, parts))
     if not rows:
         raise SchemaError(path, len(lines), "no data rows")
     arr = np.asarray(rows)

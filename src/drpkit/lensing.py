@@ -36,13 +36,12 @@ normals and one (n, D) x (D, D) product.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coverage import JointSampleSet, PosteriorSampler, PriorDraw
-from .numerics import SeededRng, cholesky, DecompositionError
+from .numerics import SeededRng, _check_int, cholesky, DecompositionError
 
 SCORE_KINDS = ("exact", "biased")
 
@@ -89,10 +88,7 @@ class VeSchedule:
     def __post_init__(self):
         if not 0 < self.sigma_min < self.sigma_max < math.inf:
             raise ValueError(f"need 0 < sigma_min < sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _check_int(self.steps, "steps", 1)
 
     def sigma(self, t: float) -> float:
         return self.sigma_min * (self.sigma_max / self.sigma_min) ** _check_t(t)
@@ -195,8 +191,8 @@ class LensingModel:
             raise ValueError(
                 f"shape mismatch: operator {A.shape}, prior mean {mu0.shape}, prior cov {cov.shape}"
             )
-        if sigma_n < 0:
-            raise ValueError(f"sigma_n must be nonnegative, got {sigma_n}")
+        if not 0 <= sigma_n < math.inf:
+            raise ValueError(f"sigma_n must be finite and nonnegative, got {sigma_n}")
         self.operator = A
         self.sigma_n = float(sigma_n)
         self.prior_mean = mu0
@@ -262,6 +258,7 @@ def simulate(model: LensingModel, rng) -> tuple:
 
 def make_dataset(model: LensingModel, n_sims: int, seed: int = 0) -> JointSampleSet:
     """Validation set of n_sims forward draws with sim-keyed substreams."""
+    n_sims = _check_int(n_sims, "n_sims", 1)
     root = SeededRng(seed)
     draws = [simulate(model, root.substream(_SIM_TAG, i)) for i in range(n_sims)]
     thetas = np.array([theta for theta, _ in draws]).reshape(n_sims, model.dim_theta)
@@ -430,8 +427,7 @@ class DiffusionPosteriorSampler(PosteriorSampler):
         self._law = _chain_law(model, schedule, kind)
 
     def sample(self, x, n: int, rng: SeededRng) -> np.ndarray:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        _check_int(n, "n", 1)
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.model.dim_x:
             raise ValueError(f"observation has dimension {x.size}, model expects {self.model.dim_x}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -50,10 +51,11 @@ class SeededRng:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < _U64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.stream < _U64:
-            raise ValueError(f"stream must be a 64-bit unsigned integer, got {self.stream}")
+        for name in ("seed", "stream"):
+            value = _check_int(getattr(self, name), name)
+            if not 0 <= value < _U64:
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
+            object.__setattr__(self, name, value)  # a numpy integer is stored as an int
 
     def substream(self, *keys) -> "SeededRng":
         """Derive an independent stream from this one, keyed by ints or strings."""
@@ -96,6 +98,16 @@ def __getattr__(name):
     if name != "_PhiloxKey":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return _philox_key()
+
+
+def _check_int(value, name: str, minimum=None) -> int:
+    """``value`` as an int, refusing bools, non-integers and values below ``minimum``."""
+    # an int skips the slower ABC check: SeededRng runs this for every substream
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def norm_cdf(z: float) -> float:
@@ -163,7 +175,6 @@ def ks_uniform_statistic(values) -> float:
 def binomial_band(credibility_levels, n_sims: int, z: float = 3.0) -> np.ndarray:
     """Pointwise binomial half-widths z * sqrt(c (1-c) / n_sims) of an ECP estimate, one per level c."""
     levels = np.asarray(credibility_levels, dtype=float).ravel()
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be >= 1, got {n_sims}")
+    n_sims = _check_int(n_sims, "n_sims", 1)
     return z * np.sqrt(levels * (1.0 - levels) / n_sims)
 

@@ -124,6 +124,23 @@ class TestGenerateToy:
         with pytest.raises(ValueError):
             ToyConfig(n_sims=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dim", 2.5, "dim must be an integer, got 2.5"), ("dim", True, "dim must be an integer, got True"),
+        ("n_sims", 2.5, "n_sims must be an integer, got 2.5"), ("dim", 0, "dim must be >= 1, got 0"),
+    ])
+    def test_sizes_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ToyConfig(**{field: value})
+        assert ToyConfig(dim=np.int64(2), n_sims=np.int32(3)).dim == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("narrow_factor", math.nan), ("wide_factor", math.inf), ("theta_bounds", (0.0, math.inf)),
+        ("theta_bounds", (math.nan, 1.0)), ("log_sigma_bounds", (-math.inf, -1.0)),
+    ])
+    def test_non_finite_floats_are_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ToyConfig(**{field: value})
+
 
 class TestDiagonalGaussianSampler:
     def test_log_density_matches_scipy_up_to_constant(self):
@@ -195,6 +212,22 @@ class TestConjugatePosterior:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ConjugateConfig(sigma0=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_obs", 1.5, "n_obs must be an integer, got 1.5"), ("n_sims", 2.5, "n_sims must be an integer, got 2.5"),
+        ("n_obs", -1, "n_obs must be >= 0, got -1"), ("n_sims", False, "n_sims must be an integer, got False"),
+    ])
+    def test_sizes_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ConjugateConfig(**{field: value})
+        assert ConjugateConfig(n_obs=np.int64(0)).n_obs == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", math.nan), ("sigma_x", math.inf), ("sigma0", math.inf), ("mu0", math.nan),
+    ])
+    def test_non_finite_floats_are_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ConjugateConfig(**{field: value})
 
 
 class TestUninformativeSampler:

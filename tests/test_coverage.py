@@ -125,6 +125,15 @@ class TestFitNormalization:
         with pytest.raises(NormalizationError):
             fit_normalization(ds, explicit_bounds=(3.0, 3.0))
 
+    @pytest.mark.parametrize("bounds, message", [
+        ([(0.0, 1.0), (3.0, 3.0)], "dimension 1 has lo 3.0, hi 3.0"),
+        ([(5.0, 3.0), (0.0, 1.0)], "dimension 0 has lo 5.0, hi 3.0"),
+    ])
+    def test_bad_bounds_name_the_dimension_and_its_lo_and_hi(self, bounds, message):
+        with pytest.raises(NormalizationError, match=f"lo < hi; {message}$") as err:
+            fit_normalization(make_dataset([[1.0, 1.0], [2.0, 2.0]]), explicit_bounds=bounds)
+        assert err.value.dimension == int(message.split()[1])
+
     @pytest.mark.parametrize("offset, scale", [
         ([0.0, np.inf], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0, np.nan], [1.0, 1.0]),
         ([0.0, 0.0], [1.0, np.nan]),
@@ -181,6 +190,10 @@ class TestSampleReference:
 
     def test_datashift_takes_numpy_integers(self):
         assert DataShift(np.int64(1), 0.5).coordinate == 1
+
+    def test_unknown_policy_type_is_named_before_the_map_is_needed(self):
+        with pytest.raises(TypeError, match="unknown reference policy str"):
+            sample_reference("bogus", None, 1, SeededRng(0))
 
     def test_datashift_missing_coordinate(self):
         ds = make_dataset([[0.0], [1.0]])

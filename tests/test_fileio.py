@@ -80,6 +80,14 @@ class TestCoverageCsv:
         with pytest.raises(SchemaError):
             read_coverage_csv(path)
 
+    @pytest.mark.parametrize("row, message", [("0.5,0.5,abc,0,1", "non-numeric value"),
+                                              ("0.5,0.5,nan,0,1", "non-finite value")])
+    def test_bad_values_read_as_in_the_sample_files(self, tmp_path, row, message):
+        path = tmp_path / "c.csv"
+        path.write_text(f"credibility,alpha,ecp,band_lo,band_hi\n0,1,0,0,0\n{row}\n")
+        with pytest.raises(SchemaError, match=f"^{path}:3: {message}$"):
+            read_coverage_csv(path)
+
 
 class TestSampleFiles:
     def test_joint_round_trip_lossless(self, tmp_path):

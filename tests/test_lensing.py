@@ -381,6 +381,18 @@ class TestSimulate:
         ds2 = make_dataset(model, 12, seed=3)
         assert np.array_equal(ds.theta_true, ds2.theta_true)
 
+    def test_make_dataset_needs_an_integer_count(self):
+        model = small_model()
+        for n_sims in (2.5, True):
+            with pytest.raises(ValueError, match=f"n_sims must be an integer, got {n_sims!r}"):
+                make_dataset(model, n_sims)
+        assert make_dataset(model, np.int64(2)).n_sims == 2
+
+    @pytest.mark.parametrize("sigma_n", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_noise_is_refused(self, sigma_n):
+        with pytest.raises(ValueError, match=f"sigma_n must be finite and nonnegative, got {sigma_n}"):
+            small_model(sigma_n=sigma_n)
+
 
 class TestPriorScore:
     def test_zero_at_mean(self):
@@ -731,6 +743,14 @@ class TestRsdeSampler:
         policy = lensing_prior_policy(model)
         draw = policy.draw(SeededRng(15).generator())
         assert draw.shape == (model.dim_theta,)
+
+    def test_sample_count_must_be_an_integer(self):
+        model = small_model()
+        sampler = DiffusionPosteriorSampler(model, VeSchedule(steps=5), "exact")
+        for n in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+                sampler.sample(np.zeros(model.dim_x), n, SeededRng(1))
+        assert sampler.sample(np.zeros(model.dim_x), np.int64(2), SeededRng(1)).shape == (2, model.dim_theta)
 
 
 class TestOperatorErrors:

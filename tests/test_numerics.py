@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
+from drpkit.coverage import JointSampleSet, drp_test
 from drpkit.numerics import (
     DecompositionError,
     SeededRng,
@@ -203,6 +204,11 @@ class TestBinomialBand:
         with pytest.raises(ValueError):
             binomial_band([0.5], 0)
 
+    @pytest.mark.parametrize("n_sims", [2.5, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, n_sims):
+        with pytest.raises(ValueError, match=f"n_sims must be an integer, got {n_sims!r}"):
+            binomial_band([0.5], n_sims)
+
 
 class TestSeededRng:
     def test_reproducible_draws(self):
@@ -263,4 +269,27 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(1 << 64)
+
+    @pytest.mark.parametrize("seed, stream, message", [
+        (1.5, 0, "seed must be an integer, got 1.5"), (1.0, 0, "seed must be an integer, got 1.0"),
+        (True, 0, "seed must be an integer, got True"), (0, 2.5, "stream must be an integer, got 2.5"),
+        (0, False, "stream must be an integer, got False"),
+    ])
+    def test_seed_and_stream_must_be_integers(self, seed, stream, message):
+        with pytest.raises(ValueError, match=message):
+            SeededRng(seed, stream)
+
+    def test_a_fractional_seed_does_not_replay_an_integer_seed(self):
+        ds = JointSampleSet(theta_true=np.arange(4.0)[:, None], observations=(0,) * 4, sim_ids=np.arange(4))
+        draws = {s: np.zeros((3, 1)) for s in range(4)}
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            drp_test(ds, draws, seed=1.5)
+
+    def test_numpy_integer_seeds_are_stored_as_ints(self):
+        rng = SeededRng(np.int64(3), np.uint64(2**63 + 5))
+        assert rng == SeededRng(3, 2**63 + 5)
+        assert type(rng.seed) is int and type(rng.stream) is int
+        assert rng.substream("a") == SeededRng(3, 2**63 + 5).substream("a")
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got -1"):
+            SeededRng(np.int8(-1))
 
