@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import DataShift, JointSampleSet, PosteriorSampler, PriorDraw
-from .numerics import SeededRng, _check_int, norm_isf
+from .numerics import SeededRng, _check_int, _check_positive, norm_isf
 
 TOY_CASES = ("correct", "overconfident", "underconfident", "biased")
 
@@ -51,8 +51,7 @@ class ToyConfig:
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"{name} must be finite and ordered (lo < hi), got {(lo, hi)}")
         for name in ("narrow_factor", "wide_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            _check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,7 @@ class ConjugateConfig:
         if not math.isfinite(self.mu0):
             raise ValueError(f"mu0 must be finite, got {self.mu0}")
         for name in ("sigma0", "sigma_x"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            _check_positive(getattr(self, name), name)
         _check_int(self.n_obs, "n_obs", 0)
         _check_int(self.n_sims, "n_sims", 1)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 
@@ -40,11 +39,12 @@ from .coverage import (
     UnitHypercubeUniform,
     WeightedEuclidean,
     coverage_tests,
-    drp_test,
     fit_normalization,
 )
 from .fileio import (
+    _write_table,
     posterior_writer,
+    read_headerless_file,
     read_joint_file,
     read_observation_file,
     read_posterior_runs,
@@ -52,8 +52,6 @@ from .fileio import (
     write_coverage_csv,
     write_joint_file,
     write_resolved_config,
-    atomic_write_text,
-    format_float,
 )
 from .lensing import (
     DiffusionPosteriorSampler,
@@ -62,19 +60,30 @@ from .lensing import (
     lensing_prior_policy,
     make_dataset,
 )
-from .numerics import SeededRng
+from .numerics import SeededRng, _check_int, _check_positive
 from .svgplot import render_coverage_svg
 
 _TOY_CASE_FLAGS = {"correct": "correct", "over": "overconfident",
                    "under": "underconfident", "biased": "biased"}
 
 
-def _seed(text):
-    """argparse type of --seed: an integer that SeededRng accepts."""
-    try:
-        return SeededRng(int(text)).seed
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from e
+def _flag_type(parse):
+    """An argparse type: ``parse(text)``, whose ValueError is a usage error."""
+    def flag_type(text):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from e
+    return flag_type
+
+
+def _count(name, minimum=1):
+    """argparse type of an integer flag: numerics' integer check, with its ``minimum``."""
+    return _flag_type(lambda text: _check_int(int(text), name, minimum))
+
+
+_seed = _flag_type(lambda text: SeededRng(int(text)).seed)  # an integer that SeededRng accepts
+_kernel_scale = _flag_type(lambda text: _check_positive(float(text), "kernel_scale"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     toy = sub.add_parser("toy", help="Gaussian toy-model experiment")
     toy.add_argument("--case", choices=sorted(_TOY_CASE_FLAGS), required=True)
-    toy.add_argument("--dim", type=int, default=10)
-    toy.add_argument("--n-sims", type=int, default=500)
-    toy.add_argument("--n-post", type=int, default=500)
+    toy.add_argument("--dim", type=_count("dim"), default=10)
+    toy.add_argument("--n-sims", type=_count("n_sims"), default=500)
+    toy.add_argument("--n-post", type=_count("n_post"), default=500)
     toy.add_argument("--seed", type=_seed, default=0)
     toy.add_argument("--methods", default="drp,hpd", help="comma list from {drp,hpd}")
     toy.add_argument("--ref-policy", choices=["hypercube", "prior"], default="hypercube")
-    toy.add_argument("--repeats", type=int, default=1)
+    toy.add_argument("--repeats", type=_count("repeats"), default=1)
     toy.add_argument("--out", required=True)
     toy.add_argument("--svg", action="store_true", help="also render coverage.svg")
     toy.add_argument("--dump-samples", action="store_true",
@@ -99,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     toy.set_defaults(func=_run_toy)
 
     uni = sub.add_parser("uninformative", help="prior-as-posterior conjugate experiment")
-    uni.add_argument("--n-sims", type=int, default=500)
-    uni.add_argument("--n-post", type=int, default=500)
+    uni.add_argument("--n-sims", type=_count("n_sims"), default=500)
+    uni.add_argument("--n-post", type=_count("n_post"), default=500)
     uni.add_argument("--seed", type=_seed, default=0)
     uni.add_argument("--out", required=True)
     uni.set_defaults(func=_run_uninformative)
@@ -108,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     lens = sub.add_parser("lensing", help="linear-Gaussian reverse-SDE experiment")
     lens.add_argument("--estimator", choices=["exact", "biased"], required=True)
     lens.add_argument("--source-size", type=int, choices=[8, 16], default=8)
-    lens.add_argument("--n-sims", type=int, default=100)
-    lens.add_argument("--n-post", type=int, default=200)
-    lens.add_argument("--steps", type=int, default=300)
+    lens.add_argument("--n-sims", type=_count("n_sims"), default=100)
+    lens.add_argument("--n-post", type=_count("n_post"), default=200)
+    lens.add_argument("--steps", type=_count("steps"), default=300)
     lens.add_argument("--seed", type=_seed, default=0)
-    lens.add_argument("--kernel-scale", type=float, default=0.3)
-    lens.add_argument("--dump-grids", type=int, default=1,
+    lens.add_argument("--kernel-scale", type=_kernel_scale, default=0.3)
+    lens.add_argument("--dump-grids", type=_count("dump_grids", 0), default=1,
                       help="write truth/mean/std/residual grids for the first K sims")
     lens.add_argument("--out", required=True)
     lens.set_defaults(func=_run_lensing)
@@ -137,42 +146,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _require_positive(parser, args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) < 1:
-            parser.error(f"--{name} must be >= 1")
-
-
-def _prepare_out(args, extra=None):
+def _write_curves(args, dataset, source, outputs, config=None, **kwargs):
+    """Rank ``source``'s draws once, by coverage_tests with ``kwargs``, for every
+    row of ``outputs``: {CSV name: (test spec, policy label, metric label)}.
+    Only then is --out written: the resolved config, with the ``config``
+    entries, and each curve's CSV."""
+    curves = coverage_tests(dataset, source, [spec for spec, _, _ in outputs.values()], seed=args.seed, **kwargs)
     os.makedirs(args.out, exist_ok=True)
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["version"] = __version__
-    if extra:
-        cfg.update(extra)
-    write_resolved_config(args.out, cfg)
+    write_resolved_config(args.out, {**{k: v for k, v in vars(args).items() if k != "func"},
+                                     "version": __version__, **(config or {})})
+    for (name, (_, policy, metric)), curve in zip(outputs.items(), curves):
+        write_coverage_csv(os.path.join(args.out, name), curve, seed=args.seed, policy=policy, metric=metric)
 
 
 def _run_toy(args, parser) -> int:
-    _require_positive(parser, args, "dim", "n-sims", "n-post", "repeats")
     methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     if not methods or any(m not in ("drp", "hpd") for m in methods):
         parser.error("--methods must be a comma list from {drp,hpd}")
     config = ToyConfig(dim=args.dim, n_sims=args.n_sims, case=_TOY_CASE_FLAGS[args.case])
-    _prepare_out(args, {"case_internal": config.case, "theta_bounds": config.theta_bounds})
     dataset, sampler = generate_toy(config, seed=args.seed)
     policy = UnitHypercubeUniform() if args.ref_policy == "hypercube" else toy_prior_policy(config)
-    specs = {"drp": DrpSpec(policy, bounds=config.theta_bounds, repeats=args.repeats), "hpd": HpdSpec()}
-    labels = {"drp": {"policy": args.ref_policy, "metric": "euclidean"}, "hpd": {}}
-    names = [m for m in specs if m in methods]
-    # one sampling pass feeds every test, and the dump streams the draws they rank
-    dump = (posterior_writer(os.path.join(args.out, "toy_posterior.csv")) if args.dump_samples
-            else contextlib.nullcontext())
+    tests = {"drp": (DrpSpec(policy, bounds=config.theta_bounds, repeats=args.repeats), args.ref_policy, "euclidean"),
+             "hpd": (HpdSpec(), "", "")}
+    dump = contextlib.nullcontext()
+    if args.dump_samples:  # streams the draws the tests rank, so --out is made before the curves
+        os.makedirs(args.out, exist_ok=True)
+        dump = posterior_writer(os.path.join(args.out, "toy_posterior.csv"))
     with dump as on_draws:
-        curves = coverage_tests(dataset, sampler, [specs[m] for m in names], n_post=args.n_post,
-                                seed=args.seed, on_draws=on_draws)
-    for name, curve in zip(names, curves):
-        write_coverage_csv(os.path.join(args.out, f"{name}.csv"), curve, seed=args.seed, **labels[name])
-
+        _write_curves(args, dataset, sampler, {f"{m}.csv": tests[m] for m in tests if m in methods},
+                      {"case_internal": config.case, "theta_bounds": config.theta_bounds},
+                      n_post=args.n_post, on_draws=on_draws)
     if args.dump_samples:
         write_joint_file(os.path.join(args.out, "toy_joint.csv"),
                          dataset.sim_ids, dataset.theta_true)
@@ -183,46 +186,29 @@ def _run_toy(args, parser) -> int:
 
 
 def _run_uninformative(args, parser) -> int:
-    _require_positive(parser, args, "n-sims", "n-post")
     config = ConjugateConfig(n_sims=args.n_sims)
-    _prepare_out(args, {"n_obs": config.n_obs, "mu0": config.mu0,
-                        "sigma0": config.sigma0, "sigma_x": config.sigma_x})
     dataset, _ = generate_conjugate(config, seed=args.seed)
-    sampler = UninformativeSampler(config)
-
-    # file: (test, policy label, metric label); one sampling pass feeds all three
     outputs = {"hpd.csv": (HpdSpec(), "", ""),
                "drp-prior.csv": (DrpSpec(conjugate_prior_policy(config)), "prior", "euclidean"),
                "drp-datashift.csv": (DrpSpec(conjugate_datashift_policy()), "datashift:0,1", "euclidean")}
-    curves = coverage_tests(dataset, sampler, [spec for spec, _, _ in outputs.values()],
-                            n_post=args.n_post, seed=args.seed)
-    for (name, (_, policy, metric)), curve in zip(outputs.items(), curves):
-        write_coverage_csv(os.path.join(args.out, name), curve, seed=args.seed, policy=policy, metric=metric)
+    _write_curves(args, dataset, UninformativeSampler(config), outputs,
+                  {"n_obs": config.n_obs, "mu0": config.mu0, "sigma0": config.sigma0, "sigma_x": config.sigma_x},
+                  n_post=args.n_post)
     return 0
 
 
 def _grid_csv(path, side, truth, mean, std):
-    lines = ["row,col,truth,post_mean,post_std,residual"]
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            vals = (truth[i], mean[i], std[i], truth[i] - mean[i])
-            lines.append(f"{r},{c}," + ",".join(format_float(v) for v in vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Per pixel, its row and column, then truth, posterior mean and std, and residual."""
+    cols = np.column_stack([np.tile(np.arange(side), side), truth, mean, std, truth - mean])
+    _write_table(path, ["row", "col", "truth", "post_mean", "post_std", "residual"],
+                 enumerate(cols.reshape(side, side, 5)))
 
 
 def _run_lensing(args, parser) -> int:
-    _require_positive(parser, args, "n-sims", "n-post", "steps")
-    if not 0 < args.kernel_scale < math.inf:
-        parser.error(f"--kernel-scale must be finite and positive, got {args.kernel_scale}")
-    if args.dump_grids < 0:
-        parser.error("--dump-grids must be >= 0")
-    _prepare_out(args, {"obs_size": 2 * args.source_size, "sigma_n": 1.0})
     model = build_model(source_side=args.source_size, obs_side=2 * args.source_size,
                         sigma_n=1.0, kernel_scale=args.kernel_scale, seed=args.seed)
-    schedule = VeSchedule(steps=args.steps)
     dataset = make_dataset(model, args.n_sims, seed=args.seed)
-    sampler = DiffusionPosteriorSampler(model, schedule, args.estimator)
+    sampler = DiffusionPosteriorSampler(model, VeSchedule(steps=args.steps), args.estimator)
     # the grids summarise the draws the test ranks, so nothing is sampled twice
     moments = {}
 
@@ -230,10 +216,9 @@ def _run_lensing(args, parser) -> int:
         if sid < args.dump_grids:  # sim_ids are 0..N-1
             moments[sid] = (draws.mean(axis=0), draws.std(axis=0))
 
-    curve = drp_test(dataset, sampler, n_post=args.n_post, policy=lensing_prior_policy(model),
-                     seed=args.seed, on_draws=keep_moments)
-    write_coverage_csv(os.path.join(args.out, f"{args.estimator}.csv"), curve,
-                       seed=args.seed, policy="prior", metric="euclidean")
+    _write_curves(args, dataset, sampler,
+                  {f"{args.estimator}.csv": (DrpSpec(lensing_prior_policy(model)), "prior", "euclidean")},
+                  {"obs_size": 2 * args.source_size, "sigma_n": 1.0}, n_post=args.n_post, on_draws=keep_moments)
     for i, sid in enumerate(dataset.sim_ids[:args.dump_grids]):
         _grid_csv(os.path.join(args.out, f"sim{sid:03d}_grids.csv"), args.source_size,
                   dataset.theta_true[i], *moments[int(sid)])
@@ -244,8 +229,7 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
     if spec == "hypercube":
         return UnitHypercubeUniform()
     if spec.startswith("prior-file:"):
-        path = spec.split(":", 1)[1]
-        rows = read_prior_file(path, dim)
+        rows = read_prior_file(spec.split(":", 1)[1], dim)
         return PriorDraw(draw=lambda g: rows[g.integers(rows.shape[0])])
     if spec.startswith("datashift:"):
         parts = spec.split(":", 1)[1].split(",")
@@ -266,8 +250,7 @@ def _parse_metric(parser, spec):
         return Euclidean()
     if spec.startswith("weighted:"):
         try:
-            with open(spec.split(":", 1)[1]) as fh:
-                return WeightedEuclidean(weights=np.array([float(ln) for ln in fh.read().split()]))
+            return WeightedEuclidean(weights=read_headerless_file(spec.split(":", 1)[1], 1, "weights"))
         except (OSError, ValueError) as e:
             parser.error(f"--metric {spec}: {e}")
     parser.error(f"unknown --metric {spec!r}")
@@ -278,7 +261,7 @@ def _parse_bounds(parser, spec, dataset):
         return None
     try:
         if spec.startswith("file:"):
-            bounds = np.loadtxt(spec.split(":", 1)[1], delimiter=",", ndmin=2)
+            bounds = read_headerless_file(spec.split(":", 1)[1], 2, "bounds")
         elif ":" in spec:
             bounds = tuple(map(float, spec.split(":", 1)))
         else:
@@ -303,11 +286,8 @@ def _run_coverage(args, parser) -> int:
     bounds = _parse_bounds(parser, args.bounds, dataset)
 
     # each run of the posterior file is ranked as it is parsed, then dropped
-    runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims))
-    curve = drp_test(dataset, runs, policy=policy, metric=metric, seed=args.seed, bounds=bounds)
-    _prepare_out(args)
-    write_coverage_csv(os.path.join(args.out, "drp.csv"), curve, seed=args.seed,
-                       policy=args.ref_policy, metric=args.metric)
+    runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim))
+    _write_curves(args, dataset, runs, {"drp.csv": (DrpSpec(policy, metric, bounds), args.ref_policy, args.metric)})
     return 0
 
 

@@ -376,6 +376,10 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
     _check_policy(spec.policy, nmap.dim)
+    if isinstance(spec.policy, DataShift):
+        width = min(np.asarray(x, dtype=float).size for x in dataset.observations)
+        if spec.policy.coordinate >= width:
+            raise ValueError(f"observations have {width} coordinates, DataShift needs index {spec.policy.coordinate}")
     k = np.zeros((dataset.n_sims, repeats), dtype=np.int64)
     refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 

@@ -9,6 +9,8 @@ files carry a header naming their columns:
 * posterior file:  sim_id, sample_id, theta_0 .. theta_{D-1}
 * observation file: sim_id, x_0 .. x_{M-1}
 * prior-draw file:  theta_0 .. theta_{D-1}, headerless
+* bounds file:      lo, hi, headerless, one row per parameter
+* weights file:     one weight per line, headerless
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError
@@ -34,7 +36,6 @@ import numpy as np
 from .coverage import CoverageCurve
 
 COVERAGE_HEADER = "credibility,alpha,ecp,band_lo,band_hi"
-_META_KEYS = ("method", "n_sims", "n_post", "seed", "policy", "metric")
 
 
 class SchemaError(ValueError):
@@ -88,19 +89,11 @@ def write_coverage_csv(path, curve: CoverageCurve, seed, policy: str = "", metri
     trailing metadata rows. The uncertainty band columns are the curve's
     binomial band centered on the estimate, clipped to [0, 1]."""
     order = np.argsort(curve.levels)
-    lines = [COVERAGE_HEADER]
-    for i in order:
-        c = curve.levels[i]
-        e = curve.ecp[i]
-        hw = curve.band[i]
-        lo = min(max(e - hw, 0.0), 1.0)
-        hi = min(max(e + hw, 0.0), 1.0)
-        lines.append(",".join(format_float(v) for v in (c, 1.0 - c, e, lo, hi)))
+    c, e, hw = curve.levels[order], curve.ecp[order], curve.band[order]
     meta = {"method": curve.method, "n_sims": curve.n_sims, "n_post": curve.n_post,
             "seed": seed, "policy": policy, "metric": metric}
-    for k in _META_KEYS:
-        lines.append(f"# {k}={meta[k]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = _rows(np.column_stack([c, 1.0 - c, e, np.clip(e - hw, 0.0, 1.0), np.clip(e + hw, 0.0, 1.0)]))
+    atomic_write_text(path, COVERAGE_HEADER + "\n" + rows + "".join(f"# {k}={v}\n" for k, v in meta.items()))
 
 
 def read_coverage_csv(path):
@@ -144,10 +137,10 @@ def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
 
-def _rows(sid, block):
-    """Per row of the (n, C) float ``block``, a line of the sim_id and C floats;
+def _rows(block, lead=""):
+    """Per row of the (n, C) float ``block``, a line of ``lead`` and C floats;
     "%.17g" prints each float as format_float does."""
-    row = ",".join([str(int(sid))] + ["%.17g"] * block.shape[1]) + "\n"
+    row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
     return row * block.shape[0] % tuple(block.ravel().tolist())
 
 
@@ -156,7 +149,7 @@ def _write_table(path, header, blocks):
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for sid, block in blocks:
-            fh.write(_rows(sid, np.asarray(block, dtype=float)))
+            fh.write(_rows(np.asarray(block, dtype=float), f"{int(sid)},"))
 
 
 def write_joint_file(path, sim_ids, thetas):
@@ -185,7 +178,7 @@ def posterior_writer(path):
             elif draws.shape[1] != first[1]:
                 raise ValueError(f"samples for sim_id {sim_id} have dimension {draws.shape[1]}, "
                                  f"sim_id {first[0]} has {first[1]}")
-            fh.write(_rows(sim_id, np.column_stack([np.arange(len(draws)), draws])))
+            fh.write(_rows(np.column_stack([np.arange(len(draws)), draws]), f"{int(sim_id)},"))
 
         yield write
         if first is None:
@@ -205,7 +198,7 @@ def write_observation_file(path, sim_ids, xs):
     _write_table(path, ["sim_id"] + _theta_header(xs.shape[1], "x"), zip(sim_ids, xs[:, None]))
 
 
-def _parse_header(path, line, expected_fixed, value_prefix):
+def _parse_header(path, line, expected_fixed, value_prefix, dim=None):
     cols = [c.strip() for c in line.split(",")]
     if cols[: len(expected_fixed)] != list(expected_fixed):
         raise SchemaError(path, 1, f"header must start with {','.join(expected_fixed)}")
@@ -213,6 +206,8 @@ def _parse_header(path, line, expected_fixed, value_prefix):
     expect = _theta_header(len(value_cols), value_prefix)
     if not value_cols or value_cols != expect:
         raise SchemaError(path, 1, f"value columns must be {value_prefix}_0..{value_prefix}_{{D-1}}")
+    if dim is not None and len(value_cols) != dim:
+        raise SchemaError(path, 1, f"expected {dim} {value_prefix} columns, got {len(value_cols)}")
     return len(value_cols)
 
 
@@ -298,9 +293,9 @@ def _table_chunks(path, fixed, prefix, dim=None, unique=False):
     """The rows of the integer ``fixed`` columns, then D floats, one chunk of
     text at a time: per chunk that holds rows, (the first id column, a (rows,
     D) array, the line number of each row). D comes from a header naming the
-    ``prefix``_d columns; with no ``prefix`` the file is headerless and D is
-    ``dim``. Blank lines are skipped but numbered. ``unique`` forbids repeated
-    ids anywhere in the file.
+    ``prefix``_d columns, which must number ``dim`` if given; with no
+    ``prefix`` the file is headerless and D is ``dim``. Blank lines are
+    skipped but numbered. ``unique`` forbids repeated ids anywhere in the file.
 
     One np.loadtxt call parses a chunk; when numpy rejects a row, or a value is
     not finite, or an id repeats, the per-line reader reads the chunk's lines."""
@@ -312,7 +307,7 @@ def _table_chunks(path, fixed, prefix, dim=None, unique=False):
                 text += fh.readline()  # a chunk ends at a line break
             lines = text.splitlines()
             if prefix is not None and ln == 1:
-                dim, lines, ln = _parse_header(path, lines[0], fixed, prefix), lines[1:], 2
+                dim, lines, ln = _parse_header(path, lines[0], fixed, prefix, dim), lines[1:], 2
             rows = list(filter(str.strip, lines))
             if rows:
                 yield _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen)
@@ -348,17 +343,18 @@ def read_joint_file(path):
     return _read_table(path, ("sim_id",), "theta", dense=True)
 
 
-def read_posterior_runs(path, n_sims: Optional[int] = None):
+def read_posterior_runs(path, n_sims: Optional[int] = None, dim: Optional[int] = None):
     """Yields (sim_id, line, (rows, D) array) for each maximal run of
     consecutive rows that share a sim_id, in file order; ``line`` is the line
-    of the run's first row. Memory holds one chunk of text and one run.
+    of the run's first row. Memory holds one chunk of text and one run. Given
+    ``dim``, a header with another D fails at line 1, before any row is read.
 
     Given ``n_sims``, a sim_id outside [0, n_sims) is reported at its run's
     line when the reader reaches it, and the first sim_id in [0, n_sims) with
     no rows at line 1, once the whole file is read."""
     run = None  # (sim_id, line, [value blocks])
     present = np.zeros(n_sims or 0, dtype=bool)
-    for ids, values, line_of in _table_chunks(path, ("sim_id", "sample_id"), "theta"):
+    for ids, values, line_of in _table_chunks(path, ("sim_id", "sample_id"), "theta", dim):
         starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
         for a, b in zip(np.r_[0, starts], np.r_[starts, len(ids)]):
             sid = int(ids[a])
@@ -388,13 +384,19 @@ def read_observation_file(path, n_sims: Optional[int] = None):
     return sim_ids, xs
 
 
-def read_prior_file(path, dim: int):
-    """Returns the (rows, dim) draws of a headerless file, one per line;
-    error line numbers count blank lines, as in the other sample files."""
+def read_headerless_file(path, dim: int, kind: str):
+    """Returns the (rows, dim) values of a headerless file, one row per line;
+    error line numbers count blank lines, as in the other sample files, and a
+    file with no rows is an "empty ``kind`` file"."""
     _, rows = _read_table(path, (), None, dim)
     if not len(rows):
-        raise SchemaError(path, 1, "empty prior-draw file")
+        raise SchemaError(path, 1, f"empty {kind} file")
     return rows
+
+
+def read_prior_file(path, dim: int):
+    """Returns the (rows, dim) draws of a prior-draw file."""
+    return read_headerless_file(path, dim, "prior-draw")
 
 
 def write_resolved_config(out_dir, config: dict, name: str = "resolved_config.txt"):

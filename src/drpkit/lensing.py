@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import JointSampleSet, PosteriorSampler, PriorDraw
-from .numerics import SeededRng, _check_int, cholesky, DecompositionError
+from .numerics import SeededRng, _check_int, _check_positive, cholesky, DecompositionError
 
 SCORE_KINDS = ("exact", "biased")
 
@@ -159,8 +159,7 @@ def build_prior(dim_theta: int, kernel_scale: float = 0.3, seed: int = 0):
     squared-exponential kernel over pixel coordinates plus 1e-4 I jitter, so
     every eigenvalue is at least 1e-4; :class:`LensingModel` factors it.
     """
-    if not 0 < kernel_scale < math.inf:
-        raise ValueError(f"kernel_scale must be finite and positive, got {kernel_scale}")
+    _check_positive(kernel_scale, "kernel_scale")
     side = _square_side(dim_theta, "dim_theta")
     grid = _pixel_grid(side)
     g = SeededRng(seed).substream(_PRIOR_TAG).generator()

@@ -110,6 +110,13 @@ def _check_int(value, name: str, minimum=None) -> int:
     return int(value)
 
 
+def _check_positive(value, name: str):
+    """``value``, refusing NaN, infinities and values <= 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def norm_cdf(z: float) -> float:
     """Standard normal CDF, via the C library's erfc (accurate to ~1 ulp)."""
     z = float(z)

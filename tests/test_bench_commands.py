@@ -1,6 +1,6 @@
-"""The benchmark's CLI calls parse with today's CLI, so a CLI change that would
-break the benchmark fails here first. Only reads ``bench/workloads.py``; no
-command is run."""
+"""The benchmark's CLI calls parse and run with today's CLI, and their outputs
+pass the workload's own check, so a CLI change that would break the benchmark
+fails here first. Only reads ``bench/workloads.py``."""
 
 import importlib.util
 import sys
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from drpkit.cli import build_parser
+from drpkit.cli import build_parser, main
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -28,3 +28,11 @@ def test_every_bench_command_parses(seed, tmp_path):
     for argv in commands:
         args = parser.parse_args(argv)  # argparse exits on a flag or value it does not take
         assert args.command == argv[0] and callable(args.func)
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads()))
+def test_every_bench_workload_runs_and_passes_its_check(name, tmp_path):
+    workload = bench_workloads()[name]
+    for argv in workload.commands(str(tmp_path), 1):
+        assert main(argv) == 0, argv
+    assert workload.check(str(tmp_path), 1) == []

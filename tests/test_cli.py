@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, file contracts, round trips."""
 
+import argparse
 import inspect
 import os
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 import drpkit
 from drpkit import benchmarks, cli
 from drpkit.coverage import coverage_tests, drp_test, ecp_curve, hpd_test
-from drpkit.fileio import (format_float, read_coverage_csv, write_coverage_csv, write_joint_file,
-                           write_observation_file, write_posterior_file)
+from drpkit.fileio import (format_float, read_coverage_csv, read_resolved_config, write_coverage_csv,
+                           write_joint_file, write_observation_file, write_posterior_file)
 from drpkit.numerics import SeededRng
 
 
@@ -55,6 +56,28 @@ class TestToyCommand:
     def test_usage_error_on_zero_sims(self, tmp_path):
         code = run(*toy_args(tmp_path / "o", n_sims=0))
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dim", "0", "argument --dim: dim must be >= 1, got 0"),
+        ("--n-sims", "-3", "argument --n-sims: n_sims must be >= 1, got -3"),
+        ("--n-post", "0", "argument --n-post: n_post must be >= 1, got 0"),
+        ("--repeats", "0", "argument --repeats: repeats must be >= 1, got 0"),
+        ("--dim", "1.5", "argument --dim: invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_count_flags_are_checked_by_their_type_and_write_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert run("toy", "--case", "correct", flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
+    def test_a_failed_run_writes_nothing(self, tmp_path, monkeypatch):
+        def blow_up(*args, **kwargs):
+            raise RuntimeError("sampler failed")
+
+        monkeypatch.setattr(benchmarks.DiagonalGaussianSampler, "sample", blow_up)
+        out = tmp_path / "o"
+        assert run(*toy_args(out)) == 1
+        assert not out.exists()
 
     def test_usage_error_on_bad_method(self, tmp_path):
         assert run(*toy_args(tmp_path / "o", extra=("--methods", "drp,nope"))) == 2
@@ -242,6 +265,17 @@ class TestLensingCommand:
                       draws.mean(axis=0), draws.std(axis=0))
         assert (out / "sim000_grids.csv").read_bytes() == (tmp_path / "expect.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "0", "argument --steps: steps must be >= 1, got 0"),
+        ("--dump-grids", "-1", "argument --dump-grids: dump_grids must be >= 0, got -1"),
+        ("--kernel-scale", "nan", "argument --kernel-scale: kernel_scale must be finite and positive, got nan"),
+    ])
+    def test_flags_are_checked_by_their_type_and_write_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "l"
+        assert run("lensing", "--estimator", "exact", flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+
     def test_zero_steps_usage_error(self, tmp_path):
         assert run("lensing", "--estimator", "exact", "--steps", "0",
                    "--out", str(tmp_path / "l")) == 2
@@ -306,6 +340,27 @@ class TestCoverageCommand:
         err = capsys.readouterr().err
         assert err == "error: metric has 3 weights, parameters have dimension 2\n"
         assert not (tmp_path / "o").exists()
+
+    def test_posterior_dimension_is_checked_at_its_header(self, tmp_path, capsys):
+        joint, _ = self.make_files(tmp_path, dim=2)
+        post = tmp_path / "post3.csv"
+        write_posterior_file(post, {i: np.zeros((5, 3)) for i in range(12)})
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {post}:1: expected 2 theta columns, got 3\n"
+        assert not out.exists()
+
+    def test_datashift_coordinate_is_checked_before_any_simulation(self, tmp_path, capsys):
+        g = SeededRng(4).generator()
+        truths = g.uniform(-1, 1, (8, 1))
+        write_joint_file(tmp_path / "joint.csv", np.arange(8), truths)
+        write_posterior_file(tmp_path / "post.csv", {i: truths[i] + g.standard_normal((6, 1)) for i in range(8)})
+        write_observation_file(tmp_path / "x.csv", np.arange(8), g.standard_normal((8, 2)))
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(tmp_path / "joint.csv"), "--posterior", str(tmp_path / "post.csv"),
+                   "--obs", str(tmp_path / "x.csv"), "--ref-policy", "datashift:2,1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: observations have 2 coordinates, DataShift needs index 2\n"
+        assert not out.exists()
 
     def test_missing_posterior_sim_exits_one(self, tmp_path, capsys):
         joint, post = self.make_files(tmp_path)
@@ -452,6 +507,36 @@ class TestCoverageCommand:
         assert run("coverage", "--joint", str(joint), "--posterior", str(post),
                    "--bounds", f"file:{bfile}", "--out", str(tmp_path / "o")) == 0
 
+    @pytest.mark.parametrize("flag, name, text, where", [
+        ("--bounds", "b.csv", "-5,5\n-5,abc\n", ":2: non-numeric value"),
+        ("--bounds", "b.csv", "-5,5\n\n-5\n", ":3: expected 2 columns, got 1"),
+        ("--bounds", "b.csv", "\n", ":1: empty bounds file"),
+        ("--metric", "w.txt", "1\n2 3\n", ":2: non-numeric value"),
+        ("--metric", "w.txt", "1\nnan\n", ":2: non-finite value"),
+        ("--metric", "w.txt", "", ":1: empty weights file"),
+    ])
+    def test_bounds_and_weights_file_errors_name_the_line(self, tmp_path, capsys, flag, name, text, where):
+        joint, post = self.make_files(tmp_path)
+        (tmp_path / name).write_text(text)
+        spec = f"file:{tmp_path / name}" if flag == "--bounds" else f"weighted:{tmp_path / name}"
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post), flag, spec, "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(f"error: {flag} {spec}: {tmp_path / name}{where}\n")
+        assert not out.exists()
+
+    def test_bounds_and_weights_files_read_tokens_as_the_sample_files_do(self, tmp_path):
+        joint, post = self.make_files(tmp_path)
+        (tmp_path / "b.csv").write_text("-1_0,1_0\n-10,10\n")
+        (tmp_path / "w.txt").write_text("1_0\n\n2\n")
+        (tmp_path / "b10.csv").write_text("-10,10\n-10,10\n")
+        (tmp_path / "w10.txt").write_text("10\n2\n")
+        for name, bounds, weights in (("underscored", "b.csv", "w.txt"), ("plain", "b10.csv", "w10.txt")):
+            assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                       "--bounds", f"file:{tmp_path / bounds}", "--metric", f"weighted:{tmp_path / weights}",
+                       "--out", str(tmp_path / name)) == 0
+        underscored, plain = (read_coverage_csv(tmp_path / n / "drp.csv")[:5] for n in ("underscored", "plain"))
+        assert all(np.array_equal(a, b) for a, b in zip(underscored, plain))
+
     def test_varying_sample_counts_allowed(self, tmp_path):
         g = SeededRng(6).generator()
         truths = g.uniform(-1, 1, (4, 1))
@@ -510,6 +595,52 @@ class TestPlotCommand:
         assert run("plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")) == 1
         assert f"{bad}:3: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+
+def replay_argv(out):
+    """The argv that ``out/resolved_config.txt`` records: the subcommand and
+    each of its flags, a store-true flag only when set."""
+    config = read_resolved_config(out / "resolved_config.txt")
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    argv = [config["command"]]
+    for action in subparsers.choices[config["command"]]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        value, flag = config[action.dest], action.option_strings[0]
+        if isinstance(action, argparse._StoreTrueAction):
+            argv += [flag] if value == "True" else []
+        elif not (action.default is None and value == "None"):
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def output_files(out):
+    """{name: bytes} of every file in ``out``, with the out= line of the config dropped."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["resolved_config.txt"] = b"".join(ln for ln in files["resolved_config.txt"].splitlines(True)
+                                            if not ln.startswith(b"out="))
+    return files
+
+
+class TestResolvedConfig:
+    def test_every_command_replays_from_its_config(self, tmp_path):
+        toy = tmp_path / "toy"
+        runs = {
+            "toy": toy_args(toy, case="biased", extra=("--repeats", "2", "--ref-policy", "prior", "--svg",
+                                                       "--dump-samples")),
+            "uninf": ["uninformative", "--n-sims", "20", "--n-post", "15", "--seed", "2",
+                      "--out", str(tmp_path / "uninf")],
+            "lensing": ["lensing", "--estimator", "biased", "--n-sims", "3", "--n-post", "8", "--steps", "20",
+                        "--seed", "4", "--dump-grids", "2", "--out", str(tmp_path / "lensing")],
+            "coverage": ["coverage", "--joint", str(toy / "toy_joint.csv"), "--posterior", str(toy / "toy_posterior.csv"),
+                         "--seed", "7", "--out", str(tmp_path / "coverage")],
+        }
+        for name, argv in runs.items():
+            assert run(*argv) == 0
+            replayed = tmp_path / f"{name}-replayed"
+            again = [f"--out={replayed}" if a.startswith("--out=") else a for a in replay_argv(tmp_path / name)]
+            assert run(*again) == 0, again
+            assert output_files(replayed) == output_files(tmp_path / name)
 
 
 class TestExitCodes:
