@@ -42,7 +42,6 @@ from .coverage import (
     ecp_curve,
     fit_normalization,
     hpd_test,
-    sample_reference,
 )
 from .benchmarks import (
     ConjugateConfig,
@@ -83,7 +82,7 @@ __all__ = [
     "Euclidean", "HpdSpec", "JointSampleSet", "NormalizationError", "NormalizationMap",
     "PosteriorSampler", "PriorDraw", "RankTable", "ReferencePolicy", "SimulationError",
     "UnitHypercubeUniform", "WeightedEuclidean", "coverage_tests", "default_levels", "drp_test",
-    "ecp_curve", "fit_normalization", "hpd_test", "sample_reference",
+    "ecp_curve", "fit_normalization", "hpd_test",
     "ConjugateConfig", "DiagonalGaussianSampler", "ToyConfig", "ToySimulation",
     "UninformativeSampler", "biased_mean", "conjugate_datashift_policy",
     "conjugate_posterior_params", "conjugate_prior_policy", "generate_conjugate", "generate_toy",

@@ -171,10 +171,18 @@ def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> Normaliz
 
 
 # --- reference-point policies -------------------------------------------------
+# ``check(dataset)`` refuses a dataset the policy cannot serve, before any draw;
+# ``point(g, x, nmap)`` draws one theta_r for x from Generator g, normalized by nmap.
 
 @dataclass(frozen=True)
 class UnitHypercubeUniform:
     """theta_r uniform on [0, 1]^D in normalized space."""
+
+    def check(self, dataset: JointSampleSet):
+        """Every dataset can be served."""
+
+    def point(self, g: np.random.Generator, x, nmap: NormalizationMap) -> np.ndarray:
+        return g.uniform(size=nmap.dim)
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,15 @@ class PriorDraw:
     """theta_r drawn in raw parameter space by ``draw(generator)`` and normalized."""
 
     draw: Callable[[np.random.Generator], np.ndarray]
+
+    def check(self, dataset: JointSampleSet):
+        """Every dataset can be served; each draw's dimension is checked in ``point``."""
+
+    def point(self, g: np.random.Generator, x, nmap: NormalizationMap) -> np.ndarray:
+        point = np.asarray(self.draw(g), dtype=float).ravel()
+        if point.size != nmap.dim:
+            raise ValueError(f"prior draw has dimension {point.size}, expected {nmap.dim}")
+        return nmap.apply(point)
 
 
 @dataclass(frozen=True)
@@ -199,41 +216,28 @@ class DataShift:
         if not 0 <= self.half_width < math.inf:
             raise ValueError(f"half_width must be finite and >= 0, got {self.half_width}")
 
+    def check(self, dataset: JointSampleSet):
+        """Refuse a non-scalar theta, and any x without a finite value at ``coordinate``."""
+        if dataset.dim_theta != 1:
+            raise ValueError(f"DataShift requires a scalar parameter space, got dim {dataset.dim_theta}")
+        c, width = self.coordinate, math.inf
+        for sid, i in enumerate(np.argsort(dataset.sim_ids)):  # in sim_id order, as the draws
+            try:
+                x = np.asarray(dataset.observations[i], dtype=float).ravel()
+            except (TypeError, ValueError) as e:
+                raise SimulationError(sid, f"DataShift needs a finite observation coordinate {c}: {e}") from e
+            width = min(width, x.size)
+            if x.size > c and not np.isfinite(x[c]):
+                raise SimulationError(sid, f"DataShift needs a finite observation coordinate {c}, got {x[c]}")
+        if c >= width:
+            raise ValueError(f"observations have {width} coordinates, DataShift needs index {c}")
+
+    def point(self, g: np.random.Generator, x, nmap: NormalizationMap) -> np.ndarray:
+        u = g.uniform(-self.half_width, self.half_width) if self.half_width > 0 else 0.0
+        return nmap.apply([np.asarray(x, dtype=float).ravel()[self.coordinate] + u])
+
 
 ReferencePolicy = Union[UnitHypercubeUniform, PriorDraw, DataShift]
-
-
-def _check_policy(policy, dim: int):
-    """Refuse an unknown policy type, and DataShift outside scalar parameters."""
-    if not isinstance(policy, ReferencePolicy):
-        raise TypeError(f"unknown reference policy {type(policy).__name__}")
-    if isinstance(policy, DataShift) and dim != 1:
-        raise ValueError(f"DataShift requires a scalar parameter space, got dim {dim}")
-
-
-def sample_reference(policy: ReferencePolicy, x, dim: int, rng, nmap: Optional[NormalizationMap] = None) -> np.ndarray:
-    """One reference point theta_r in normalized coordinates.
-
-    ``rng`` may be a SeededRng or a live Generator. Prior and data-shift
-    policies require ``nmap`` to map their raw-space point through the active
-    normalization.
-    """
-    _check_policy(policy, dim)
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
-    if isinstance(policy, UnitHypercubeUniform):
-        return g.uniform(size=dim)
-    if nmap is None:
-        raise ValueError(f"{type(policy).__name__} policy requires a normalization map")
-    if isinstance(policy, PriorDraw):
-        point = np.asarray(policy.draw(g), dtype=float).ravel()
-        if point.size != dim:
-            raise ValueError(f"prior draw has dimension {point.size}, expected {dim}")
-        return nmap.apply(point)
-    arr = np.asarray(x, dtype=float).ravel()  # DataShift
-    if policy.coordinate >= arr.size:
-        raise ValueError(f"observation has {arr.size} coordinates, DataShift needs index {policy.coordinate}")
-    u = g.uniform(-policy.half_width, policy.half_width) if policy.half_width > 0 else 0.0
-    return nmap.apply([arr[policy.coordinate] + u])
 
 
 # --- distance metrics -----------------------------------------------------------
@@ -369,24 +373,22 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     """Ranker ``(rank, table)``: ``rank(i, sid, rows)`` adds a run's counts to
     its own ``k`` and stores the (repeats, D) reference points, drawn from
     substreams ("reference", r, sid), at sid; ``table(n)`` gives the RankTable."""
+    if not isinstance(spec.policy, ReferencePolicy):
+        raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     repeats = _check_int(spec.repeats, "repeats", 1)
     nmap = fit_normalization(dataset, spec.bounds)
     if isinstance(spec.metric, WeightedEuclidean) and spec.metric.weights.size != nmap.dim:
         raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
-    _check_policy(spec.policy, nmap.dim)
-    if isinstance(spec.policy, DataShift):
-        width = min(np.asarray(x, dtype=float).size for x in dataset.observations)
-        if spec.policy.coordinate >= width:
-            raise ValueError(f"observations have {width} coordinates, DataShift needs index {spec.policy.coordinate}")
+    spec.policy.check(dataset)
     k = np.zeros((dataset.n_sims, repeats), dtype=np.int64)
     refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 
     def rank(i, sid, rows):
         rows = nmap.apply(rows)
-        refs[sid] = [sample_reference(spec.policy, dataset.observations[i], nmap.dim,
-                                      root.substream(_REF_TAG, r, sid), nmap) for r in range(repeats)]
+        refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), dataset.observations[i], nmap)
+                     for r in range(repeats)]
         dists = [distances_to(spec.metric, rows, ref) for ref in refs[sid]]
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance encountered")

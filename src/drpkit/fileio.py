@@ -47,10 +47,6 @@ class SchemaError(ValueError):
         self.line = line
 
 
-def format_float(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _read_umask() -> int:
     mask = os.umask(0o022)  # the umask can only be read by setting it
     os.umask(mask)
@@ -138,8 +134,7 @@ def _theta_header(dim: int, prefix: str = "theta") -> list:
 
 
 def _rows(block, lead=""):
-    """Per row of the (n, C) float ``block``, a line of ``lead`` and C floats;
-    "%.17g" prints each float as format_float does."""
+    """Per row of the (n, C) float ``block``, a line of ``lead`` and C floats in "%.17g"."""
     row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
     return row * block.shape[0] % tuple(block.ravel().tolist())
 

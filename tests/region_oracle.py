@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from drpkit.coverage import (DensityUnavailableError, Euclidean, UnitHypercubeUniform, default_levels,
-                             distances_to, fit_normalization, has_density, sample_reference)
+                             distances_to, fit_normalization, has_density)
 from drpkit.numerics import SeededRng
 
 
@@ -49,7 +49,7 @@ def region_membership_ecp(dataset, sampler, *, method, n_post, levels=None, seed
         x = dataset.observations[i]
         samples = np.asarray(sampler.sample(x, n_post, root.substream("posterior", sid)), dtype=float)
         if method == "drp":
-            theta_r = sample_reference(policy, x, dataset.dim_theta, root.substream("reference", 0, sid), nmap)
+            theta_r = policy.point(root.substream("reference", 0, sid).generator(), x, nmap)
             d = np.sort(distances_to(metric, nmap.apply(samples), theta_r))
             d_truth = distances_to(metric, nmap.apply(dataset.theta_true[i])[None, :], theta_r)[0]
             for j, c in enumerate(levels):

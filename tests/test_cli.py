@@ -14,9 +14,10 @@ import pytest
 import drpkit
 from drpkit import benchmarks, cli
 from drpkit.coverage import coverage_tests, drp_test, ecp_curve, hpd_test
-from drpkit.fileio import (format_float, read_coverage_csv, read_resolved_config, write_coverage_csv,
+from drpkit.fileio import (read_coverage_csv, read_resolved_config, write_coverage_csv,
                            write_joint_file, write_observation_file, write_posterior_file)
 from drpkit.numerics import SeededRng
+from test_fileio_properties import ref_format
 
 
 def run(*argv):
@@ -127,7 +128,7 @@ class TestToyCommand:
         lines = ["sim_id,sample_id,theta_0,theta_1,theta_2"]
         for i, sid in enumerate(dataset.sim_ids):
             draws = sample(sampler, dataset.observations[i], 7, SeededRng(4).substream("posterior", int(sid)))
-            lines += [",".join([str(int(sid)), str(j)] + [format_float(v) for v in row])
+            lines += [",".join([str(int(sid)), str(j)] + [ref_format(v) for v in row])
                       for j, row in enumerate(draws)]
         assert (out / "toy_posterior.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
@@ -699,7 +700,7 @@ def test_public_names_are_pinned():
         "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_test",
         "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_test",
         "ks_uniform_statistic", "lensing_prior_policy", "likelihood_score", "make_dataset",
-        "norm_cdf", "norm_isf", "prior_score", "sample_reference", "simulate", "toy_prior_policy",
+        "norm_cdf", "norm_isf", "prior_score", "simulate", "toy_prior_policy",
     ]
 
 

@@ -28,7 +28,6 @@ from drpkit.coverage import (
     ecp_curve,
     fit_normalization,
     hpd_test,
-    sample_reference,
 )
 from drpkit.numerics import SeededRng, binomial_band, ks_uniform_statistic
 from region_oracle import region_membership_ecp
@@ -150,34 +149,36 @@ class TestFitNormalization:
 
 
 class TestSampleReference:
+    """Each policy's ``check`` and ``point``, the two methods the DRP ranker calls."""
+
     def test_hypercube_range(self):
-        theta_r = sample_reference(UnitHypercubeUniform(), None, 3, SeededRng(5))
+        nmap = NormalizationMap(offset=np.zeros(3), scale=np.ones(3))
+        theta_r = UnitHypercubeUniform().point(SeededRng(5).generator(), None, nmap)
         assert theta_r.shape == (3,)
         assert np.all((theta_r >= 0) & (theta_r <= 1))
 
     def test_datashift_zero_width_exact(self):
         ds = make_dataset([[0.0], [1.0]])
         nmap = fit_normalization(ds)
-        out = sample_reference(DataShift(0, 0.0), np.array([0.3]), 1, SeededRng(2), nmap)
+        out = DataShift(0, 0.0).point(SeededRng(2).generator(), np.array([0.3]), nmap)
         assert out[0] == nmap.apply(np.array([0.3]))[0]
 
     def test_hypercube_uniformity(self):
         g = SeededRng(17).generator()
-        draws = np.array([sample_reference(UnitHypercubeUniform(), None, 1, g)[0]
-                          for _ in range(100_000)])
+        nmap = NormalizationMap(offset=np.zeros(1), scale=np.ones(1))
+        draws = np.array([UnitHypercubeUniform().point(g, None, nmap)[0] for _ in range(100_000)])
         assert ks_uniform_statistic(draws) < 0.01
 
     def test_prior_draw_is_normalized(self):
         ds = make_dataset([[0.0], [10.0]])
         nmap = fit_normalization(ds)
         policy = PriorDraw(draw=lambda g: np.array([5.0]))
-        assert sample_reference(policy, None, 1, SeededRng(0), nmap)[0] == 0.5
+        assert policy.point(SeededRng(0).generator(), None, nmap)[0] == 0.5
 
     def test_datashift_requires_scalar_theta(self):
-        ds = make_dataset([[0.0, 0.0], [1.0, 1.0]])
-        nmap = fit_normalization(ds)
+        ds = make_dataset([[0.0, 0.0], [1.0, 1.0]], observations=(np.array([0.3]),) * 2)
         with pytest.raises(ValueError):
-            sample_reference(DataShift(0, 1.0), np.array([0.3]), 2, SeededRng(0), nmap)
+            DataShift(0, 1.0).check(ds)
 
     @pytest.mark.parametrize("coordinate, half_width, message", [
         (-1, 1.0, "coordinate"), (0, -0.5, "half_width"), (0, np.nan, "half_width"),
@@ -193,13 +194,12 @@ class TestSampleReference:
 
     def test_unknown_policy_type_is_named_before_the_map_is_needed(self):
         with pytest.raises(TypeError, match="unknown reference policy str"):
-            sample_reference("bogus", None, 1, SeededRng(0))
+            drp_test(make_dataset([[0.0], [1.0]]), {}, policy="bogus", bounds=(1.0, 0.0))  # bounds no map fits
 
     def test_datashift_missing_coordinate(self):
-        ds = make_dataset([[0.0], [1.0]])
-        nmap = fit_normalization(ds)
+        ds = make_dataset([[0.0], [1.0]], observations=(np.array([0.3, 0.4]),) * 2)
         with pytest.raises(ValueError):
-            sample_reference(DataShift(4, 1.0), np.array([0.3, 0.4]), 1, SeededRng(0), nmap)
+            DataShift(4, 1.0).check(ds)
 
 
 def drp_ranks(truths, draws, ref, metric=Euclidean()):
@@ -502,6 +502,21 @@ class TestDrpTest:
         f = np.sort(curve.ranks.f)
         assert np.array_equal(curve.ecp, np.searchsorted(f, curve.levels, side="left") / 90)
 
+    @pytest.mark.parametrize("policy, dim", [
+        (UnitHypercubeUniform(), 3), (PriorDraw(draw=lambda g: g.normal(size=3)), 3), (DataShift(1, 0.5), 1),
+    ])
+    def test_each_reference_point_comes_from_its_stream(self, policy, dim):
+        # row (sid, r) of theta_r is policy.point on substream ("reference", r, sid), for every repeat
+        g = np.random.default_rng(12)
+        ds = make_dataset(g.normal(size=(7, dim)), observations=tuple(g.normal(size=(7, 2))))
+        ds = ds.permuted([3, 6, 0, 5, 1, 4, 2])
+        curve = drp_test(ds, {sid: g.normal(size=(4, dim)) for sid in range(7)}, policy=policy, seed=9, repeats=3)
+        nmap, x = fit_normalization(ds), dict(zip(ds.sim_ids.tolist(), ds.observations))
+        for row, (sid, r) in enumerate(np.ndindex(7, 3)):
+            expected = policy.point(SeededRng(9).substream("reference", r, sid).generator(), x[sid], nmap)
+            assert curve.ranks.sim_id[row] == sid
+            assert curve.ranks.theta_r[row].tobytes() == expected.tobytes()
+
     def test_sampler_error_carries_sim_id(self):
         class Broken(PosteriorSampler):
             def sample(self, x, n, rng):
@@ -650,6 +665,24 @@ class TestSpecChecks:
     ])
     def test_unknown_policy_or_metric_type_refused_before_any_sample(self, spec, message):
         self.assert_refused(TypeError, message, [spec])
+
+    x = np.array([1.0])
+
+    @pytest.mark.parametrize("payloads, sim_ids, message", [
+        ((x, None, x, x), range(4), "simulation 1: DataShift needs a finite observation coordinate 0, got nan"),
+        ((None,) * 4, range(4), "simulation 0: DataShift needs a finite observation coordinate 0, got nan"),
+        ((x, x, "abc", x), range(4), "simulation 2: DataShift needs a finite observation coordinate 0: "
+                                    "could not convert string to float: 'abc'"),
+        ((x, None, x, np.array([np.inf])), (3, 2, 0, 1), "simulation 1: .* got inf"),  # sim_id order, not row order
+    ])
+    def test_datashift_refuses_an_observation_without_a_finite_coordinate(self, payloads, sim_ids, message):
+        class Untouchable(PosteriorSampler):
+            def sample(self, x, n, rng):
+                raise AssertionError("sample called")
+
+        ds = make_dataset(np.arange(4.0)[:, None], observations=payloads, sim_ids=np.array(sim_ids))
+        with pytest.raises(SimulationError, match=message):
+            drp_test(ds, Untouchable(), n_post=5, policy=DataShift(0, 1.0))
 
     @staticmethod
     def assert_refused(error, message, specs, **kwargs):

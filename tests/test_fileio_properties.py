@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from drpkit import fileio
 from drpkit.fileio import SchemaError
 
-# --- reference implementations: one format_float call per value, one parse per line
+# --- reference implementations: one ref_format call per value, one parse per line
 
 
 def ref_format(v):
