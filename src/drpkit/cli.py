@@ -48,7 +48,6 @@ from .fileio import (
     read_joint_file,
     read_observation_file,
     read_posterior_runs,
-    read_prior_file,
     write_coverage_csv,
     write_joint_file,
     write_resolved_config,
@@ -229,7 +228,7 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
     if spec == "hypercube":
         return UnitHypercubeUniform()
     if spec.startswith("prior-file:"):
-        rows = read_prior_file(spec.split(":", 1)[1], dim)
+        rows = read_headerless_file(spec.split(":", 1)[1], dim, "prior-draw")
         return PriorDraw(draw=lambda g: rows[g.integers(rows.shape[0])])
     if spec.startswith("datashift:"):
         parts = spec.split(":", 1)[1].split(",")

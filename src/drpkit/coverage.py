@@ -75,6 +75,8 @@ class JointSampleSet:
         ids = np.asarray(self.sim_ids)
         if len(self.observations) != theta.shape[0] or ids.shape != (theta.shape[0],):
             raise ValueError("theta_true, observations and sim_ids must have equal length")
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"sim_ids must be integers, got {ids.dtype}")
         if not np.array_equal(np.sort(ids), np.arange(theta.shape[0])):
             raise ValueError("sim_ids must be a permutation of 0..n_sims-1")
         object.__setattr__(self, "theta_true", theta)

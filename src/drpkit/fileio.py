@@ -1,7 +1,8 @@
 """CSV interchange formats and run-config echoing.
 
 All files are plain CSV with floats printed at 17 significant digits (lossless
-for 64-bit floats) and written atomically (temp file + rename). A coverage CSV
+for 64-bit floats) and written atomically (temp file + rename), with the mode
+open() gives under the umask in force at the write. A coverage CSV
 carries the curve rows followed by trailing '#'-prefixed metadata lines; sample
 files carry a header naming their columns:
 
@@ -18,8 +19,10 @@ naming the file, line, and invariant. A posterior file can be written as its
 draws are made, one simulation at a time. A sample file is parsed a chunk
 of text at a time (about 256 KiB, cut at a line break), each chunk in one
 np.loadtxt call; a per-line reader, which alone defines the valid tokens (those
-int() and float() accept), reads a chunk numpy rejects again to name the first
-invalid line. A posterior file is read as runs of consecutive rows that share a
+int() and float() accept), reads a chunk again when numpy rejects it or a value
+is not finite, to name the first invalid line. A joint or observation file's
+ids are checked once every row has parsed: a repeated id first, then one
+outside [0, N). A posterior file is read as runs of consecutive rows that share a
 sim_id, so a reader of the runs holds one chunk and one run, not the file.
 """
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -47,27 +49,17 @@ class SchemaError(ValueError):
         self.line = line
 
 
-def _read_umask() -> int:
-    mask = os.umask(0o022)  # the umask can only be read by setting it
-    os.umask(mask)
-    return mask
-
-
-# mkstemp creates files 0600; give them the mode open() would. The umask is
-# process-wide and os.umask is not thread-safe, so it is read once, at import.
-_FILE_MODE = 0o666 & ~_read_umask()
-
-
 @contextlib.contextmanager
 def _atomic_open(path):
-    """A text handle on a temp file that replaces ``path`` when the block exits cleanly."""
+    """A text handle on a temp file that replaces ``path`` when the block exits
+    cleanly. The kernel gives the file the mode open() would, under the umask
+    in force when it is created."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -224,14 +216,23 @@ def _parse_floats(path, ln, tokens):
 
 
 def _check_dense_ids(path, ids, lines):
-    """Unique ids are dense in [0, N) unless one lies outside; the error names its line in ``lines``."""
+    """The stable argsort of ``ids``, which must be dense in [0, N) with no repeat.
+    The first row in file order that repeats an earlier id fails at its line in
+    ``lines``; failing that, the first id outside [0, N) does."""
     if not len(ids):
         raise SchemaError(path, 2, "file contains no simulations")
-    outside = next((k for k, sid in enumerate(ids) if not 0 <= sid < len(ids)), None)
-    if outside is not None:
-        missing = sorted(set(range(len(ids))) - set(ids))[:3]
-        raise SchemaError(path, next(itertools.islice(lines, outside, None)),
+    order = np.argsort(ids, kind="stable")  # a repeat sorts just after the row it repeats
+    ranked = ids[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        row = repeats.min()
+        raise SchemaError(path, next(itertools.islice(lines, row, None)), f"duplicate sim_id {ids[row]}")
+    outside = np.flatnonzero((ids < 0) | (ids >= len(ids)))
+    if len(outside):
+        missing = sorted(set(range(len(ids))) - set(ids.tolist()))[:3]
+        raise SchemaError(path, next(itertools.islice(lines, outside[0], None)),
                           f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+    return order
 
 
 def _numbered_rows(lines, ln):
@@ -239,28 +240,23 @@ def _numbered_rows(lines, ln):
     return ((n, raw) for n, raw in enumerate(lines, start=ln) if raw.strip())
 
 
-def _read_lines(path, lines, ln, fixed, dim, seen):
+def _read_lines(path, lines, ln, fixed, dim):
     """The per-line reader, which alone defines which tokens are valid: (the
     first id column, a (rows, dim) array, the line of each row) of ``lines``
-    numbered from ``ln``, or the SchemaError of the first invalid line. A
-    ``seen`` set forbids ids already in it, and gets the new ones."""
+    numbered from ``ln``, or the SchemaError of the first invalid line."""
     sim_ids, rows, line_of = [], [], []
     for ln, raw in _numbered_rows(lines, ln):
         parts = raw.split(",")
         if len(parts) != len(fixed) + dim:
             raise SchemaError(path, ln, f"expected {len(fixed) + dim} columns, got {len(parts)}")
         ids = [_parse_int(path, ln, token, what) for token, what in zip(parts, fixed)]
-        if seen is not None:
-            if ids[0] in seen:
-                raise SchemaError(path, ln, f"duplicate sim_id {ids[0]}")
-            seen.add(ids[0])
         rows.append(_parse_floats(path, ln, parts[len(fixed):]))
         sim_ids += ids[:1]
         line_of.append(ln)
     return np.array(sim_ids, dtype=object), np.reshape(rows, (len(rows), dim)), line_of
 
 
-def _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen):
+def _parse_chunk(path, text, lines, rows, ln, fixed, dim):
     """(first id column, (rows, dim) values, line of each row) of one chunk:
     its ``text``, split into ``lines`` numbered from ``ln``, whose non-blank
     ones are ``rows``."""
@@ -271,30 +267,23 @@ def _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen):
         with contextlib.suppress(ValueError):
             table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
                                dtype=[("ids", "i8", (len(fixed),)), ("values", "f8", (dim,))])
-    if table is not None:
-        ids, values = table["ids"][:, :1].ravel(), table["values"]
-        # sorted, repeated ids sit side by side (np.unique would import numpy.ma)
-        new = seen is None or (np.diff(np.sort(ids)).all() and seen.isdisjoint(ids.tolist()))
-        if new and np.isfinite(values).all():
-            if seen is not None:
-                seen.update(ids.tolist())
-            line_of = (range(ln, ln + len(rows)) if len(rows) == len(lines)
-                       else [n for n, _ in _numbered_rows(lines, ln)])
-            return ids, values, line_of
-    return _read_lines(path, lines, ln, fixed, dim, seen)
+    if table is not None and np.isfinite(table["values"]).all():
+        line_of = (range(ln, ln + len(rows)) if len(rows) == len(lines)
+                   else [n for n, _ in _numbered_rows(lines, ln)])
+        return table["ids"][:, :1].ravel(), table["values"], line_of
+    return _read_lines(path, lines, ln, fixed, dim)
 
 
-def _table_chunks(path, fixed, prefix, dim=None, unique=False):
+def _table_chunks(path, fixed, prefix, dim=None):
     """The rows of the integer ``fixed`` columns, then D floats, one chunk of
     text at a time: per chunk that holds rows, (the first id column, a (rows,
     D) array, the line number of each row). D comes from a header naming the
     ``prefix``_d columns, which must number ``dim`` if given; with no
     ``prefix`` the file is headerless and D is ``dim``. Blank lines are
-    skipped but numbered. ``unique`` forbids repeated ids anywhere in the file.
+    skipped but numbered.
 
     One np.loadtxt call parses a chunk; when numpy rejects a row, or a value is
-    not finite, or an id repeats, the per-line reader reads the chunk's lines."""
-    seen = set() if unique else None
+    not finite, the per-line reader reads the chunk's lines."""
     with open(path) as fh:
         ln = 1
         while text := fh.read(_CHUNK_CHARS):
@@ -305,7 +294,7 @@ def _table_chunks(path, fixed, prefix, dim=None, unique=False):
                 dim, lines, ln = _parse_header(path, lines[0], fixed, prefix, dim), lines[1:], 2
             rows = list(filter(str.strip, lines))
             if rows:
-                yield _parse_chunk(path, text, lines, rows, ln, fixed, dim, seen)
+                yield _parse_chunk(path, text, lines, rows, ln, fixed, dim)
             ln += len(lines)
             del text, lines, rows  # freed before the next chunk is read
     if prefix is not None and ln == 1:
@@ -314,10 +303,10 @@ def _table_chunks(path, fixed, prefix, dim=None, unique=False):
 
 def _read_table(path, fixed, prefix, dim=None, dense=False):
     """(the first id column, a (rows, D) array) of a whole file, grown one chunk at a time so
-    the values are held once; see _table_chunks. ``dense`` ids are unique and dense in [0, N):
-    the rows come back in id order, and an id outside [0, N) fails at its line."""
+    the values are held once; see _table_chunks. ``dense`` ids are dense in [0, N) with no repeat,
+    checked once the whole file is parsed (see _check_dense_ids): the rows come back in id order."""
     ids, lines, values = [], [], np.empty((0, dim or 0))
-    for chunk_ids, chunk_values, line_of in _table_chunks(path, fixed, prefix, dim, dense):
+    for chunk_ids, chunk_values, line_of in _table_chunks(path, fixed, prefix, dim):
         ids.append(chunk_ids.copy())  # a view would keep the chunk's parsed table
         if dense:
             lines.append(line_of)
@@ -326,10 +315,10 @@ def _read_table(path, fixed, prefix, dim=None, dense=False):
         values[n:] = chunk_values
     ids = np.concatenate(ids) if ids else []
     if dense:
-        _check_dense_ids(path, ids, itertools.chain.from_iterable(lines))
-        if not np.array_equal(ids, np.arange(len(ids))):
-            values = values[np.argsort(ids)]
+        order = _check_dense_ids(path, ids, itertools.chain.from_iterable(lines))
         ids = np.arange(len(ids))
+        if not np.array_equal(order, ids):
+            values = values[order]
     return ids, values
 
 
@@ -389,15 +378,10 @@ def read_headerless_file(path, dim: int, kind: str):
     return rows
 
 
-def read_prior_file(path, dim: int):
-    """Returns the (rows, dim) draws of a prior-draw file."""
-    return read_headerless_file(path, dim, "prior-draw")
-
-
-def write_resolved_config(out_dir, config: dict, name: str = "resolved_config.txt"):
-    """Echo the fully resolved run configuration, one key=value per line."""
+def write_resolved_config(out_dir, config: dict):
+    """Echo the fully resolved run configuration to out_dir/resolved_config.txt, one key=value per line."""
     lines = [f"{k}={config[k]}" for k in sorted(config)]
-    atomic_write_text(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out_dir, "resolved_config.txt"), "\n".join(lines) + "\n")
 
 
 def read_resolved_config(path) -> dict:

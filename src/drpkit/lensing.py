@@ -247,9 +247,9 @@ def build_model(source_side: int = 8, obs_side: int = 16, sigma_n: float = 1.0,
     return LensingModel(A, sigma_n, mu0, cov)
 
 
-def simulate(model: LensingModel, rng) -> tuple:
+def simulate(model: LensingModel, rng: SeededRng) -> tuple:
     """One forward draw: theta ~ N(mu_0, Sigma_0), x = A theta + sigma_n eps."""
-    g = rng.generator() if isinstance(rng, SeededRng) else rng
+    g = rng.generator()
     theta = model.prior_mean + model.prior_chol @ g.standard_normal(model.dim_theta)
     x = model.operator @ theta + model.sigma_n * g.standard_normal(model.dim_x)
     return theta, x

@@ -824,6 +824,13 @@ class TestJointSampleSet:
             JointSampleSet(theta_true=np.zeros((3, 1)), observations=(None,) * 3,
                            sim_ids=np.array([0, 1, 3]))
 
+    @pytest.mark.parametrize("sim_ids, dtype", [([0.0, 1.0], "float64"), (np.array([True, False]), "bool"),
+                                                (np.array([0, 1], dtype=object), "object")])
+    def test_sim_ids_must_be_integers(self, sim_ids, dtype):
+        with pytest.raises(ValueError) as err:
+            JointSampleSet(theta_true=np.zeros((2, 1)), observations=(None,) * 2, sim_ids=sim_ids)
+        assert str(err.value) == f"sim_ids must be integers, got {dtype}"
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_dataset([[np.nan], [0.0]])

@@ -197,6 +197,18 @@ class TestSampleFiles:
         with pytest.raises(SchemaError):
             read_joint_file(path)
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0,1\n0,2\n2,abc", 4, "non-numeric value"),  # ids are checked once every row parsed
+        ("5,1\n0,2\n0,3", 4, "duplicate sim_id 0"),  # a repeat before an id outside [0, N)
+        ("0,1\n2,2\n3,3\n2,4\n0,5", 5, "duplicate sim_id 2"),  # the first row that repeats
+    ])
+    def test_id_faults_are_reported_after_the_parse(self, tmp_path, rows, line, message):
+        path = tmp_path / "joint.csv"
+        path.write_text(f"sim_id,theta_0\n{rows}\n")
+        with pytest.raises(SchemaError) as err:
+            read_joint_file(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "joint.csv"
         path.write_text("sim,theta_0\n0,1.0\n")
@@ -212,8 +224,8 @@ class TestMisc:
     @pytest.mark.skipif(os.name != "posix", reason="umask is POSIX")
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
     def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
-        # the module reads the umask once, at import, so each case runs in a
-        # fresh interpreter started under that umask
+        # each case runs in a fresh interpreter started under that umask, so
+        # this process keeps its own
         import drpkit
 
         src = os.path.dirname(os.path.dirname(drpkit.__file__))
@@ -222,6 +234,18 @@ class TestMisc:
         script = "import sys; from drpkit.fileio import write_joint_file; write_joint_file(sys.argv[1], [0], [[1.0]])"
         subprocess.run([sys.executable, "-c", script, str(target)], env=env, umask=umask, check=True)
         assert stat.S_IMODE(target.stat().st_mode) == mode
+
+    @pytest.mark.skipif(os.name != "posix", reason="umask is POSIX")
+    def test_a_umask_set_after_import_is_followed(self, tmp_path):
+        import drpkit
+
+        src = os.path.dirname(os.path.dirname(drpkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        target = tmp_path / "j.csv"
+        script = ("import os, sys; from drpkit.fileio import write_joint_file; os.umask(0o077); "
+                  "write_joint_file(sys.argv[1], [0], [[1.0]])")
+        subprocess.run([sys.executable, "-c", script, str(target)], env=env, umask=0o022, check=True)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
     def test_resolved_config_sorted(self, tmp_path):
         write_resolved_config(tmp_path, {"zeta": 1, "alpha": "x"})

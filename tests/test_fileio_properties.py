@@ -68,25 +68,27 @@ def ref_read_dense(path, prefix):
     if not lines:
         raise SchemaError(path, 1, "empty file")
     dim = ref_header(path, lines[0], ("sim_id",), prefix)
-    recs, line_of = {}, {}
+    parsed = []  # (sim_id, line, values) of every row, parsed before any id is checked
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != dim + 1:
             raise SchemaError(path, ln, f"expected {dim + 1} columns, got {len(parts)}")
-        sid = ref_int(path, ln, parts[0], "sim_id")
+        parsed.append((ref_int(path, ln, parts[0], "sim_id"), ln, ref_floats(path, ln, parts[1:])))
+    if not parsed:
+        raise SchemaError(path, 2, "file contains no simulations")
+    recs = {}
+    for sid, ln, vals in parsed:  # the first repeat in file order
         if sid in recs:
             raise SchemaError(path, ln, f"duplicate sim_id {sid}")
-        recs[sid], line_of[sid] = ref_floats(path, ln, parts[1:]), ln
-    ids = sorted(recs)
-    if not ids:
-        raise SchemaError(path, 2, "file contains no simulations")
-    if ids != list(range(len(ids))):  # names the missing ids as plain ints, at the first id outside
-        missing = sorted(set(range(len(ids))) - set(ids))[:3]
-        ln = min(line_of[sid] for sid in ids if not 0 <= sid < len(ids))
-        raise SchemaError(path, ln, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
-    return np.arange(len(ids)), np.stack([recs[i] for i in ids])
+        recs[sid] = vals
+    n = len(parsed)
+    for sid, ln, _ in parsed:  # then the first id outside, naming the missing ids as plain ints
+        if not 0 <= sid < n:
+            missing = sorted(set(range(n)) - set(recs))[:3]
+            raise SchemaError(path, ln, f"sim_ids must be dense in [0, N); missing or duplicated near {missing}")
+    return np.arange(n), np.stack([recs[i] for i in range(n)])
 
 
 def ref_read_posterior(path):
@@ -327,7 +329,8 @@ def test_a_sorted_file_is_grouped_without_a_copy(tmp_path):
 
 @pytest.mark.parametrize("kind, rows, dim, bound", [
     ("prior", 20_000, 10, 2.4e6),      # the values are 1.6 MB
-    ("joint", 20_000, 10, 6.79e6),     # and the duplicate-id set about 1.5 MB
+    ("joint", 20_000, 10, 4.0e6),
+    ("joint", 200_000, 1, 10e6),
     ("joint", 2_000, 200, 1.5 * 3.2e6),
 ])
 def test_whole_file_reads_hold_the_values_once(tmp_path, kind, rows, dim, bound):
@@ -337,7 +340,7 @@ def test_whole_file_reads_hold_the_values_once(tmp_path, kind, rows, dim, bound)
     path = tmp_path / f"{kind}.csv"
     if kind == "prior":
         np.savetxt(path, values, fmt="%.17g", delimiter=",")
-        read = lambda: fileio.read_prior_file(path, dim)
+        read = lambda: fileio.read_headerless_file(path, dim, "prior-draw")
     else:
         fileio.write_joint_file(path, np.arange(rows), values)
         read = lambda: fileio.read_joint_file(path)[1]
@@ -350,7 +353,7 @@ READERS = {
     "joint": (lambda p, d: fileio.read_joint_file(p), lambda p, d: ref_read_dense(p, "theta")),
     "observation": (lambda p, d: fileio.read_observation_file(p), lambda p, d: ref_read_dense(p, "x")),
     "posterior": (lambda p, d: grouped_runs(p), lambda p, d: ref_read_posterior(p)),
-    "prior": (fileio.read_prior_file, ref_read_prior),
+    "prior": (lambda p, d: fileio.read_headerless_file(p, d, "prior-draw"), ref_read_prior),
 }
 BAD_TOKENS = ["abc", "", " ", "nan", "inf", "-inf", "1e999", "3.0", "0x1", "1,2", " 4 ", "1_0", "+7", "-0"]
 
