@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import DataShift, JointSampleSet, PosteriorSampler, PriorDraw
+from .coverage import DataShift, PosteriorSampler, PriorDraw, _simulated_set
 from .numerics import SeededRng, _check_int, _check_positive, norm_isf
 
 TOY_CASES = ("correct", "overconfident", "underconfident", "biased")
@@ -109,11 +109,9 @@ def generate_toy(config: ToyConfig, seed: int = 0):
     box boundary are redrawn.
     """
     lo, hi = config.theta_bounds
-    root = SeededRng(seed)
-    sims = []
-    thetas = np.empty((config.n_sims, config.dim))
-    for i in range(config.n_sims):
-        g = root.substream(_TOY_TAG, i).generator()
+
+    def simulate(rng):
+        g = rng.generator()
         theta = g.uniform(lo, hi, config.dim)
         bad = (theta <= lo) | (theta >= hi)
         while bad.any():
@@ -131,12 +129,9 @@ def generate_toy(config: ToyConfig, seed: int = 0):
                       "overconfident": math.sqrt(config.narrow_factor),
                       "underconfident": math.sqrt(config.wide_factor)}[config.case]
             est_sigma = factor * sigma
-        thetas[i] = theta
-        sims.append(ToySimulation(theta_true=theta, sigma=sigma,
-                                  estimator_mean=mean, estimator_sigma=est_sigma))
-    dataset = JointSampleSet(theta_true=thetas, observations=tuple(sims),
-                             sim_ids=np.arange(config.n_sims))
-    return dataset, DiagonalGaussianSampler()
+        return theta, ToySimulation(theta_true=theta, sigma=sigma, estimator_mean=mean, estimator_sigma=est_sigma)
+
+    return _simulated_set(seed, _TOY_TAG, config.n_sims, simulate), DiagonalGaussianSampler()
 
 
 def toy_prior_policy(config: ToyConfig) -> PriorDraw:
@@ -183,20 +178,13 @@ def generate_conjugate(config: ConjugateConfig, seed: int = 0):
     Returns the validation set (x payload = the n_obs observation vector) and
     an (n_sims, 2) array of true-posterior (mean, variance) pairs.
     """
-    root = SeededRng(seed)
-    thetas = np.empty((config.n_sims, 1))
-    obs = []
-    post = np.empty((config.n_sims, 2))
-    for i in range(config.n_sims):
-        g = root.substream(_CONJ_TAG, i).generator()
+    def simulate(rng):
+        g = rng.generator()
         theta = g.normal(config.mu0, config.sigma0)
-        xs = g.normal(theta, config.sigma_x, config.n_obs)
-        thetas[i, 0] = theta
-        obs.append(xs)
-        post[i] = conjugate_posterior_params(xs, config)
-    dataset = JointSampleSet(theta_true=thetas, observations=tuple(obs),
-                             sim_ids=np.arange(config.n_sims))
-    return dataset, post
+        return theta, g.normal(theta, config.sigma_x, config.n_obs)
+
+    dataset = _simulated_set(seed, _CONJ_TAG, config.n_sims, simulate)
+    return dataset, np.array([conjugate_posterior_params(xs, config) for xs in dataset.observations])
 
 
 class UninformativeSampler(PosteriorSampler):

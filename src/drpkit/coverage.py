@@ -99,6 +99,14 @@ class JointSampleSet:
         )
 
 
+def _simulated_set(seed: int, tag: str, n_sims: int, simulate) -> JointSampleSet:
+    """The set whose simulation i is ``simulate(rng)`` -> (theta, x), on substream
+    (tag, i) of ``seed``: a larger n_sims keeps the earlier simulations."""
+    root = SeededRng(seed)
+    thetas, xs = zip(*[simulate(root.substream(tag, i)) for i in range(n_sims)])
+    return JointSampleSet(theta_true=np.reshape(thetas, (n_sims, -1)), observations=xs, sim_ids=np.arange(n_sims))
+
+
 class PosteriorSampler:
     """Base for posterior estimators.
 
@@ -371,10 +379,10 @@ class HpdSpec:
     """An HPD test for :func:`coverage_tests`; needs sampler.log_density."""
 
 
-def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
-    """Ranker ``(rank, table)``: ``rank(i, sid, rows)`` adds a run's counts to
-    its own ``k`` and stores the (repeats, D) reference points, drawn from
-    substreams ("reference", r, sid), at sid; ``table(n)`` gives the RankTable."""
+def _drp_scorer(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
+    """``(score, refs)``: ``score(sid, x, rows)`` gives the (repeats, 1 + n)
+    distances of the normalized ``rows`` to one reference point per repeat,
+    drawn from substream ("reference", r, sid) and kept at ``refs[sid]``."""
     if not isinstance(spec.policy, ReferencePolicy):
         raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     repeats = _check_int(spec.repeats, "repeats", 1)
@@ -384,44 +392,34 @@ def _drp_ranker(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     if not isinstance(spec.metric, DistanceMetric):
         raise TypeError(f"unknown metric {type(spec.metric).__name__}")
     spec.policy.check(dataset)
-    k = np.zeros((dataset.n_sims, repeats), dtype=np.int64)
     refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 
-    def rank(i, sid, rows):
+    def score(sid, x, rows):
         rows = nmap.apply(rows)
-        refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), dataset.observations[i], nmap)
-                     for r in range(repeats)]
-        dists = [distances_to(spec.metric, rows, ref) for ref in refs[sid]]
+        refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), x, nmap) for r in range(repeats)]
+        dists = np.array([distances_to(spec.metric, rows, ref) for ref in refs[sid]])
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance encountered")
-        k[sid] += [int(np.count_nonzero(d[1:] < d[0])) for d in dists]  # strict: ties do not count
+        return dists
 
-    def table(n):
-        return RankTable(sim_id=np.repeat(np.arange(n.size), repeats), k=k.ravel(), n=np.repeat(n, repeats),
-                         theta_r=refs.reshape(-1, nmap.dim))
-
-    return rank, table
+    return score, refs
 
 
-def _hpd_ranker(dataset: JointSampleSet, source):
-    """Ranker ``(rank, table)`` as in :func:`_drp_ranker`, by the truth's log density against the draws'."""
+def _hpd_scorer(source):
+    """``(score, None)``: ``score(sid, x, rows)`` gives the (1, 1 + n) log densities of ``rows``."""
     if not has_density(source):
         raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, "
                                       "required for the HPD test")
-    k = np.zeros(dataset.n_sims, dtype=np.int64)
 
-    def rank(i, sid, rows):
-        log_dens = np.asarray(source.log_density(rows, dataset.observations[i]), dtype=float).ravel()
+    def score(sid, x, rows):
+        log_dens = np.asarray(source.log_density(rows, x), dtype=float).ravel()
         if log_dens.size != len(rows):
             raise ValueError(f"log_density gave {log_dens.size} values for {len(rows)} rows")
         if not np.isfinite(log_dens).all():
             raise ValueError("densities must be finite")
-        k[sid] += np.count_nonzero(log_dens[1:] < log_dens[0])  # strict: ties do not count
+        return log_dens[None]
 
-    def table(n):
-        return RankTable(sim_id=np.arange(n.size), k=k, n=n.copy())
-
-    return rank, table
+    return score, None
 
 
 def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
@@ -438,13 +436,14 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     outside the dataset are skipped, and a key that is not an integer is
     refused when its run is reached.
 
-    Each run's draws are checked, stacked below the truth, ranked by every test
-    (DRP: by distance to one reference point per repeat, from another
-    substream, after one normalization map), passed to ``on_draws(sim_id,
+    Each run's draws are checked, stacked below the truth, scored by every test
+    (DRP: distances to one reference point per repeat, from another substream,
+    after one normalization map; HPD: log densities), passed to ``on_draws(sim_id,
     draws)`` if given (in run order; sim_id order for a sampler), and dropped;
-    counts add up over a simulation's runs. Each curve is deterministic given
-    the seed, invariant to simulation order, and the same as its drp_test or
-    hpd_test call alone; dumped draws give the sampler's curve bit for bit.
+    each score row adds its count of draws strictly below the truth. Each curve
+    is deterministic given the seed, invariant to simulation order, and the same
+    as its drp_test or hpd_test call alone; dumped draws give the sampler's
+    curve bit for bit.
     Every argument is checked before the first draw; errors in a run, and a
     simulation with no draws, raise SimulationError. Runs are serial.
     """
@@ -458,13 +457,14 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
     levels = _checked_levels(levels)
     root = SeededRng(seed)
-    rankers = []
+    scorers = []
     for spec in tests:
         if not isinstance(spec, (DrpSpec, HpdSpec)):
             raise TypeError(f"unknown coverage test {type(spec).__name__}")
-        rankers.append(_drp_ranker(dataset, spec, root) if isinstance(spec, DrpSpec) else _hpd_ranker(dataset, source))
+        scorers.append(_drp_scorer(dataset, spec, root) if isinstance(spec, DrpSpec) else _hpd_scorer(source))
 
     dim, n_sims, n = dataset.dim_theta, dataset.n_sims, np.zeros(dataset.n_sims, dtype=np.int64)
+    counts = [np.zeros((n_sims, 1 if refs is None else refs.shape[1]), dtype=np.int64) for _, refs in scorers]
     index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
     runs = ((sid, None) for sid in range(n_sims)) if sampled else source  # a sampler draws each block
     for sid, block in runs.items() if isinstance(runs, Mapping) else runs:
@@ -472,17 +472,19 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         if not 0 <= sid < n_sims:
             continue
         i = index[sid]
+        x = dataset.observations[i]
         try:
             if sampled:
-                block = source.sample(dataset.observations[i], n_post, root.substream(_POST_TAG, sid))
+                block = source.sample(x, n_post, root.substream(_POST_TAG, sid))
             block = np.asarray(block, dtype=float)
             if block.ndim != 2 or block.shape[1] != dim or not block.shape[0] or sampled and len(block) != n_post:
                 raise ValueError(f"draws have shape {block.shape}, expected ({n_post or 'n'}, {dim})")
             if not np.isfinite(block).all():
                 raise ValueError("draws are not finite")
             rows = np.vstack((dataset.theta_true[i], block))  # the truth in row 0, the draws below
-            for rank, _ in rankers:
-                rank(i, sid, rows)
+            for (score, _), k in zip(scorers, counts):
+                for r, row in enumerate(score(sid, x, rows)):
+                    k[sid, r] += np.count_nonzero(row[1:] < row[0])  # strict: ties do not count
             if on_draws is not None:
                 on_draws(sid, rows[1:])
         except SimulationError:
@@ -492,7 +494,9 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         n[sid] += len(block)
     if not n.all():
         raise SimulationError(int(np.argmin(n)), "no posterior samples")
-    return [ecp_curve(table(n), levels) for _, table in rankers]
+    return [ecp_curve(RankTable(sim_id=np.arange(n_sims).repeat(k.shape[1]), k=k.ravel(), n=n.repeat(k.shape[1]),
+                                theta_r=None if refs is None else refs.reshape(k.size, -1)), levels)
+            for (_, refs), k in zip(scorers, counts)]
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,

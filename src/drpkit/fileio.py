@@ -14,16 +14,17 @@ files carry a header naming their columns:
 * weights file:     one weight per line, headerless
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
-posterior sample; all floats must be finite. Violations raise SchemaError
-naming the file, line, and invariant. A posterior file can be written as its
-draws are made, one simulation at a time. A sample file is parsed a chunk
-of text at a time (about 256 KiB, cut at a line break), each chunk in one
-np.loadtxt call; a per-line reader, which alone defines the valid tokens (those
-int() and float() accept), reads a chunk again when numpy rejects it or a value
-is not finite, to name the first invalid line. A joint or observation file's
-ids are checked once every row has parsed: a repeated id first, then one
-outside [0, N). A posterior file is read as runs of consecutive rows that share a
-sim_id, so a reader of the runs holds one chunk and one run, not the file.
+posterior sample; all floats must be finite. Violations raise SchemaError naming
+the file, line, and invariant; a writer refuses a non-integer sim_id or a
+non-finite value with ValueError and leaves no file. A posterior file can be
+written as its draws are made, one simulation at a time. A sample file is parsed
+a chunk of text at a time (about 256 KiB, cut at a line break), each chunk in
+one np.loadtxt call; a per-line reader, which alone defines the valid tokens
+(those int() and float() accept), reads a chunk again when numpy rejects it or a
+value is not finite, to name the first invalid line. A joint or observation
+file's ids are checked once every row has parsed: a repeated id first, then one
+outside [0, N). A posterior file is read as runs of consecutive rows that share
+a sim_id, so a reader of the runs holds one chunk and one run, not the file.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .coverage import CoverageCurve
+from .numerics import _check_int
 
 COVERAGE_HEADER = "credibility,alpha,ecp,band_lo,band_hi"
 
@@ -131,12 +133,20 @@ def _rows(block, lead=""):
     return row * block.shape[0] % tuple(block.ravel().tolist())
 
 
+def _id_rows(sim_id, block):
+    """The :func:`_rows` of the (n, C) float ``block`` led by ``sim_id``, refusing what the readers refuse."""
+    sim_id = _check_int(sim_id, "sim_id")
+    if not np.isfinite(block).all():
+        raise ValueError(f"values for sim_id {sim_id} are not finite")
+    return _rows(block, f"{sim_id},")
+
+
 def _write_table(path, header, blocks):
     """Stream the header, then the rows of each (sim_id, (n, C) array) block."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for sid, block in blocks:
-            fh.write(_rows(np.asarray(block, dtype=float), f"{int(sid)},"))
+            fh.write(_id_rows(sid, np.asarray(block, dtype=float)))
 
 
 def write_joint_file(path, sim_ids, thetas):
@@ -165,7 +175,7 @@ def posterior_writer(path):
             elif draws.shape[1] != first[1]:
                 raise ValueError(f"samples for sim_id {sim_id} have dimension {draws.shape[1]}, "
                                  f"sim_id {first[0]} has {first[1]}")
-            fh.write(_rows(np.column_stack([np.arange(len(draws)), draws]), f"{int(sim_id)},"))
+            fh.write(_id_rows(sim_id, np.column_stack([np.arange(len(draws)), draws])))
 
         yield write
         if first is None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import JointSampleSet, PosteriorSampler, PriorDraw
+from .coverage import JointSampleSet, PosteriorSampler, PriorDraw, _simulated_set
 from .numerics import SeededRng, _check_int, _check_positive, cholesky, DecompositionError
 
 SCORE_KINDS = ("exact", "biased")
@@ -257,11 +257,7 @@ def simulate(model: LensingModel, rng: SeededRng) -> tuple:
 
 def make_dataset(model: LensingModel, n_sims: int, seed: int = 0) -> JointSampleSet:
     """Validation set of n_sims forward draws with sim-keyed substreams."""
-    n_sims = _check_int(n_sims, "n_sims", 1)
-    root = SeededRng(seed)
-    draws = [simulate(model, root.substream(_SIM_TAG, i)) for i in range(n_sims)]
-    thetas = np.array([theta for theta, _ in draws]).reshape(n_sims, model.dim_theta)
-    return JointSampleSet(theta_true=thetas, observations=tuple(x for _, x in draws), sim_ids=np.arange(n_sims))
+    return _simulated_set(seed, _SIM_TAG, _check_int(n_sims, "n_sims", 1), lambda rng: simulate(model, rng))
 
 
 def _check_t(t):

@@ -58,11 +58,11 @@ class SeededRng:
             object.__setattr__(self, name, value)  # a numpy integer is stored as an int
 
     def substream(self, *keys) -> "SeededRng":
-        """Derive an independent stream from this one, keyed by ints or strings."""
+        """Derive an independent stream from this one, keyed by ints (not bools) or strings."""
         h = hashlib.blake2b(digest_size=8)
         h.update(self.stream.to_bytes(8, "little"))
         for k in keys:
-            if isinstance(k, (int, np.integer)):
+            if isinstance(k, (int, np.integer)) and not isinstance(k, bool):  # True would alias 1
                 if not -(1 << 63) <= int(k) < 1 << 63:
                     raise ValueError(f"substream int keys must fit in a signed 64-bit integer, got {k}")
                 h.update(b"i" + int(k).to_bytes(8, "little", signed=True))

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from drpkit.benchmarks import (
+    TOY_CASES,
     ConjugateConfig,
     DiagonalGaussianSampler,
     ToyConfig,
@@ -19,6 +20,7 @@ from drpkit.benchmarks import (
     generate_toy,
     toy_prior_policy,
 )
+from drpkit.lensing import build_model, make_dataset
 from drpkit.numerics import SeededRng, norm_isf
 
 # Monte-Carlo-calibrated: KS of 5000 |N(0,1)| draws against the half-normal
@@ -258,3 +260,33 @@ class TestUninformativeSampler:
         assert prior.draw(SeededRng(0).generator()).shape == (1,)
         shift = conjugate_datashift_policy()
         assert shift.coordinate == 0 and shift.half_width == 1.0
+
+
+# --- every synthetic set: simulation i comes from substream (tag, i) of the seed ----
+
+def toy_arrays(case):
+    def build(n_sims):
+        ds, _ = generate_toy(ToyConfig(dim=3, n_sims=n_sims, case=case), seed=6)
+        return ds.theta_true, [np.concatenate([s.theta_true, s.sigma, s.estimator_mean, s.estimator_sigma])
+                               for s in ds.observations]
+    return build
+
+
+def conjugate_arrays(n_sims):
+    ds, post = generate_conjugate(ConjugateConfig(n_obs=5, n_sims=n_sims), seed=6)
+    return ds.theta_true, ds.observations, post
+
+
+def lensing_arrays(n_sims):
+    model = build_model(source_side=4, obs_side=8, sigma_n=1.0, kernel_scale=0.35, seed=1)
+    ds = make_dataset(model, n_sims, seed=6)
+    return ds.theta_true, ds.observations
+
+
+@pytest.mark.parametrize("build", [*map(toy_arrays, TOY_CASES), conjugate_arrays, lensing_arrays],
+                         ids=[*TOY_CASES, "conjugate", "lensing"])
+def test_more_simulations_keep_the_earlier_ones(build):
+    n = 5
+    for small, large in zip(build(n), build(n + 3)):
+        assert len(small) == n and len(large) == n + 3
+        assert np.asarray(small).tobytes() == np.asarray(large[:n]).tobytes()

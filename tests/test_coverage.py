@@ -510,12 +510,17 @@ class TestDrpTest:
         g = np.random.default_rng(12)
         ds = make_dataset(g.normal(size=(7, dim)), observations=tuple(g.normal(size=(7, 2))))
         ds = ds.permuted([3, 6, 0, 5, 1, 4, 2])
-        curve = drp_test(ds, {sid: g.normal(size=(4, dim)) for sid in range(7)}, policy=policy, seed=9, repeats=3)
+        draws = {sid: g.normal(size=(4, dim)) for sid in range(7)}
+        curve = drp_test(ds, draws, policy=policy, seed=9, repeats=3)
         nmap, x = fit_normalization(ds), dict(zip(ds.sim_ids.tolist(), ds.observations))
+        truth = dict(zip(ds.sim_ids.tolist(), ds.theta_true))
         for row, (sid, r) in enumerate(np.ndindex(7, 3)):
             expected = policy.point(SeededRng(9).substream("reference", r, sid).generator(), x[sid], nmap)
             assert curve.ranks.sim_id[row] == sid
             assert curve.ranks.theta_r[row].tobytes() == expected.tobytes()
+            # and k counts the draws strictly closer than the truth to that repeat's point
+            dist = np.linalg.norm(nmap.apply(draws[sid]) - expected, axis=1)
+            assert curve.ranks.k[row] == np.sum(dist < np.linalg.norm(nmap.apply(truth[sid]) - expected))
 
     def test_sampler_error_carries_sim_id(self):
         class Broken(PosteriorSampler):

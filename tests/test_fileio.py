@@ -152,6 +152,25 @@ class TestSampleFiles:
         assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D)"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sim_id, value, message", [
+        (0.7, 1.0, "sim_id must be an integer, got 0.7"), (True, 1.0, "sim_id must be an integer, got True"),
+        (0, np.nan, "values for sim_id 0 are not finite"), (0, np.inf, "values for sim_id 0 are not finite"),
+    ])
+    @pytest.mark.parametrize("writer", ["joint", "observation", "posterior", "posterior_writer"])
+    def test_writers_refuse_what_the_readers_refuse(self, tmp_path, writer, sim_id, value, message):
+        path, block = tmp_path / "out.csv", np.array([[value, 2.0]])
+        with pytest.raises(ValueError, match=message):
+            if writer == "joint":
+                write_joint_file(path, [sim_id], block)
+            elif writer == "observation":
+                write_observation_file(path, [sim_id], block)
+            elif writer == "posterior":
+                write_posterior_file(path, {sim_id: block})
+            else:
+                with posterior_writer(path) as write:
+                    write(sim_id, block)
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_failed_stream_writes_nothing(self, tmp_path):
         def failed_stream(path):
             with pytest.raises(RuntimeError, match="sampler failed"):

@@ -258,8 +258,9 @@ class TestSeededRng:
         assert np.array_equal(h.random(5), g.random(5))
 
     def test_substream_key_types(self):
-        with pytest.raises(TypeError):
-            SeededRng(3).substream(1.5)
+        for key in (1.5, True):  # a bool would alias the int key 1
+            with pytest.raises(TypeError):
+                SeededRng(3).substream(key)
         for key in (2**63, np.uint64(2**63), -2**63 - 1):
             with pytest.raises(ValueError, match="signed 64-bit integer"):
                 SeededRng(0).substream(key)
