@@ -69,9 +69,7 @@ from .lensing import (
     build_prior,
     conjugate_posterior,
     lensing_prior_policy,
-    likelihood_score,
     make_dataset,
-    prior_score,
     simulate,
 )
 
@@ -89,5 +87,5 @@ __all__ = [
     "toy_prior_policy",
     "DiffusionPosteriorSampler", "DivergenceError", "LensingModel", "OperatorError", "PriorError",
     "VeSchedule", "build_model", "build_operator", "build_prior", "conjugate_posterior",
-    "lensing_prior_policy", "likelihood_score", "make_dataset", "prior_score", "simulate",
+    "lensing_prior_policy", "make_dataset", "simulate",
 ]

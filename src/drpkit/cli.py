@@ -224,6 +224,15 @@ def _run_lensing(args, parser) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _usage_errors(parser, flag, spec):
+    """An OSError or ValueError in the block, as from a file ``spec`` names, is a usage error naming both."""
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        parser.error(f"{flag} {spec}: {e}")
+
+
 def _parse_ref_policy(parser, spec, dim, have_obs):
     if spec == "hypercube":
         return UnitHypercubeUniform()
@@ -234,13 +243,9 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
         parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 2:
             parser.error("--ref-policy datashift takes K,U (coordinate and half-width)")
-        try:
-            policy = DataShift(coordinate=int(parts[0]), half_width=float(parts[1]))
-        except ValueError as e:
-            parser.error(f"--ref-policy {spec}: {e}")
         if not have_obs:
             parser.error("--ref-policy datashift requires --obs")
-        return policy
+        return DataShift(coordinate=int(parts[0]), half_width=float(parts[1]))
     parser.error(f"unknown --ref-policy {spec!r}")
 
 
@@ -248,26 +253,20 @@ def _parse_metric(parser, spec):
     if spec == "euclidean":
         return Euclidean()
     if spec.startswith("weighted:"):
-        try:
-            return WeightedEuclidean(weights=read_headerless_file(spec.split(":", 1)[1], 1, "weights"))
-        except (OSError, ValueError) as e:
-            parser.error(f"--metric {spec}: {e}")
+        return WeightedEuclidean(weights=read_headerless_file(spec.split(":", 1)[1], 1, "weights"))
     parser.error(f"unknown --metric {spec!r}")
 
 
 def _parse_bounds(parser, spec, dataset):
     if spec == "auto":
         return None
-    try:
-        if spec.startswith("file:"):
-            bounds = read_headerless_file(spec.split(":", 1)[1], 2, "bounds")
-        elif ":" in spec:
-            bounds = tuple(map(float, spec.split(":", 1)))
-        else:
-            raise ValueError("must be auto, LO:HI, or file:PATH")
-        fit_normalization(dataset, bounds)
-    except (OSError, ValueError) as e:
-        parser.error(f"--bounds {spec}: {e}")
+    if spec.startswith("file:"):
+        bounds = read_headerless_file(spec.split(":", 1)[1], 2, "bounds")
+    elif ":" in spec:
+        bounds = tuple(map(float, spec.split(":", 1)))
+    else:
+        raise ValueError("must be auto, LO:HI, or file:PATH")
+    fit_normalization(dataset, bounds)
     return bounds
 
 
@@ -280,9 +279,12 @@ def _run_coverage(args, parser) -> int:
     else:
         observations = tuple([None] * n_sims)
     dataset = JointSampleSet(theta_true=thetas, observations=observations, sim_ids=sim_ids)
-    policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
-    metric = _parse_metric(parser, args.metric)
-    bounds = _parse_bounds(parser, args.bounds, dataset)
+    with _usage_errors(parser, "--ref-policy", args.ref_policy):
+        policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
+    with _usage_errors(parser, "--metric", args.metric):
+        metric = _parse_metric(parser, args.metric)
+    with _usage_errors(parser, "--bounds", args.bounds):
+        bounds = _parse_bounds(parser, args.bounds, dataset)
 
     # each run of the posterior file is ranked as it is parsed, then dropped
     runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim))

@@ -15,8 +15,8 @@ files carry a header naming their columns:
 
 sim_ids must be dense in [0, N); every sim in a joint file needs at least one
 posterior sample; all floats must be finite. Violations raise SchemaError naming
-the file, line, and invariant; a writer refuses a non-integer sim_id or a
-non-finite value with ValueError and leaves no file. A posterior file can be
+the file, line, and invariant; a writer refuses what a reader would (a sim_id,
+value or shape) with ValueError and leaves no file. A posterior file can be
 written as its draws are made, one simulation at a time. A sample file is parsed
 a chunk of text at a time (about 256 KiB, cut at a line break), each chunk in
 one np.loadtxt call; a per-line reader, which alone defines the valid tokens
@@ -149,9 +149,16 @@ def _write_table(path, header, blocks):
             fh.write(_id_rows(sid, np.asarray(block, dtype=float)))
 
 
+def _write_id_file(path, sim_ids, values, prefix):
+    """One row per sim of the (N,) ``sim_ids`` and the (N, D) ``values``, N, D >= 1, as the readers need."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or not values.size or np.shape(sim_ids) != values.shape[:1]:
+        raise ValueError(f"sim_ids {np.shape(sim_ids)} and values {values.shape} are not (N,) and (N, D), N, D >= 1")
+    _write_table(path, ["sim_id"] + _theta_header(values.shape[1], prefix), zip(sim_ids, values[:, None]))
+
+
 def write_joint_file(path, sim_ids, thetas):
-    thetas = np.asarray(thetas, dtype=float)
-    _write_table(path, ["sim_id"] + _theta_header(thetas.shape[1]), zip(sim_ids, thetas[:, None]))
+    _write_id_file(path, sim_ids, thetas, "theta")
 
 
 @contextlib.contextmanager
@@ -191,8 +198,7 @@ def write_posterior_file(path, samples_by_sim: dict):
 
 
 def write_observation_file(path, sim_ids, xs):
-    xs = np.asarray(xs, dtype=float)
-    _write_table(path, ["sim_id"] + _theta_header(xs.shape[1], "x"), zip(sim_ids, xs[:, None]))
+    _write_id_file(path, sim_ids, xs, "x")
 
 
 def _parse_header(path, line, expected_fixed, value_prefix, dim=None):

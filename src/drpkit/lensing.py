@@ -19,7 +19,7 @@ the analytic time-dependent prior score plus one of two likelihood scores:
 
 The noise scale follows the geometric schedule sigma_t = sigma_min
 (sigma_max/sigma_min)^t, so g^2(t) = d sigma_t^2/dt = 2 sigma_t^2
-ln(sigma_max/sigma_min).
+ln(sigma_max/sigma_min); :class:`VeSchedule` alone computes both.
 
 The model computes three eigenbases once: U of the prior covariance, W of the
 Gram matrix B^T B with B = A U (the biased likelihood score is diagonal there),
@@ -30,7 +30,7 @@ covariance free of x. The samplers draw from that law instead of stepping. It
 costs O(steps D) plus one D x D product per (model, schedule) for the exact
 kind and four D x D products per step for the biased kind, whose covariance and
 gain are carried in W; a simulation then costs one (n, D) block of standard
-normals and one (n, D) x (D, D) product.
+normals and one (n, D) x (D, D) product. The scores live only in that law.
 """
 
 from __future__ import annotations
@@ -90,11 +90,15 @@ class VeSchedule:
             raise ValueError(f"need 0 < sigma_min < sigma_max < inf, got ({self.sigma_min}, {self.sigma_max})")
         _check_int(self.steps, "steps", 1)
 
-    def sigma(self, t: float) -> float:
-        return self.sigma_min * (self.sigma_max / self.sigma_min) ** _check_t(t)
+    def sigma(self, t):
+        """sigma_t at a time, or elementwise at an array of times, in [0, 1]."""
+        t = np.asarray(t, dtype=float)
+        if not ((0.0 <= t) & (t <= 1.0)).all():
+            raise ValueError(f"t must be in [0, 1], got {t}")
+        return self.sigma_min * (self.sigma_max / self.sigma_min) ** t
 
-    def g_squared(self, t: float) -> float:
-        """d(sigma_t^2)/dt for the geometric schedule."""
+    def g_squared(self, t):
+        """d(sigma_t^2)/dt for the geometric schedule, like :meth:`sigma` on arrays."""
         return 2.0 * self.sigma(t) ** 2 * math.log(self.sigma_max / self.sigma_min)
 
 
@@ -224,13 +228,10 @@ class LensingModel:
         return self.operator.shape[0]
 
     def _require_noise(self):
-        # score evaluation and conjugacy divide by sigma_n; a noiseless model
-        # only supports simulate()
+        # the chain's law and the conjugate posterior divide by sigma_n; a
+        # noiseless model only supports simulate()
         if self.sigma_n == 0:
             raise ValueError("sigma_n must be positive for score and posterior computations")
-
-    def _prior_score_eig(self, theta_eig, s2):
-        return -(theta_eig - self._mu0_eig) / (self._lam + s2)
 
     def _posterior_mean_v(self, x):
         """Conjugate posterior mean given x, in posterior-eigenbasis (V) coordinates."""
@@ -260,59 +261,10 @@ def make_dataset(model: LensingModel, n_sims: int, seed: int = 0) -> JointSample
     return _simulated_set(seed, _SIM_TAG, _check_int(n_sims, "n_sims", 1), lambda rng: simulate(model, rng))
 
 
-def _check_t(t):
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    return t
-
-
 def _check_kind(kind):
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}, got {kind!r}")
     return kind
-
-
-def prior_score(model: LensingModel, schedule: VeSchedule, theta, t) -> np.ndarray:
-    """Score of the time-t prior N(mu_0, Sigma_0 + sigma_t^2 I) at theta."""
-    t = _check_t(t)
-    theta = np.asarray(theta, dtype=float)
-    s2 = schedule.sigma(t) ** 2
-    out = model._prior_score_eig(np.atleast_2d(theta) @ model._U, s2) @ model._U.T
-    return out[0] if theta.ndim == 1 else out
-
-
-def likelihood_score(model: LensingModel, schedule: VeSchedule, kind: str, theta, x, t) -> np.ndarray:
-    """Gradient in theta of the log time-t likelihood (exact or biased).
-
-    The exact score is the diffused-posterior score minus the diffused-prior
-    score. At t = 0 exactly, both kinds are evaluated in the sigma_t -> 0
-    limit and reduce to the score of N(x | A theta, sigma_n^2 I).
-    """
-    t = _check_t(t)
-    _check_kind(kind)
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float).ravel()
-    theta2d = np.atleast_2d(theta)
-    if theta2d.shape[1] != model.dim_theta or x.size != model.dim_x:
-        raise ValueError(f"dimension mismatch: theta {theta.shape}, x {x.shape} for model "
-                         f"({model.dim_theta}, {model.dim_x})")
-    model._require_noise()
-    if t == 0.0:
-        out = (x - theta2d @ model.operator.T) @ model.operator / model.sigma_n**2
-    else:
-        s2 = schedule.sigma(t) ** 2
-        th = theta2d @ model._U
-        if kind == "biased":
-            # diagonal in W: (x B W - gamma (th W)) / (sigma_n^2 + s2 gamma)
-            W, gam = model._gram_v, model._gram_l
-            out = (((x @ model._B) @ W - gam * (th @ W)) / (model.sigma_n**2 + s2 * gam)) @ W.T
-        else:
-            # diffused-posterior score, diagonal in V, minus the diffused-prior score
-            phi = th @ model._V - model._posterior_mean_v(x)
-            out = -(phi / (model._post_var + s2)) @ model._V.T - model._prior_score_eig(th, s2)
-        out = out @ model._U.T
-    return out[0] if theta.ndim == 1 else out
 
 
 def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
@@ -333,9 +285,8 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
     # noise variance s2 = sigma_t^2 and step size h = dt g^2(t) on the reverse
     # grid t_k = 1 - k dt
     dt = 1.0 / schedule.steps
-    ratio = schedule.sigma_max / schedule.sigma_min
-    s2 = ((schedule.sigma_min * ratio ** (1.0 - dt * np.arange(schedule.steps))) ** 2)[:, None]
-    h = dt * (2.0 * s2 * math.log(ratio))
+    t = 1.0 - dt * np.arange(schedule.steps)
+    s2, h = schedule.sigma(t)[:, None] ** 2, dt * schedule.g_squared(t)[:, None]
     lam, mu0, dim = model._lam, model._mu0_eig, model.dim_theta
     init = lam + schedule.sigma_max**2
 

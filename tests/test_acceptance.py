@@ -30,9 +30,7 @@ from drpkit.lensing import (
     build_model,
     conjugate_posterior,
     lensing_prior_policy,
-    likelihood_score,
     make_dataset,
-    prior_score,
     simulate,
 )
 from drpkit.numerics import (
@@ -43,6 +41,7 @@ from drpkit.numerics import (
     norm_cdf,
     norm_isf,
 )
+from lensing_oracle import likelihood_score, prior_score
 
 
 def report(number, name, ok, detail):

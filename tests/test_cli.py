@@ -465,8 +465,17 @@ class TestCoverageCommand:
         pfile = tmp_path / "prior.csv"
         pfile.write_text(text)
         assert run("coverage", "--joint", str(joint), "--posterior", str(post),
-                   "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 1
+                   "--ref-policy", f"prior-file:{pfile}", "--out", str(tmp_path / "o")) == 2
         assert f"{pfile}{where}" in capsys.readouterr().err
+
+    def test_missing_prior_file_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        joint, post = self.make_files(tmp_path)
+        spec = f"prior-file:{tmp_path / 'absent.csv'}"
+        out = tmp_path / "o"
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                   "--ref-policy", spec, "--out", str(out)) == 2
+        assert f"error: --ref-policy {spec}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--bounds=0:inf"],
@@ -699,8 +708,8 @@ def test_public_names_are_pinned():
         "conjugate_datashift_policy", "conjugate_posterior", "conjugate_posterior_params",
         "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_test",
         "ecp_curve", "fit_normalization", "generate_conjugate", "generate_toy", "hpd_test",
-        "ks_uniform_statistic", "lensing_prior_policy", "likelihood_score", "make_dataset",
-        "norm_cdf", "norm_isf", "prior_score", "simulate", "toy_prior_policy",
+        "ks_uniform_statistic", "lensing_prior_policy", "make_dataset",
+        "norm_cdf", "norm_isf", "simulate", "toy_prior_policy",
     ]
 
 

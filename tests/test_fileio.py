@@ -144,6 +144,20 @@ class TestSampleFiles:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("sim_ids, values", [
+        ([0], np.zeros((3, 2))),             # fewer ids than rows
+        ([0, 1, 2], np.zeros((2, 4))),       # more ids than rows
+        ([0, 1, 2], np.zeros(3)),            # 1-D values
+        ([], np.zeros((0, 2))),              # no simulation
+    ], ids=["fewer-ids", "more-ids", "1d-values", "zero-rows"])
+    @pytest.mark.parametrize("writer", [write_joint_file, write_observation_file])
+    def test_id_writers_refuse_shapes_the_readers_refuse(self, tmp_path, writer, sim_ids, values):
+        with pytest.raises(ValueError) as err:
+            writer(tmp_path / "out.csv", sim_ids, values)
+        assert str(err.value) == (f"sim_ids {np.shape(sim_ids)} and values {values.shape} "
+                                  f"are not (N,) and (N, D), N, D >= 1")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("block", [np.zeros(3), np.zeros((1, 2, 2)), np.float64(1.0)])
     def test_write_posterior_file_rejects_blocks_that_are_not_2d(self, tmp_path, block):
         path = tmp_path / "post.csv"

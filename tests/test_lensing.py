@@ -1,9 +1,12 @@
 """Tests for the linear-Gaussian benchmark: operator/prior construction, the
-noise schedule, analytic scores against finite differences of independently
-built log-densities, the reverse-SDE sampler's law against the Euler-Maruyama
-moments of the public scores and against the conjugate oracle."""
+noise schedule, the dense reference scores of lensing_oracle against finite
+differences of independently built log-densities, the reverse-SDE sampler's law
+against the Euler-Maruyama moments of those scores and against the conjugate
+oracle."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,12 +29,11 @@ from drpkit.lensing import (
     build_prior,
     conjugate_posterior,
     lensing_prior_policy,
-    likelihood_score,
     make_dataset,
-    prior_score,
     simulate,
 )
 from drpkit.numerics import SeededRng, cholesky
+from lensing_oracle import likelihood_score, prior_score
 
 
 def small_model(seed=0, kernel_scale=0.35, sigma_n=1.0):
@@ -97,7 +99,7 @@ def sampled_law(model, schedule, kind, x):
 
 
 def reference_step(model, schedule, kind, x, t, h, mean, cov):
-    """One Euler-Maruyama step of the moments, built only from the public
+    """One Euler-Maruyama step of the moments, built only from the reference
     scores: the drift is affine in theta, drift(0) + theta J, so the mean moves
     by h drift(mean) and the covariance becomes (I + hJ)^T C (I + hJ) + h I."""
     def drift(theta):
@@ -246,6 +248,21 @@ class TestVeSchedule:
             VeSchedule().sigma(1.5)
         with pytest.raises(ValueError):
             VeSchedule().sigma(-0.1)
+        with pytest.raises(ValueError):
+            VeSchedule().sigma(math.nan)
+
+    def test_arrays_match_scalar_calls(self):
+        sched = VeSchedule(sigma_min=0.003, sigma_max=70.0)
+        t = np.linspace(0.0, 1.0, 37)
+        for method in (sched.sigma, sched.g_squared):
+            assert method(t).shape == t.shape
+            assert method(t) == pytest.approx([method(float(v)) for v in t], rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("method", ["sigma", "g_squared"])
+    def test_arrays_outside_the_domain_are_refused(self, method, bad):
+        with pytest.raises(ValueError, match=r"t must be in \[0, 1\]"):
+            getattr(VeSchedule(), method)(np.array([0.0, 0.5, bad]))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -392,6 +409,20 @@ class TestSimulate:
     def test_non_finite_or_negative_noise_is_refused(self, sigma_n):
         with pytest.raises(ValueError, match=f"sigma_n must be finite and nonnegative, got {sigma_n}"):
             small_model(sigma_n=sigma_n)
+
+
+def test_dense_oracle_uses_no_private_name():
+    # the reference scores must stay independent of the eigenbases they check
+    # (_U, _V, _gram_v, _posterior_mean_v, ...): no attribute or imported name
+    # of lensing_oracle.py may start with an underscore
+    path = os.path.join(os.path.dirname(__file__), "lensing_oracle.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    private = [f"{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    private += [f"{node.lineno}: import {alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 class TestPriorScore:
@@ -675,7 +706,7 @@ class TestRsdeSampler:
     def test_fused_step_drift_equals_public_scores(self, kind):
         # a one-step schedule whose sigma_max is sigma_t of the base schedule
         # has the law of one step with h = g^2 at that noise level, driven by
-        # the public scores at time t of the base schedule
+        # the reference scores at time t of the base schedule
         model = small_model(seed=17)
         base = VeSchedule()
         x = simulate(model, SeededRng(74))[1]
@@ -689,7 +720,7 @@ class TestRsdeSampler:
 
     @pytest.mark.parametrize("kind", SCORE_KINDS)
     def test_matches_reference_euler_maruyama(self, kind):
-        # the Euler-Maruyama moments built only from the public scores: a
+        # the Euler-Maruyama moments built only from the reference scores: a
         # zero-noise run gives the mean, the propagated covariance the rest
         model = small_model(seed=18)
         x = simulate(model, SeededRng(19))[1]
