@@ -249,11 +249,14 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
     parser.error(f"unknown --ref-policy {spec!r}")
 
 
-def _parse_metric(parser, spec):
+def _parse_metric(parser, spec, dim):
     if spec == "euclidean":
         return Euclidean()
     if spec.startswith("weighted:"):
-        return WeightedEuclidean(weights=read_headerless_file(spec.split(":", 1)[1], 1, "weights"))
+        weights = read_headerless_file(spec.split(":", 1)[1], 1, "weights")
+        if len(weights) != dim:
+            raise ValueError(f"metric has {len(weights)} weights, parameters have dimension {dim}")
+        return WeightedEuclidean(weights=weights)
     parser.error(f"unknown --metric {spec!r}")
 
 
@@ -282,7 +285,7 @@ def _run_coverage(args, parser) -> int:
     with _usage_errors(parser, "--ref-policy", args.ref_policy):
         policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
     with _usage_errors(parser, "--metric", args.metric):
-        metric = _parse_metric(parser, args.metric)
+        metric = _parse_metric(parser, args.metric, dim)
     with _usage_errors(parser, "--bounds", args.bounds):
         bounds = _parse_bounds(parser, args.bounds, dataset)
 

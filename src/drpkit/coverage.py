@@ -333,14 +333,6 @@ class CoverageCurve:
         return float(np.max(np.abs(self.ecp - self.levels)[mask] / sigma[mask]))
 
 
-def _checked_levels(levels) -> np.ndarray:
-    """The credibility grid: the default for None, else ``levels`` checked."""
-    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
-    if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
-        raise ValueError("levels must be a nonempty grid within [0, 1]")
-    return levels
-
-
 def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
     """Assemble a coverage curve from the table alone: ecp(c) = #{f_i < c} / #ranks,
     a 3-sigma binomial band over the n_sims distinct sim_ids (repeats pool their
@@ -348,7 +340,9 @@ def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
     counts differ), and method "drp" when the table holds reference points, else "hpd"."""
     if ranks.k.size == 0:
         raise ValueError("ecp_curve requires at least one rank")
-    levels = _checked_levels(levels)
+    levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
+    if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
+        raise ValueError("levels must be a nonempty grid within [0, 1]")
     f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
     n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))  # one plus the steps between sorted ids
@@ -423,8 +417,9 @@ def _hpd_scorer(source):
 
 
 def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
-                   levels=None, seed: int = 0, on_draws=None) -> list:
-    """Several coverage tests on one pass over the draws: one curve per spec in ``tests``.
+                   seed: int = 0, on_draws=None) -> list:
+    """Several coverage tests on one pass over the draws: one curve per spec in ``tests``
+    on the default grid; ``ecp_curve(curve.ranks, levels)`` regrids one.
 
     ``source`` is a sampler (anything with a callable ``sample``), which gives
     each simulation n_post draws from a substream keyed by its sim_id, or draws
@@ -455,7 +450,6 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         _check_int(n_post, "n_post", 1)
     elif n_post is not None:
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
-    levels = _checked_levels(levels)
     root = SeededRng(seed)
     scorers = []
     for spec in tests:
@@ -495,25 +489,24 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     if not n.all():
         raise SimulationError(int(np.argmin(n)), "no posterior samples")
     return [ecp_curve(RankTable(sim_id=np.arange(n_sims).repeat(k.shape[1]), k=k.ravel(), n=n.repeat(k.shape[1]),
-                                theta_r=None if refs is None else refs.reshape(k.size, -1)), levels)
+                                theta_r=None if refs is None else refs.reshape(k.size, -1)))
             for (_, refs), k in zip(scorers, counts)]
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,
              policy: ReferencePolicy = UnitHypercubeUniform(),
              metric: DistanceMetric = Euclidean(),
-             levels=None, seed: int = 0, bounds=None, repeats: int = 1,
+             seed: int = 0, bounds=None, repeats: int = 1,
              on_draws=None) -> CoverageCurve:
     """Distance-to-random-point coverage test over a validation set, on a
     sampler's draws or on draws made elsewhere: the one-test case of
     :func:`coverage_tests`, which describes it."""
     return coverage_tests(dataset, source, [DrpSpec(policy, metric, bounds, repeats)],
-                          n_post=n_post, levels=levels, seed=seed, on_draws=on_draws)[0]
+                          n_post=n_post, seed=seed, on_draws=on_draws)[0]
 
 
 def hpd_test(dataset: JointSampleSet, sampler, *, n_post: int,
-             levels=None, seed: int = 0, on_draws=None) -> CoverageCurve:
+             seed: int = 0, on_draws=None) -> CoverageCurve:
     """Highest-posterior-density coverage test; requires sampler.log_density. The
     one-test case of :func:`coverage_tests`, on the same draws as drp_test."""
-    return coverage_tests(dataset, sampler, [HpdSpec()], n_post=n_post, levels=levels,
-                          seed=seed, on_draws=on_draws)[0]
+    return coverage_tests(dataset, sampler, [HpdSpec()], n_post=n_post, seed=seed, on_draws=on_draws)[0]

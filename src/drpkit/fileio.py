@@ -174,8 +174,9 @@ def posterior_writer(path):
         def write(sim_id, draws):
             nonlocal first
             draws = np.asarray(draws, dtype=float)
-            if draws.ndim != 2:
-                raise ValueError(f"samples for sim_id {sim_id} have shape {draws.shape}, expected (n, D)")
+            if draws.ndim != 2 or not draws.size:  # the reader needs a row and a value column
+                raise ValueError(f"samples for sim_id {sim_id} have shape {draws.shape}, "
+                                 "expected (n, D), n, D >= 1")
             if first is None:
                 first = (sim_id, draws.shape[1])
                 fh.write(",".join(["sim_id", "sample_id"] + _theta_header(draws.shape[1])) + "\n")

@@ -179,11 +179,10 @@ class LensingModel:
     """Immutable forward model: operator A, noise sigma_n, Gaussian prior.
 
     Holds one-time factorizations: the Cholesky factor and eigenbasis U of the
-    prior covariance, the eigenbasis W of the Gram matrix B^T B (B = A U), and,
-    when sigma_n > 0, the eigenbasis V of the posterior precision
-    diag(1/lambda) + B^T B / sigma_n^2. Nothing else is stored, so one model
-    serves any number of samplers and schedules. A noiseless model
-    (sigma_n = 0) only supports :func:`simulate`.
+    prior covariance, the eigenbasis W of the Gram matrix B^T B (B = A U), and
+    the eigenbasis V of the posterior precision diag(1/lambda) + B^T B /
+    sigma_n^2, so sigma_n must be positive. Nothing else is stored, so one
+    model serves any number of samplers and schedules.
     """
 
     def __init__(self, operator, sigma_n, prior_mean, prior_cov):
@@ -194,10 +193,8 @@ class LensingModel:
             raise ValueError(
                 f"shape mismatch: operator {A.shape}, prior mean {mu0.shape}, prior cov {cov.shape}"
             )
-        if not 0 <= sigma_n < math.inf:
-            raise ValueError(f"sigma_n must be finite and nonnegative, got {sigma_n}")
         self.operator = A
-        self.sigma_n = float(sigma_n)
+        self.sigma_n = float(_check_positive(sigma_n, "sigma_n"))
         self.prior_mean = mu0
         self.prior_cov = cov
         try:
@@ -214,10 +211,9 @@ class LensingModel:
         gram_l, self._gram_v = np.linalg.eigh(gram)
         self._gram_l = np.maximum(gram_l, 0.0)
         self._mu0_eig = mu0 @ U
-        if self.sigma_n > 0:
-            prec, self._V = np.linalg.eigh(np.diag(1.0 / lam) + gram / self.sigma_n**2)
-            self._post_var = 1.0 / prec
-            self._UV = U @ self._V
+        prec, self._V = np.linalg.eigh(np.diag(1.0 / lam) + gram / self.sigma_n**2)
+        self._post_var = 1.0 / prec
+        self._UV = U @ self._V
 
     @property
     def dim_theta(self) -> int:
@@ -226,12 +222,6 @@ class LensingModel:
     @property
     def dim_x(self) -> int:
         return self.operator.shape[0]
-
-    def _require_noise(self):
-        # the chain's law and the conjugate posterior divide by sigma_n; a
-        # noiseless model only supports simulate()
-        if self.sigma_n == 0:
-            raise ValueError("sigma_n must be positive for score and posterior computations")
 
     def _posterior_mean_v(self, x):
         """Conjugate posterior mean given x, in posterior-eigenbasis (V) coordinates."""
@@ -281,7 +271,6 @@ def _chain_law(model: LensingModel, schedule: VeSchedule, kind: str):
     names the first non-finite step.
     """
     _check_kind(kind)
-    model._require_noise()
     # noise variance s2 = sigma_t^2 and step size h = dt g^2(t) on the reverse
     # grid t_k = 1 - k dt
     dt = 1.0 / schedule.steps
@@ -349,7 +338,6 @@ def conjugate_posterior(model: LensingModel, x):
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.dim_x:
         raise ValueError(f"observation has dimension {x.size}, model expects {model.dim_x}")
-    model._require_noise()
     UV = model._UV
     cov = (UV * model._post_var) @ UV.T
     return model._posterior_mean_v(x) @ UV.T, 0.5 * (cov + cov.T)
@@ -362,8 +350,8 @@ class DiffusionPosteriorSampler(PosteriorSampler):
     the output of the chain from the t=1 prior marginal through
     `schedule.steps` Euler-Maruyama steps to t=0 under the prior score plus
     the likelihood score of ``kind``, drawn from its exact law. The law is
-    built at construction (a diverging schedule or a noiseless model fails
-    there) and never written again.
+    built at construction (a diverging schedule fails there) and never
+    written again.
     """
 
     def __init__(self, model: LensingModel, schedule: VeSchedule, kind: str):

@@ -250,7 +250,7 @@ def test_criterion_08_region_rank_equivalence():
         dataset = optimal_gaussian_setup(n_sims, seed=7000 + trial)
         sampler = GaussianSampler()
         for method, runner in (("drp", drp_test), ("hpd", hpd_test)):
-            curve = runner(dataset, sampler, n_post=n_post, seed=8000 + trial, levels=levels)
+            curve = runner(dataset, sampler, n_post=n_post, seed=8000 + trial)
             oracle = region_membership_ecp(dataset, sampler, method=method, n_post=n_post,
                                            seed=8000 + trial, levels=levels)
             gap = float(np.max(np.abs(curve.ecp - oracle)) * n_post)

@@ -135,14 +135,6 @@ class TestGenerateToy:
             ToyConfig(**{field: value})
         assert ToyConfig(dim=np.int64(2), n_sims=np.int32(3)).dim == 2
 
-    @pytest.mark.parametrize("field, value", [
-        ("narrow_factor", math.nan), ("wide_factor", math.inf), ("theta_bounds", (0.0, math.inf)),
-        ("theta_bounds", (math.nan, 1.0)), ("log_sigma_bounds", (-math.inf, -1.0)),
-    ])
-    def test_non_finite_floats_are_refused_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            ToyConfig(**{field: value})
-
 
 class TestDiagonalGaussianSampler:
     def test_log_density_matches_scipy_up_to_constant(self):
@@ -183,11 +175,11 @@ class TestConjugatePosterior:
         assert m == config.mu0
         assert s == config.sigma0**2
 
-    def test_uninformative_noise_limit(self):
-        config = ConjugateConfig(sigma_x=1e9)
-        m, s = conjugate_posterior_params(np.full(50, 3.0), config)
-        assert abs(m - config.mu0) < 1e-6
-        assert s == pytest.approx(config.sigma0**2, rel=1e-6)
+    def test_one_observation_known_answer(self):
+        # mu0 = 0, sigma0 = 1, sigma_x = 0.1: variance 1/(1 + 100), mean 300/101
+        m, s = conjugate_posterior_params(np.array([3.0]), ConjugateConfig())
+        assert s == pytest.approx(1.0 / 101.0, rel=1e-12)
+        assert m == pytest.approx(300.0 / 101.0, rel=1e-12)
 
     def test_generate_shapes(self):
         config = ConjugateConfig(n_sims=30)
@@ -211,24 +203,11 @@ class TestConjugatePosterior:
             # sigma_x = 0.1 over 50 draws: standard error ~0.0141
             assert abs(xbar - ds.theta_true[i, 0]) < 5 * config.sigma_x / math.sqrt(50)
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            ConjugateConfig(sigma0=0.0)
-
     @pytest.mark.parametrize("field, value, message", [
-        ("n_obs", 1.5, "n_obs must be an integer, got 1.5"), ("n_sims", 2.5, "n_sims must be an integer, got 2.5"),
-        ("n_obs", -1, "n_obs must be >= 0, got -1"), ("n_sims", False, "n_sims must be an integer, got False"),
+        ("n_sims", 2.5, "n_sims must be an integer, got 2.5"), ("n_sims", False, "n_sims must be an integer, got False"),
     ])
     def test_sizes_must_be_integers(self, field, value, message):
         with pytest.raises(ValueError, match=message):
-            ConjugateConfig(**{field: value})
-        assert ConjugateConfig(n_obs=np.int64(0)).n_obs == 0
-
-    @pytest.mark.parametrize("field, value", [
-        ("sigma0", math.nan), ("sigma_x", math.inf), ("sigma0", math.inf), ("mu0", math.nan),
-    ])
-    def test_non_finite_floats_are_refused_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ConjugateConfig(**{field: value})
 
 
@@ -273,7 +252,7 @@ def toy_arrays(case):
 
 
 def conjugate_arrays(n_sims):
-    ds, post = generate_conjugate(ConjugateConfig(n_obs=5, n_sims=n_sims), seed=6)
+    ds, post = generate_conjugate(ConjugateConfig(n_sims=n_sims), seed=6)
     return ds.theta_true, ds.observations, post
 
 

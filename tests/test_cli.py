@@ -337,9 +337,9 @@ class TestCoverageCommand:
         weights = tmp_path / "w.txt"
         weights.write_text("1\n2\n3\n")
         assert run("coverage", "--joint", str(joint), "--posterior", str(post),
-                   "--metric", f"weighted:{weights}", "--out", str(tmp_path / "o")) == 1
+                   "--metric", f"weighted:{weights}", "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert err == "error: metric has 3 weights, parameters have dimension 2\n"
+        assert err.endswith(f"error: --metric weighted:{weights}: metric has 3 weights, parameters have dimension 2\n")
         assert not (tmp_path / "o").exists()
 
     def test_posterior_dimension_is_checked_at_its_header(self, tmp_path, capsys):
@@ -724,12 +724,27 @@ def test_src_stays_within_the_line_budget():
     assert lines <= 2399
 
 
+# a settings budget: a new engine or config parameter fails here until it is pinned
 @pytest.mark.parametrize("fn, params", [
-    (coverage_tests, ["dataset", "source", "tests", "n_post", "levels", "seed", "on_draws"]),
-    (drp_test, ["dataset", "source", "n_post", "policy", "metric", "levels", "seed", "bounds", "repeats",
-                "on_draws"]),
-    (hpd_test, ["dataset", "sampler", "n_post", "levels", "seed", "on_draws"]),
+    (coverage_tests, ["dataset", "source", "tests", "n_post", "seed", "on_draws"]),
+    (drp_test, ["dataset", "source", "n_post", "policy", "metric", "seed", "bounds", "repeats", "on_draws"]),
+    (hpd_test, ["dataset", "sampler", "n_post", "seed", "on_draws"]),
     (ecp_curve, ["ranks", "levels"]),
+    (benchmarks.ToyConfig, ["dim", "n_sims", "case"]),
+    (benchmarks.ConjugateConfig, ["n_sims"]),
+    (benchmarks.conjugate_datashift_policy, []),
+    (benchmarks.biased_mean, ["theta_true", "sigma"]),
 ])
 def test_engine_parameters_are_pinned(fn, params):
     assert list(inspect.signature(fn).parameters) == params
+
+
+def test_experiment_constants_are_pinned():
+    # the paper's fixed settings; passing one to a config raises TypeError
+    toy, conjugate = benchmarks.ToyConfig, benchmarks.ConjugateConfig
+    assert toy.theta_bounds == (-5.0, 5.0) and toy.log_sigma_bounds == (-5.0, -1.0)
+    assert toy.narrow_factor == 0.5 and toy.wide_factor == 2.0
+    assert (conjugate.n_obs, conjugate.mu0, conjugate.sigma0, conjugate.sigma_x) == (50, 0.0, 1.0, 0.1)
+    for cls, name, value in [(toy, "theta_bounds", (-1.0, 1.0)), (conjugate, "sigma_x", 1.0)]:
+        with pytest.raises(TypeError):
+            cls(**{name: value})

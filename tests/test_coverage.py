@@ -360,9 +360,10 @@ class TestEcpCurve:
         assert levels[0] == 0.0 and levels[-1] == 1.0
         assert np.array_equal(levels, np.arange(101) / 100.0)
 
-    def test_nan_level_rejected(self):
-        with pytest.raises(ValueError, match="levels"):
-            ecp_curve(ranks_from([2, 6, 9], 10), levels=[np.nan, 0.5])
+    @pytest.mark.parametrize("levels", [[2.0], [], [np.nan, 0.5]])
+    def test_bad_levels_refused(self, levels):
+        with pytest.raises(ValueError, match="levels must be a nonempty grid within"):
+            ecp_curve(ranks_from([2, 6, 9], 10), levels=levels)
 
     def test_exact_fractions(self):
         g = SeededRng(10).generator()
@@ -659,11 +660,6 @@ class TestSpecChecks:
     def test_refused_before_any_sample(self, spec, message):
         self.assert_refused(ValueError, message, [spec])
 
-    @pytest.mark.parametrize("levels", [[2.0], [], [np.nan, 0.5]])
-    def test_bad_levels_refused_before_any_sample(self, levels):
-        self.assert_refused(ValueError, "levels must be a nonempty grid within", [DrpSpec(), HpdSpec()],
-                            levels=levels)
-
     @pytest.mark.parametrize("spec, message", [
         (DrpSpec(policy="bogus"), "unknown reference policy str"),
         (DrpSpec(metric=None), "unknown metric NoneType"),
@@ -767,7 +763,7 @@ class TestRegionMembershipOracle:
             ds = optimal_gaussian_setup(n_sims, seed=2000 + trial)
             sampler = GaussianSampler()
             levels = default_levels()
-            curve = drp_test(ds, sampler, n_post=n_post, seed=3000 + trial, levels=levels)
+            curve = drp_test(ds, sampler, n_post=n_post, seed=3000 + trial)
             oracle = region_membership_ecp(ds, sampler, method="drp", n_post=n_post,
                                            seed=3000 + trial, levels=levels)
             assert np.max(np.abs(curve.ecp - oracle)) <= 1.0 / n_post + 1e-12
@@ -781,7 +777,7 @@ class TestRegionMembershipOracle:
             ds = optimal_gaussian_setup(n_sims, seed=4000 + trial)
             sampler = GaussianSampler()
             levels = default_levels()
-            curve = hpd_test(ds, sampler, n_post=n_post, seed=5000 + trial, levels=levels)
+            curve = hpd_test(ds, sampler, n_post=n_post, seed=5000 + trial)
             oracle = region_membership_ecp(ds, sampler, method="hpd", n_post=n_post,
                                            seed=5000 + trial, levels=levels)
             assert np.max(np.abs(curve.ecp - oracle)) <= 1.0 / n_post + 1e-12
@@ -809,12 +805,10 @@ class TestRegionMembershipOracle:
         sampler = StoredSampler(draws)
         ds = make_dataset(np.array(truths)[:, None], observations=(0, 1, 2))
         zero_ref = PriorDraw(draw=lambda g: np.zeros(1))
-        levels = np.array([0.68])
-        curve = drp_test(ds, sampler, n_post=n, seed=0, policy=zero_ref,
-                         bounds=(0.0, 1.0), levels=levels)
+        curve = drp_test(ds, sampler, n_post=n, seed=0, policy=zero_ref, bounds=(0.0, 1.0))
         oracle = region_membership_ecp(ds, sampler, method="drp", n_post=n, seed=0,
-                                       policy=zero_ref, bounds=(0.0, 1.0), levels=levels)
-        assert curve.ecp[0] == pytest.approx(2 / 3)
+                                       policy=zero_ref, bounds=(0.0, 1.0), levels=[0.68])
+        assert ecp_curve(curve.ranks, [0.68]).ecp[0] == pytest.approx(2 / 3)
         assert oracle[0] == pytest.approx(2 / 3)
 
     def test_size_limits(self):

@@ -158,13 +158,22 @@ class TestSampleFiles:
                                   f"are not (N,) and (N, D), N, D >= 1")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("block", [np.zeros(3), np.zeros((1, 2, 2)), np.float64(1.0)])
+    @pytest.mark.parametrize("block", [np.zeros(3), np.zeros((1, 2, 2)), np.float64(1.0),
+                                       np.zeros((0, 2)), np.zeros((3, 0))])
     def test_write_posterior_file_rejects_blocks_that_are_not_2d(self, tmp_path, block):
+        # an empty block would write a file that read_posterior_runs refuses, or drop a simulation
         path = tmp_path / "post.csv"
-        with pytest.raises(ValueError) as err:
-            write_posterior_file(path, {0: np.zeros((1, 2)), 4: block})
-        assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D)"
-        assert list(tmp_path.iterdir()) == []
+
+        def streamed(path, blocks):
+            with posterior_writer(path) as write:
+                for sid, draws in blocks.items():
+                    write(sid, draws)
+
+        for writer in (write_posterior_file, streamed):
+            with pytest.raises(ValueError) as err:
+                writer(path, {0: np.zeros((1, 2)), 4: block})
+            assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D), n, D >= 1"
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sim_id, value, message", [
         (0.7, 1.0, "sim_id must be an integer, got 0.7"), (True, 1.0, "sim_id must be an integer, got True"),
