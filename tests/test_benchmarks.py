@@ -205,10 +205,12 @@ class TestConjugatePosterior:
 
     @pytest.mark.parametrize("field, value, message", [
         ("n_sims", 2.5, "n_sims must be an integer, got 2.5"), ("n_sims", False, "n_sims must be an integer, got False"),
+        ("n_sims", 0, "n_sims must be >= 1, got 0"),
     ])
     def test_sizes_must_be_integers(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ConjugateConfig(**{field: value})
+        assert ConjugateConfig(n_sims=np.int64(3)).n_sims == 3
 
 
 class TestUninformativeSampler:

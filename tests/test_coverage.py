@@ -365,6 +365,21 @@ class TestEcpCurve:
         with pytest.raises(ValueError, match="levels must be a nonempty grid within"):
             ecp_curve(ranks_from([2, 6, 9], 10), levels=levels)
 
+    @pytest.mark.parametrize("test", ["drp_test", "hpd_test", "coverage_tests"])
+    def test_engine_curves_are_on_the_default_grid(self, test):
+        # the engine takes no levels; ecp_curve(curve.ranks, levels) regrids its curve
+        ds, sampler = optimal_gaussian_setup(12, seed=8), GaussianSampler()
+        run = {"drp_test": lambda **kw: drp_test(ds, sampler, n_post=9, seed=3, **kw),
+               "hpd_test": lambda **kw: hpd_test(ds, sampler, n_post=9, seed=3, **kw),
+               "coverage_tests": lambda **kw: coverage_tests(ds, sampler, [HpdSpec()], n_post=9, seed=3, **kw)[0]}[test]
+        with pytest.raises(TypeError, match="levels"):
+            run(levels=[0.5])
+        curve = run()
+        assert np.array_equal(curve.levels, default_levels())
+        regrid = ecp_curve(curve.ranks, [0.25, 0.5, 0.9])
+        assert np.array_equal(regrid.ecp, curve.ecp[[25, 50, 90]])
+        assert (regrid.n_sims, regrid.n_post, regrid.method) == (curve.n_sims, curve.n_post, curve.method)
+
     def test_exact_fractions(self):
         g = SeededRng(10).generator()
         f = g.uniform(size=100_000)

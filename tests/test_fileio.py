@@ -175,6 +175,21 @@ class TestSampleFiles:
             assert str(err.value) == f"samples for sim_id 4 have shape {np.shape(block)}, expected (n, D), n, D >= 1"
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("block", [np.zeros((0, 2)), np.zeros((3, 0))], ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["write_posterior_file", "posterior_writer"])
+    def test_an_empty_first_block_is_refused(self, tmp_path, streamed, block):
+        # a first block with no rows used to write only the header, and the next
+        # simulation's rows then followed it, so the file lost simulation 0
+        path = tmp_path / "post.csv"
+        with pytest.raises(ValueError, match=r"^samples for sim_id 0 have shape \(\d, \d\), expected"):
+            if streamed:
+                with posterior_writer(path) as write:
+                    write(0, block)
+                    write(1, np.ones((2, 2)))
+            else:
+                write_posterior_file(path, {0: block, 1: np.ones((2, 2))})
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sim_id, value, message", [
         (0.7, 1.0, "sim_id must be an integer, got 0.7"), (True, 1.0, "sim_id must be an integer, got True"),
         (0, np.nan, "values for sim_id 0 are not finite"), (0, np.inf, "values for sim_id 0 are not finite"),
