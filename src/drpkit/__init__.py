@@ -22,9 +22,7 @@ from .coverage import (
     CoverageCurve,
     DataShift,
     DensityUnavailableError,
-    DistanceMetric,
     DrpSpec,
-    Euclidean,
     HpdSpec,
     JointSampleSet,
     NormalizationError,
@@ -35,7 +33,6 @@ from .coverage import (
     ReferencePolicy,
     SimulationError,
     UnitHypercubeUniform,
-    WeightedEuclidean,
     coverage_tests,
     default_levels,
     drp_test,
@@ -76,11 +73,10 @@ from .lensing import (
 __all__ = [
     "DecompositionError", "SeededRng", "binomial_band", "cholesky", "ks_uniform_statistic",
     "norm_cdf", "norm_isf",
-    "CoverageCurve", "DataShift", "DensityUnavailableError", "DistanceMetric", "DrpSpec",
-    "Euclidean", "HpdSpec", "JointSampleSet", "NormalizationError", "NormalizationMap",
-    "PosteriorSampler", "PriorDraw", "RankTable", "ReferencePolicy", "SimulationError",
-    "UnitHypercubeUniform", "WeightedEuclidean", "coverage_tests", "default_levels", "drp_test",
-    "ecp_curve", "fit_normalization", "hpd_test",
+    "CoverageCurve", "DataShift", "DensityUnavailableError", "DrpSpec", "HpdSpec", "JointSampleSet",
+    "NormalizationError", "NormalizationMap", "PosteriorSampler", "PriorDraw", "RankTable",
+    "ReferencePolicy", "SimulationError", "UnitHypercubeUniform", "coverage_tests", "default_levels",
+    "drp_test", "ecp_curve", "fit_normalization", "hpd_test",
     "ConjugateConfig", "DiagonalGaussianSampler", "ToyConfig", "ToySimulation",
     "UninformativeSampler", "biased_mean", "conjugate_datashift_policy",
     "conjugate_posterior_params", "conjugate_prior_policy", "generate_conjugate", "generate_toy",

@@ -149,7 +149,7 @@ class ConjugateConfig:
         _check_int(self.n_sims, "n_sims", 1)
 
 
-def conjugate_posterior_params(xs, config: ConjugateConfig):
+def conjugate_posterior_params(xs):
     """True posterior (mean, variance) for theta given observations xs.
 
     variance = (1/sigma0^2 + n_x/sigma_x^2)^-1 and
@@ -157,8 +157,8 @@ def conjugate_posterior_params(xs, config: ConjugateConfig):
     this recovers the prior.
     """
     xs = np.asarray(xs, dtype=float).ravel()
-    s = 1.0 / (1.0 / config.sigma0**2 + xs.size / config.sigma_x**2)
-    m = s * (config.mu0 / config.sigma0**2 + xs.sum() / config.sigma_x**2)
+    s = 1.0 / (1.0 / ConjugateConfig.sigma0**2 + xs.size / ConjugateConfig.sigma_x**2)
+    m = s * (ConjugateConfig.mu0 / ConjugateConfig.sigma0**2 + xs.sum() / ConjugateConfig.sigma_x**2)
     return m, s
 
 
@@ -174,28 +174,26 @@ def generate_conjugate(config: ConjugateConfig, seed: int = 0):
         return theta, g.normal(theta, config.sigma_x, config.n_obs)
 
     dataset = _simulated_set(seed, _CONJ_TAG, config.n_sims, simulate)
-    return dataset, np.array([conjugate_posterior_params(xs, config) for xs in dataset.observations])
+    return dataset, np.array([conjugate_posterior_params(xs) for xs in dataset.observations])
 
 
 class UninformativeSampler(PosteriorSampler):
-    """Estimator equal to the prior N(mu0, sigma0^2), ignoring the data."""
-
-    def __init__(self, config: ConjugateConfig):
-        self.config = config
+    """Estimator equal to the prior N(mu0, sigma0^2) of ``ConjugateConfig``, ignoring the data."""
 
     def sample(self, x, n: int, rng: SeededRng) -> np.ndarray:
         z = rng.generator().standard_normal((n, 1))
-        z *= self.config.sigma0
-        z += self.config.mu0
+        z *= ConjugateConfig.sigma0
+        z += ConjugateConfig.mu0
         return z
 
     def log_density(self, theta, x) -> np.ndarray:
-        z = (np.atleast_2d(theta)[:, 0] - self.config.mu0) / self.config.sigma0
-        return -0.5 * z * z - math.log(self.config.sigma0)
+        z = (np.atleast_2d(theta)[:, 0] - ConjugateConfig.mu0) / ConjugateConfig.sigma0
+        return -0.5 * z * z - math.log(ConjugateConfig.sigma0)
 
 
-def conjugate_prior_policy(config: ConjugateConfig) -> PriorDraw:
-    return PriorDraw(draw=lambda g: np.array([g.normal(config.mu0, config.sigma0)]))
+def conjugate_prior_policy() -> PriorDraw:
+    """Reference points from the conjugate prior N(mu0, sigma0^2)."""
+    return PriorDraw(draw=lambda g: np.array([g.normal(ConjugateConfig.mu0, ConjugateConfig.sigma0)]))
 
 
 def conjugate_datashift_policy() -> DataShift:

@@ -32,12 +32,11 @@ from .benchmarks import (
 from .coverage import (
     DataShift,
     DrpSpec,
-    Euclidean,
     HpdSpec,
     JointSampleSet,
+    NormalizationMap,
     PriorDraw,
     UnitHypercubeUniform,
-    WeightedEuclidean,
     coverage_tests,
     fit_normalization,
 )
@@ -188,9 +187,9 @@ def _run_uninformative(args, parser) -> int:
     config = ConjugateConfig(n_sims=args.n_sims)
     dataset, _ = generate_conjugate(config, seed=args.seed)
     outputs = {"hpd.csv": (HpdSpec(), "", ""),
-               "drp-prior.csv": (DrpSpec(conjugate_prior_policy(config)), "prior", "euclidean"),
+               "drp-prior.csv": (DrpSpec(conjugate_prior_policy()), "prior", "euclidean"),
                "drp-datashift.csv": (DrpSpec(conjugate_datashift_policy()), "datashift:0,1", "euclidean")}
-    _write_curves(args, dataset, UninformativeSampler(config), outputs,
+    _write_curves(args, dataset, UninformativeSampler(), outputs,
                   {"n_obs": config.n_obs, "mu0": config.mu0, "sigma0": config.sigma0, "sigma_x": config.sigma_x},
                   n_post=args.n_post)
     return 0
@@ -250,13 +249,13 @@ def _parse_ref_policy(parser, spec, dim, have_obs):
 
 
 def _parse_metric(parser, spec, dim):
+    """The distance weights (None: unweighted), judged by the map's own check on a
+    unit map of ``dim`` dimensions, so no normalization is fitted here."""
     if spec == "euclidean":
-        return Euclidean()
+        return None
     if spec.startswith("weighted:"):
         weights = read_headerless_file(spec.split(":", 1)[1], 1, "weights")
-        if len(weights) != dim:
-            raise ValueError(f"metric has {len(weights)} weights, parameters have dimension {dim}")
-        return WeightedEuclidean(weights=weights)
+        return NormalizationMap(offset=np.zeros(dim), scale=np.ones(dim), weights=weights).weights
     parser.error(f"unknown --metric {spec!r}")
 
 
@@ -285,13 +284,13 @@ def _run_coverage(args, parser) -> int:
     with _usage_errors(parser, "--ref-policy", args.ref_policy):
         policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
     with _usage_errors(parser, "--metric", args.metric):
-        metric = _parse_metric(parser, args.metric, dim)
+        weights = _parse_metric(parser, args.metric, dim)
     with _usage_errors(parser, "--bounds", args.bounds):
         bounds = _parse_bounds(parser, args.bounds, dataset)
 
     # each run of the posterior file is ranked as it is parsed, then dropped
     runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim))
-    _write_curves(args, dataset, runs, {"drp.csv": (DrpSpec(policy, metric, bounds), args.ref_policy, args.metric)})
+    _write_curves(args, dataset, runs, {"drp.csv": (DrpSpec(policy, weights, bounds), args.ref_policy, args.metric)})
     return 0
 
 

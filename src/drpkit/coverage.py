@@ -130,10 +130,13 @@ def has_density(sampler) -> bool:
 
 @dataclass(frozen=True)
 class NormalizationMap:
-    """Per-dimension affine map sending the fit bounds to exactly 0 and 1."""
+    """Per-dimension affine map sending the fit bounds to exactly 0 and 1, and
+    the distance of the mapped space, its squared differences weighted by
+    ``weights`` (one positive finite weight per dimension) when they are given."""
 
     offset: np.ndarray
     scale: np.ndarray
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         off = np.asarray(self.offset, dtype=float).ravel()
@@ -148,6 +151,13 @@ class NormalizationMap:
         if bad.size:
             raise NormalizationError(f"bounds must satisfy lo < hi; dimension {bad[0]} has "
                                      f"lo {off[bad[0]]}, hi {off[bad[0]] + sc[bad[0]]}", dimension=int(bad[0]))
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float).ravel()
+            if w.size == 0 or not np.all((w > 0) & np.isfinite(w)):
+                raise ValueError("weights must be positive and finite in every dimension")
+            if w.size != off.size:
+                raise ValueError(f"metric has {w.size} weights, parameters have dimension {off.size}")
+            object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "scale", sc)
 
@@ -160,10 +170,21 @@ class NormalizationMap:
         out /= self.scale
         return out
 
+    def distances(self, points, ref) -> np.ndarray:
+        """Distances from each row of the mapped ``points`` to the mapped ``ref``;
+        the differences are squared and weighted in one scratch buffer, so each
+        row's distance depends on that row alone."""
+        sq = np.subtract(np.atleast_2d(points), ref, dtype=float)
+        sq *= sq
+        if self.weights is not None:
+            sq *= self.weights
+        return np.sqrt(sq.sum(axis=1))
 
-def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> NormalizationMap:
+
+def fit_normalization(dataset: JointSampleSet, explicit_bounds=None, weights=None) -> NormalizationMap:
     """Normalization map from explicit per-dimension (lo, hi) bounds, or from
-    the empirical per-dimension min/max of the dataset truths."""
+    the empirical per-dimension min/max of the dataset truths, with the
+    distance ``weights`` (None: unweighted)."""
     d = dataset.dim_theta
     if explicit_bounds is not None:
         b = np.asarray(explicit_bounds, dtype=float)
@@ -177,7 +198,7 @@ def fit_normalization(dataset: JointSampleSet, explicit_bounds=None) -> Normaliz
         hi = dataset.theta_true.max(axis=0)
     with np.errstate(over="ignore"):  # NormalizationMap reports bad bounds, an infinite scale too
         scale = hi - lo
-    return NormalizationMap(offset=lo, scale=scale)
+    return NormalizationMap(offset=lo, scale=scale, weights=weights)
 
 
 # --- reference-point policies -------------------------------------------------
@@ -248,38 +269,6 @@ class DataShift:
 
 
 ReferencePolicy = Union[UnitHypercubeUniform, PriorDraw, DataShift]
-
-
-# --- distance metrics -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Euclidean:
-    pass
-
-
-@dataclass(frozen=True)
-class WeightedEuclidean:
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size == 0 or not np.all((w > 0) & np.isfinite(w)):
-            raise ValueError("weights must be positive and finite in every dimension")
-        object.__setattr__(self, "weights", w)
-
-
-DistanceMetric = Union[Euclidean, WeightedEuclidean]
-
-
-def distances_to(metric: DistanceMetric, points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``points`` to ``ref`` under a metric that
-    fits them (the caller checks it); the differences are squared and weighted
-    in one scratch buffer."""
-    sq = np.subtract(np.atleast_2d(points), ref, dtype=float)
-    sq *= sq
-    if isinstance(metric, WeightedEuclidean):
-        sq *= metric.weights
-    return np.sqrt(sq.sum(axis=1))
 
 
 # --- rank statistics ----------------------------------------------------------
@@ -363,7 +352,7 @@ class DrpSpec:
     """A DRP test for :func:`coverage_tests`; fields as in :func:`drp_test`."""
 
     policy: ReferencePolicy = UnitHypercubeUniform()
-    metric: DistanceMetric = Euclidean()
+    weights: object = None
     bounds: object = None
     repeats: int = 1
 
@@ -380,18 +369,14 @@ def _drp_scorer(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     if not isinstance(spec.policy, ReferencePolicy):
         raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     repeats = _check_int(spec.repeats, "repeats", 1)
-    nmap = fit_normalization(dataset, spec.bounds)
-    if isinstance(spec.metric, WeightedEuclidean) and spec.metric.weights.size != nmap.dim:
-        raise ValueError(f"metric has {spec.metric.weights.size} weights, parameters have dimension {nmap.dim}")
-    if not isinstance(spec.metric, DistanceMetric):
-        raise TypeError(f"unknown metric {type(spec.metric).__name__}")
+    nmap = fit_normalization(dataset, spec.bounds, spec.weights)
     spec.policy.check(dataset)
     refs = np.empty((dataset.n_sims, repeats, nmap.dim))
 
     def score(sid, x, rows):
         rows = nmap.apply(rows)
         refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), x, nmap) for r in range(repeats)]
-        dists = np.array([distances_to(spec.metric, rows, ref) for ref in refs[sid]])
+        dists = np.array([nmap.distances(rows, ref) for ref in refs[sid]])
         if not np.isfinite(dists).all():
             raise ValueError("non-finite distance encountered")
         return dists
@@ -494,14 +479,13 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,
-             policy: ReferencePolicy = UnitHypercubeUniform(),
-             metric: DistanceMetric = Euclidean(),
+             policy: ReferencePolicy = UnitHypercubeUniform(), weights=None,
              seed: int = 0, bounds=None, repeats: int = 1,
              on_draws=None) -> CoverageCurve:
     """Distance-to-random-point coverage test over a validation set, on a
     sampler's draws or on draws made elsewhere: the one-test case of
     :func:`coverage_tests`, which describes it."""
-    return coverage_tests(dataset, source, [DrpSpec(policy, metric, bounds, repeats)],
+    return coverage_tests(dataset, source, [DrpSpec(policy, weights, bounds, repeats)],
                           n_post=n_post, seed=seed, on_draws=on_draws)[0]
 
 

@@ -9,7 +9,6 @@ typical, not cherry-picked against the trend, by scouting several). Run with
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from drpkit import cli
@@ -117,10 +116,10 @@ def test_criterion_04_uninformative_triple():
     seed = 1
     config = ConjugateConfig(n_sims=500)
     dataset, _ = generate_conjugate(config, seed=seed)
-    sampler = UninformativeSampler(config)
+    sampler = UninformativeSampler()
     hpd = hpd_test(dataset, sampler, n_post=500, seed=seed)
     prior = drp_test(dataset, sampler, n_post=500, seed=seed,
-                     policy=conjugate_prior_policy(config))
+                     policy=conjugate_prior_policy())
     shift = drp_test(dataset, sampler, n_post=500, seed=seed,
                      policy=conjugate_datashift_policy())
     ok = (hpd.in_band_fraction() >= 0.99 and prior.in_band_fraction() >= 0.99

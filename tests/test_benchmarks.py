@@ -9,7 +9,6 @@ from scipy import stats
 from drpkit.benchmarks import (
     TOY_CASES,
     ConjugateConfig,
-    DiagonalGaussianSampler,
     ToyConfig,
     UninformativeSampler,
     biased_mean,
@@ -163,21 +162,20 @@ class TestDiagonalGaussianSampler:
 class TestConjugatePosterior:
     def test_derived_arithmetic(self):
         # n_x = 50 observations summing to 5, defaults: variance 1/5001, mean 500/5001
-        config = ConjugateConfig()
         xs = np.full(50, 0.1)
-        m, s = conjugate_posterior_params(xs, config)
+        m, s = conjugate_posterior_params(xs)
         assert s == pytest.approx(1.0 / 5001.0, rel=1e-12)
         assert m == pytest.approx(500.0 / 5001.0, rel=1e-12)
 
     def test_prior_recovery_without_data(self):
         config = ConjugateConfig()
-        m, s = conjugate_posterior_params(np.array([]), config)
+        m, s = conjugate_posterior_params(np.array([]))
         assert m == config.mu0
         assert s == config.sigma0**2
 
     def test_one_observation_known_answer(self):
         # mu0 = 0, sigma0 = 1, sigma_x = 0.1: variance 1/(1 + 100), mean 300/101
-        m, s = conjugate_posterior_params(np.array([3.0]), ConjugateConfig())
+        m, s = conjugate_posterior_params(np.array([3.0]))
         assert s == pytest.approx(1.0 / 101.0, rel=1e-12)
         assert m == pytest.approx(300.0 / 101.0, rel=1e-12)
 
@@ -192,7 +190,7 @@ class TestConjugatePosterior:
         config = ConjugateConfig(n_sims=10)
         ds, post = generate_conjugate(config, seed=4)
         for i in range(10):
-            m, s = conjugate_posterior_params(ds.observations[i], config)
+            m, s = conjugate_posterior_params(ds.observations[i])
             assert post[i, 0] == m and post[i, 1] == s
 
     def test_observations_track_truth(self):
@@ -216,19 +214,19 @@ class TestConjugatePosterior:
 class TestUninformativeSampler:
     def test_prior_moments(self):
         config = ConjugateConfig()
-        sampler = UninformativeSampler(config)
+        sampler = UninformativeSampler()
         draws = sampler.sample(np.zeros(50), 100_000, SeededRng(13))
         assert abs(draws.mean() - config.mu0) < 3 * config.sigma0 / math.sqrt(100_000)
 
     def test_ignores_observation(self):
-        sampler = UninformativeSampler(ConjugateConfig())
+        sampler = UninformativeSampler()
         a = sampler.sample(np.zeros(50), 10, SeededRng(2))
         b = sampler.sample(np.full(50, 9.9), 10, SeededRng(2))
         assert np.array_equal(a, b)
 
     def test_log_density_is_prior(self):
         config = ConjugateConfig()
-        sampler = UninformativeSampler(config)
+        sampler = UninformativeSampler()
         pts = np.array([[-1.0], [0.0], [2.0]])
         mine = sampler.log_density(pts, None)
         ref = stats.norm.logpdf(pts[:, 0], loc=config.mu0, scale=config.sigma0)
@@ -236,8 +234,7 @@ class TestUninformativeSampler:
         assert np.allclose(diffs, diffs[0], atol=1e-12)
 
     def test_policies(self):
-        config = ConjugateConfig()
-        prior = conjugate_prior_policy(config)
+        prior = conjugate_prior_policy()
         assert prior.draw(SeededRng(0).generator()).shape == (1,)
         shift = conjugate_datashift_policy()
         assert shift.coordinate == 0 and shift.half_width == 1.0

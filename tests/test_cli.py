@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommands, exit codes, file contracts, round trips."""
 
 import argparse
+import ast
+import glob
 import inspect
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 import drpkit
 from drpkit import benchmarks, cli
-from drpkit.coverage import coverage_tests, drp_test, ecp_curve, hpd_test
+from drpkit.coverage import DrpSpec, coverage_tests, drp_test, ecp_curve, fit_normalization, hpd_test
 from drpkit.fileio import (read_coverage_csv, read_resolved_config, write_coverage_csv,
                            write_joint_file, write_observation_file, write_posterior_file)
 from drpkit.numerics import SeededRng
@@ -201,11 +203,11 @@ class TestUninformativeCommand:
         # each curve is the one its own test call gives
         config = benchmarks.ConjugateConfig(n_sims=30)
         dataset, _ = benchmarks.generate_conjugate(config, seed=3)
-        sampler = benchmarks.UninformativeSampler(config)
+        sampler = benchmarks.UninformativeSampler()
         expected = {
             "hpd.csv": (hpd_test(dataset, sampler, n_post=25, seed=3), "", ""),
             "drp-prior.csv": (drp_test(dataset, sampler, n_post=25, seed=3,
-                                       policy=benchmarks.conjugate_prior_policy(config)),
+                                       policy=benchmarks.conjugate_prior_policy()),
                               "prior", "euclidean"),
             "drp-datashift.csv": (drp_test(dataset, sampler, n_post=25, seed=3,
                                            policy=benchmarks.conjugate_datashift_policy()),
@@ -418,6 +420,17 @@ class TestCoverageCommand:
         code = run("coverage", "--joint", str(joint), "--posterior", str(post),
                    "--metric", f"weighted:{wfile}", "--out", str(tmp_path / "o"))
         assert code == 2
+
+    def test_weights_are_judged_without_fitting_the_bounds(self, tmp_path, capsys):
+        # a degenerate dimension under auto bounds is a data error (exit 1), even with --metric weighted
+        joint, post = tmp_path / "joint.csv", tmp_path / "post.csv"
+        write_joint_file(joint, np.arange(3), np.array([[0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]))
+        write_posterior_file(post, {i: np.ones((4, 2)) for i in range(3)})
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1.0\n2.5\n")
+        assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                   "--metric", f"weighted:{wfile}", "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: bounds must satisfy lo < hi; dimension 1 has lo 1.0, hi 1.0\n"
 
     def test_weighted_metric_runs(self, tmp_path):
         joint, post = self.make_files(tmp_path)
@@ -699,11 +712,11 @@ def test_coverage_run_loads_no_numpy_ma(tmp_path):
 def test_public_names_are_pinned():
     assert sorted(drpkit.__all__) == [
         "ConjugateConfig", "CoverageCurve", "DataShift", "DecompositionError",
-        "DensityUnavailableError", "DiagonalGaussianSampler", "DiffusionPosteriorSampler", "DistanceMetric",
-        "DivergenceError", "DrpSpec", "Euclidean", "HpdSpec", "JointSampleSet", "LensingModel",
+        "DensityUnavailableError", "DiagonalGaussianSampler", "DiffusionPosteriorSampler",
+        "DivergenceError", "DrpSpec", "HpdSpec", "JointSampleSet", "LensingModel",
         "NormalizationError", "NormalizationMap", "OperatorError", "PosteriorSampler", "PriorDraw", "PriorError",
         "RankTable", "ReferencePolicy", "SeededRng", "SimulationError", "ToyConfig", "ToySimulation",
-        "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule", "WeightedEuclidean",
+        "UninformativeSampler", "UnitHypercubeUniform", "VeSchedule",
         "biased_mean", "binomial_band", "build_model", "build_operator", "build_prior", "cholesky",
         "conjugate_datashift_policy", "conjugate_posterior", "conjugate_posterior_params",
         "conjugate_prior_policy", "coverage_tests", "default_levels", "drp_test",
@@ -724,15 +737,37 @@ def test_src_stays_within_the_line_budget():
     assert lines <= 2399
 
 
+def test_no_imported_name_goes_unused():
+    # a name imported in src/drpkit/*.py or tests/*.py must be read there, or be listed in __all__
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(drpkit.__file__), "*.py"))
+                       + glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        bound = {(alias.asname or alias.name).split(".")[0]: node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets) for elt in node.value.elts}
+        unused += [f"{os.path.basename(path)}:{line}: {name}" for name, line in bound.items() if name not in used]
+    assert unused == []
+
+
 # a settings budget: a new engine or config parameter fails here until it is pinned
 @pytest.mark.parametrize("fn, params", [
     (coverage_tests, ["dataset", "source", "tests", "n_post", "seed", "on_draws"]),
-    (drp_test, ["dataset", "source", "n_post", "policy", "metric", "seed", "bounds", "repeats", "on_draws"]),
+    (drp_test, ["dataset", "source", "n_post", "policy", "weights", "seed", "bounds", "repeats", "on_draws"]),
+    (DrpSpec, ["policy", "weights", "bounds", "repeats"]),
+    (fit_normalization, ["dataset", "explicit_bounds", "weights"]),
     (hpd_test, ["dataset", "sampler", "n_post", "seed", "on_draws"]),
     (ecp_curve, ["ranks", "levels"]),
     (benchmarks.ToyConfig, ["dim", "n_sims", "case"]),
     (benchmarks.ConjugateConfig, ["n_sims"]),
     (benchmarks.conjugate_datashift_policy, []),
+    (benchmarks.conjugate_posterior_params, ["xs"]),
+    (benchmarks.UninformativeSampler, []),
+    (benchmarks.conjugate_prior_policy, []),
     (benchmarks.biased_mean, ["theta_true", "sigma"]),
 ])
 def test_engine_parameters_are_pinned(fn, params):

@@ -11,7 +11,6 @@ from drpkit.coverage import (
     DataShift,
     DensityUnavailableError,
     DrpSpec,
-    Euclidean,
     HpdSpec,
     JointSampleSet,
     NormalizationError,
@@ -21,7 +20,6 @@ from drpkit.coverage import (
     RankTable,
     SimulationError,
     UnitHypercubeUniform,
-    WeightedEuclidean,
     coverage_tests,
     default_levels,
     drp_test,
@@ -202,12 +200,12 @@ class TestSampleReference:
             DataShift(4, 1.0).check(ds)
 
 
-def drp_ranks(truths, draws, ref, metric=Euclidean()):
+def drp_ranks(truths, draws, ref, weights=None):
     """DRP ranks through drp_test: simulation i ranks its truth truths[i]
     against its draws draws[i], a mapping source, by distance to the fixed
     reference ``ref``; bounds (0, 1) map every point to itself."""
     curve = drp_test(make_dataset(truths), dict(enumerate(draws)), policy=PriorDraw(draw=lambda g: ref),
-                     metric=metric, bounds=(0.0, 1.0))
+                     weights=weights, bounds=(0.0, 1.0))
     return curve.ranks.f
 
 
@@ -251,19 +249,15 @@ class TestDrpRank:
         samples = np.array([[0.5, 0.0]])
         truth = np.array([0.0, 0.5])
         ref = np.zeros(2)
-        heavy0 = WeightedEuclidean(weights=np.array([100.0, 1.0]))
-        heavy1 = WeightedEuclidean(weights=np.array([1.0, 100.0]))
+        heavy0 = np.array([100.0, 1.0])
+        heavy1 = np.array([1.0, 100.0])
         assert drp_ranks([truth], [samples], ref, heavy0)[0] == 0.0  # sample farther
         assert drp_ranks([truth], [samples], ref, heavy1)[0] == 1.0  # sample closer
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightedEuclidean(weights=np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("weights", [[1.0, -2.0], [1.0, np.inf], [np.nan, 1.0], []])
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0], []])
     def test_weights_must_be_positive_and_finite(self, weights):
         with pytest.raises(ValueError, match="positive and finite"):
-            WeightedEuclidean(weights=np.array(weights))
+            NormalizationMap(offset=np.zeros(2), scale=np.ones(2), weights=np.array(weights))
 
     def test_rank_quantization(self):
         g = SeededRng(3).generator()
@@ -506,8 +500,8 @@ class TestDrpTest:
                 return x + rng.generator().standard_normal((n, 3))
 
         ds = make_dataset(truths, observations=tuple(means))
-        for metric in (Euclidean(), WeightedEuclidean(weights=np.array([1.0, 7.0, 0.3]))):
-            curve = drp_test(ds, Diag3(), n_post=200, seed=10, metric=metric)
+        for weights in (None, np.array([1.0, 7.0, 0.3])):
+            curve = drp_test(ds, Diag3(), n_post=200, seed=10, weights=weights)
             assert curve.in_band_fraction() >= 0.99
 
     def test_repeats_pool_ranks(self):
@@ -669,18 +663,15 @@ class TestSpecChecks:
     """A spec that cannot fit the dataset is refused before the first draw."""
 
     @pytest.mark.parametrize("spec, message", [
-        (DrpSpec(metric=WeightedEuclidean(weights=np.ones(2))), "metric has 2 weights, parameters have dimension 3"),
+        (DrpSpec(weights=np.ones(2)), "metric has 2 weights, parameters have dimension 3"),
+        (DrpSpec(weights=np.array([1.0, 0.0, 1.0])), "weights must be positive and finite in every dimension"),
         (DrpSpec(policy=DataShift(coordinate=0, half_width=1.0)), "DataShift requires a scalar parameter space"),
     ])
     def test_refused_before_any_sample(self, spec, message):
         self.assert_refused(ValueError, message, [spec])
 
-    @pytest.mark.parametrize("spec, message", [
-        (DrpSpec(policy="bogus"), "unknown reference policy str"),
-        (DrpSpec(metric=None), "unknown metric NoneType"),
-    ])
-    def test_unknown_policy_or_metric_type_refused_before_any_sample(self, spec, message):
-        self.assert_refused(TypeError, message, [spec])
+    def test_unknown_policy_type_refused_before_any_sample(self):
+        self.assert_refused(TypeError, "unknown reference policy str", [DrpSpec(policy="bogus")])
 
     x = np.array([1.0])
 

@@ -9,22 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drpkit.benchmarks import DiagonalGaussianSampler, ToySimulation, UninformativeSampler
 from drpkit.coverage import (
     DensityUnavailableError,
     DrpSpec,
-    Euclidean,
     HpdSpec,
     JointSampleSet,
     NormalizationError,
     PosteriorSampler,
     PriorDraw,
     UnitHypercubeUniform,
-    WeightedEuclidean,
     coverage_tests,
     drp_test,
     hpd_test,
 )
 from drpkit.numerics import SeededRng
+from test_coverage import StoredSampler
 
 
 class ShiftedGaussian(PosteriorSampler):
@@ -158,13 +158,13 @@ def test_hpd_and_drp_hand_on_the_same_draws(case):
 
 @st.composite
 def spec_lists(draw, dataset):
-    """1-3 DRP specs with their own policy, metric, bounds and repeats, and
+    """1-3 DRP specs with their own policy, weights, bounds and repeats, and
     maybe an HPD spec, in any order."""
     dim = dataset.dim_theta
     drp = st.builds(
         DrpSpec,
         policy=st.sampled_from([UnitHypercubeUniform(), PriorDraw(draw=lambda g: g.normal(size=dim))]),
-        metric=st.sampled_from([Euclidean(), WeightedEuclidean(np.arange(1.0, dim + 1))]),
+        weights=st.sampled_from([None, np.arange(1.0, dim + 1)]),
         bounds=st.sampled_from([(-6.0, 6.0)] if dataset.n_sims == 1 else [None, (-6.0, 6.0)]),
         repeats=st.integers(1, 3))
     specs = draw(st.lists(drp, min_size=1, max_size=3))
@@ -178,7 +178,7 @@ def alone(dataset, sampler, spec, n_post, seed):
     if isinstance(spec, HpdSpec):
         return hpd_test(dataset, sampler, n_post=n_post, seed=seed)
     return drp_test(dataset, sampler, n_post=n_post, seed=seed, policy=spec.policy,
-                    metric=spec.metric, bounds=spec.bounds, repeats=spec.repeats)
+                    weights=spec.weights, bounds=spec.bounds, repeats=spec.repeats)
 
 
 @PROPS
@@ -237,3 +237,30 @@ def test_every_argument_is_checked_before_the_first_draw(case, data, fault):
     with pytest.raises(error):
         coverage_tests(dataset, sampler, specs, n_post=n_post, seed=kw["seed"])
     assert sampler.calls == 0
+
+
+@PROPS
+@pytest.mark.parametrize("test", ["drp", "drp-weighted", "hpd-toy", "hpd-uninformative"])
+@given(seed=st.integers(0, 2 ** 32), dim=st.integers(8, 12), n_draws=st.integers(9, 30),
+       n_copies=st.integers(1, 4))
+def test_copies_of_the_truth_never_count(test, seed, dim, n_draws, n_copies):
+    """Copies of the truth at random positions among random draws leave each
+    rank as the draws' own: every row is scored alone, and a tie with the truth
+    is not below it."""
+    g = SeededRng(seed).generator()
+    truths = g.uniform(-4.0, 4.0, (3, dim))
+    sigma = 10.0 ** g.uniform(-2.0, 0.0, (3, dim))
+    draws = {s: truths[s] + sigma[s] * g.normal(size=(n_draws, dim)) for s in range(3)}
+    copied = {s: np.insert(block, g.integers(0, n_draws + 1, n_copies), truths[s], axis=0)
+              for s, block in draws.items()}
+    toys = [ToySimulation(t, sd, t + sd * g.normal(size=dim), sd) for t, sd in zip(truths, sigma)]
+    dataset = JointSampleSet(theta_true=truths, observations=(0, 1, 2), sim_ids=np.arange(3))
+    if test.startswith("drp"):
+        weights = g.uniform(0.1, 10.0, dim) if test == "drp-weighted" else None
+        k = [drp_test(dataset, blocks, seed=seed, weights=weights, repeats=2).ranks.k for blocks in (draws, copied)]
+    else:
+        model = DiagonalGaussianSampler() if test == "hpd-toy" else UninformativeSampler()
+        scores = [lambda theta, toy=toy: model.log_density(theta, toy) for toy in toys]
+        k = [hpd_test(dataset, StoredSampler(blocks, scores), n_post=len(blocks[0]), seed=seed).ranks.k
+             for blocks in (draws, copied)]
+    assert np.array_equal(k[0], k[1])

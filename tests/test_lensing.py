@@ -412,7 +412,7 @@ def test_dense_oracle_uses_no_private_name():
 def test_region_oracle_uses_no_engine_path():
     # criterion 08 and TestRegionMembershipOracle check the engine's normalization,
     # distances and ranks, so region_oracle.py may not import or reach them
-    engine = {"distances_to", "fit_normalization", "coverage_tests", "drp_test", "hpd_test", "ecp_curve"}
+    engine = {"distances", "fit_normalization", "coverage_tests", "drp_test", "hpd_test", "ecp_curve"}
     path = os.path.join(os.path.dirname(__file__), "region_oracle.py")
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
