@@ -49,7 +49,7 @@ class ToyConfig:
         _check_int(self.n_sims, "n_sims", 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToySimulation:
     """One toy simulation: the truth, its noise scale, and the estimator's
     diagonal-Gaussian parameters. Serves as the observation payload."""

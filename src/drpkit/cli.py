@@ -3,8 +3,8 @@
 Subcommands: ``toy`` and ``uninformative`` and ``lensing`` run the built-in
 benchmark experiments end to end; ``coverage`` runs a DRP test on user-supplied
 sample files; ``plot`` renders coverage CSVs to a single SVG. Every run echoes
-its fully resolved configuration into the output directory, so any curve can be
-regenerated from the output alone.
+its fully resolved configuration into the output directory: every flag, and
+the SHA-256 digest of every settings file ``coverage`` reads.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -287,6 +287,11 @@ def _run_coverage(args, parser) -> int:
         weights = _parse_metric(parser, args.metric, dim)
     with _usage_errors(parser, "--bounds", args.bounds):
         bounds = _parse_bounds(parser, args.bounds, dataset)
+    import hashlib  # loaded already, by numerics
+    for flag, prefix in (("ref_policy", "prior-file:"), ("metric", "weighted:"), ("bounds", "file:")):
+        if getattr(args, flag).startswith(prefix):  # a settings file: its bytes are echoed by their digest
+            with open(getattr(args, flag)[len(prefix):], "rb") as fh:
+                setattr(args, f"{flag}_sha256", hashlib.sha256(fh.read()).hexdigest())
 
     # each run of the posterior file is ranked as it is parsed, then dropped
     runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim))

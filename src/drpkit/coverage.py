@@ -52,7 +52,7 @@ class SimulationError(RuntimeError):
         self.sim_id = sim_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSampleSet:
     """Validation draws from the true joint distribution of (theta, x).
 
@@ -112,7 +112,7 @@ class PosteriorSampler:
 
     ``sample(x, n, rng)`` must return an (n, dim) float array of draws from
     p_hat(theta | x). Estimators usable with the HPD test additionally expose
-    ``log_density(theta, x)`` returning per-row log densities. The HPD test
+    ``log_density(theta, x)`` returning one finite log density per row. The HPD test
     scores a simulation's truth and draws in one call, so each row's value
     must depend on that row alone, apart from an offset shared by the rows of
     one call (only the ordering at fixed x is used).
@@ -124,11 +124,7 @@ class PosteriorSampler:
         raise NotImplementedError
 
 
-def has_density(sampler) -> bool:
-    return callable(getattr(sampler, "log_density", None))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationMap:
     """Per-dimension affine map sending the fit bounds to exactly 0 and 1, and
     the distance of the mapped space, its squared differences weighted by
@@ -273,7 +269,7 @@ ReferencePolicy = Union[UnitHypercubeUniform, PriorDraw, DataShift]
 
 # --- rank statistics ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTable:
     """Ranks as arrays, one row per (simulation, repeat), in sim_id order with
     repeats in order: ``k`` of the ``n`` ranked draws fall strictly below the
@@ -292,7 +288,7 @@ class RankTable:
 
 # --- curve assembly -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageCurve:
     """Estimated expected coverage over a credibility grid, with rank provenance."""
 
@@ -347,7 +343,7 @@ _POST_TAG = "posterior"
 _REF_TAG = "reference"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrpSpec:
     """A DRP test for :func:`coverage_tests`; fields as in :func:`drp_test`."""
 
@@ -376,29 +372,9 @@ def _drp_scorer(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     def score(sid, x, rows):
         rows = nmap.apply(rows)
         refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), x, nmap) for r in range(repeats)]
-        dists = np.array([nmap.distances(rows, ref) for ref in refs[sid]])
-        if not np.isfinite(dists).all():
-            raise ValueError("non-finite distance encountered")
-        return dists
+        return np.array([nmap.distances(rows, ref) for ref in refs[sid]])
 
     return score, refs
-
-
-def _hpd_scorer(source):
-    """``(score, None)``: ``score(sid, x, rows)`` gives the (1, 1 + n) log densities of ``rows``."""
-    if not has_density(source):
-        raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, "
-                                      "required for the HPD test")
-
-    def score(sid, x, rows):
-        log_dens = np.asarray(source.log_density(rows, x), dtype=float).ravel()
-        if log_dens.size != len(rows):
-            raise ValueError(f"log_density gave {log_dens.size} values for {len(rows)} rows")
-        if not np.isfinite(log_dens).all():
-            raise ValueError("densities must be finite")
-        return log_dens[None]
-
-    return score, None
 
 
 def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[int] = None,
@@ -419,8 +395,9 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     Each run's draws are checked, stacked below the truth, scored by every test
     (DRP: distances to one reference point per repeat, from another substream,
     after one normalization map; HPD: log densities), passed to ``on_draws(sim_id,
-    draws)`` if given (in run order; sim_id order for a sampler), and dropped;
-    each score row adds its count of draws strictly below the truth. Each curve
+    draws)`` if given (in run order; sim_id order for a sampler), and dropped.
+    A test's scores must be repeats x (1 + n) finite values, in any shape; each
+    repeat's row adds its count of draws scoring strictly below the truth. Each curve
     is deterministic given the seed, invariant to simulation order, and the same
     as its drp_test or hpd_test call alone; dumped draws give the sampler's
     curve bit for bit.
@@ -436,14 +413,17 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     elif n_post is not None:
         raise ValueError("n_post applies to a sampler only; draws made elsewhere bring their own counts")
     root = SeededRng(seed)
-    scorers = []
+    scorers = []  # (test name, score(sid, x, rows), the DRP reference points or None)
     for spec in tests:
         if not isinstance(spec, (DrpSpec, HpdSpec)):
             raise TypeError(f"unknown coverage test {type(spec).__name__}")
-        scorers.append(_drp_scorer(dataset, spec, root) if isinstance(spec, DrpSpec) else _hpd_scorer(source))
+        if isinstance(spec, HpdSpec) and not callable(getattr(source, "log_density", None)):
+            raise DensityUnavailableError(f"{type(source).__name__} does not expose log_density, required for the HPD test")
+        scorers.append(("drp", *_drp_scorer(dataset, spec, root)) if isinstance(spec, DrpSpec)
+                       else ("hpd", lambda sid, x, rows: source.log_density(rows, x), None))
 
     dim, n_sims, n = dataset.dim_theta, dataset.n_sims, np.zeros(dataset.n_sims, dtype=np.int64)
-    counts = [np.zeros((n_sims, 1 if refs is None else refs.shape[1]), dtype=np.int64) for _, refs in scorers]
+    counts = [np.zeros((n_sims, 1 if refs is None else refs.shape[1]), dtype=np.int64) for _, _, refs in scorers]
     index = np.argsort(dataset.sim_ids).tolist()  # sim_id -> dataset row
     runs = ((sid, None) for sid in range(n_sims)) if sampled else source  # a sampler draws each block
     for sid, block in runs.items() if isinstance(runs, Mapping) else runs:
@@ -461,8 +441,13 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
             if not np.isfinite(block).all():
                 raise ValueError("draws are not finite")
             rows = np.vstack((dataset.theta_true[i], block))  # the truth in row 0, the draws below
-            for (score, _), k in zip(scorers, counts):
-                for r, row in enumerate(score(sid, x, rows)):
+            for (name, score, _), k in zip(scorers, counts):
+                scores = np.asarray(score(sid, x, rows), dtype=float)  # any shape of repeats x (1 + n) values
+                if scores.size != k.shape[1] * len(rows):
+                    raise ValueError(f"{name} test gave {scores.size} scores, expected {k.shape[1] * len(rows)}")
+                if not np.isfinite(scores).all():
+                    raise ValueError(f"{name} test gave non-finite scores")
+                for r, row in enumerate(scores.reshape(k.shape[1], len(rows))):
                     k[sid, r] += np.count_nonzero(row[1:] < row[0])  # strict: ties do not count
             if on_draws is not None:
                 on_draws(sid, rows[1:])
@@ -475,7 +460,7 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
         raise SimulationError(int(np.argmin(n)), "no posterior samples")
     return [ecp_curve(RankTable(sim_id=np.arange(n_sims).repeat(k.shape[1]), k=k.ravel(), n=n.repeat(k.shape[1]),
                                 theta_r=None if refs is None else refs.reshape(k.size, -1)))
-            for (_, refs), k in zip(scorers, counts)]
+            for (_, _, refs), k in zip(scorers, counts)]
 
 
 def drp_test(dataset: JointSampleSet, source, *, n_post: Optional[int] = None,

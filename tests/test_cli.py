@@ -3,6 +3,7 @@
 import argparse
 import ast
 import glob
+import hashlib
 import inspect
 import os
 import subprocess
@@ -438,6 +439,27 @@ class TestCoverageCommand:
         wfile.write_text("1.0\n2.5\n")
         assert run("coverage", "--joint", str(joint), "--posterior", str(post),
                    "--metric", f"weighted:{wfile}", "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("flag, dest, prefix, texts", [
+        ("--metric", "metric", "weighted:", ("1.0\n2.5\n", "1.0\n3.5\n")),
+        ("--bounds", "bounds", "file:", ("-3,3\n-3,3\n", "-4,4\n-3,3\n")),
+        ("--ref-policy", "ref_policy", "prior-file:", ("0,0\n0.5,0.5\n", "0,0\n0.5,0.25\n")),
+    ])
+    def test_settings_files_are_recorded_by_digest(self, tmp_path, flag, dest, prefix, texts):
+        joint, post = self.make_files(tmp_path)
+        settings = tmp_path / "settings.txt"
+        digests = []
+        for i, text in enumerate(texts):  # the same path, edited between the runs
+            settings.write_text(text)
+            out = tmp_path / f"o{i}"
+            assert run("coverage", "--joint", str(joint), "--posterior", str(post),
+                       flag, f"{prefix}{settings}", "--out", str(out)) == 0
+            config = read_resolved_config(out / "resolved_config.txt")
+            assert config[dest] == f"{prefix}{settings}"
+            assert sorted(k for k in config if k.endswith("_sha256")) == [f"{dest}_sha256"]
+            digests.append(config[f"{dest}_sha256"])
+            assert digests[-1] == hashlib.sha256(text.encode()).hexdigest()
+        assert digests[0] != digests[1]
 
     def test_datashift_requires_obs(self, tmp_path):
         joint, post = self.make_files(tmp_path)

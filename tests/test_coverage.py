@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from drpkit.benchmarks import ToySimulation
 from drpkit.coverage import (
     DataShift,
     DensityUnavailableError,
@@ -266,7 +267,7 @@ class TestDrpRank:
         assert (f * 17) == pytest.approx(round(f * 17), abs=1e-12)
 
     def test_non_finite_distance_names_the_simulation(self):
-        with pytest.raises(SimulationError, match="^simulation 0: non-finite distance encountered$"):
+        with pytest.raises(SimulationError, match="^simulation 0: drp test gave non-finite scores$"):
             drp_ranks([[0.4]], [np.array([[0.1]])], np.array([np.inf]))
 
     def test_uniform_for_exchangeable_draws(self):
@@ -291,12 +292,12 @@ class TestHpdRank:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_densities_must_be_finite(self, bad):
-        with pytest.raises(SimulationError, match="^simulation 1: densities must be finite$"):
+        with pytest.raises(SimulationError, match="^simulation 1: hpd test gave non-finite scores$"):
             hpd_ranks([0.0, 0.0], [[1.0, 2.0], [1.0, 3.0]],
                       log_density=lambda theta: np.where(theta[:, 0] == 3.0, bad, theta[:, 0]))
 
     def test_one_log_density_per_row(self):
-        with pytest.raises(SimulationError, match="^simulation 0: log_density gave 1 values for 3 rows$"):
+        with pytest.raises(SimulationError, match="^simulation 0: hpd test gave 1 scores, expected 3$"):
             hpd_ranks([0.0], [[1.0, 2.0]], log_density=lambda theta: theta[:1, 0])
 
     def test_uniform_for_matched_estimator(self):
@@ -846,3 +847,18 @@ class TestJointSampleSet:
         back = ds.permuted(perm).permuted(perm)
         assert np.array_equal(back.theta_true, ds.theta_true)
         assert np.array_equal(back.sim_ids, ds.sim_ids)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: NormalizationMap(np.zeros(2), np.ones(2), weights=np.ones(2)), id="NormalizationMap"),
+    pytest.param(lambda: DrpSpec(weights=np.ones(2)), id="DrpSpec"),
+    pytest.param(lambda: ranks_from([1, 2], 4), id="RankTable"),
+    pytest.param(lambda: ecp_curve(ranks_from([1, 2], 4)), id="CoverageCurve"),
+    pytest.param(lambda: make_dataset([[0.0], [1.0]]), id="JointSampleSet"),
+    pytest.param(lambda: ToySimulation(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2)), id="ToySimulation"),
+])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert {a: 1, b: 2}[a] == 1  # hashable

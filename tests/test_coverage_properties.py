@@ -2,6 +2,7 @@
 drp_test and hpd_test, on a sampler or on draws made elsewhere, over random
 small validation sets."""
 
+import itertools
 import threading
 
 import numpy as np
@@ -18,6 +19,7 @@ from drpkit.coverage import (
     NormalizationError,
     PosteriorSampler,
     PriorDraw,
+    SimulationError,
     UnitHypercubeUniform,
     coverage_tests,
     drp_test,
@@ -264,3 +266,59 @@ def test_copies_of_the_truth_never_count(test, seed, dim, n_draws, n_copies):
         k = [hpd_test(dataset, StoredSampler(blocks, scores), n_post=len(blocks[0]), seed=seed).ranks.k
              for blocks in (draws, copied)]
     assert np.array_equal(k[0], k[1])
+
+
+class FaultyDensity(ShiftedGaussian):
+    """Calibrated draws whose log_density, at the observation ``bad_x`` only, is
+    one value short or long, or non-finite at the block's row ``row``."""
+
+    def __init__(self, fault, bad_x, row):
+        super().__init__(0.0, 1.0)
+        self.fault, self.bad_x, self.row = fault, bad_x, row
+
+    def log_density(self, theta, x):
+        out = super().log_density(theta, x)
+        if x is not self.bad_x or self.fault == "prior-inf":
+            return out
+        if self.fault in ("short", "long"):
+            return out[:-1] if self.fault == "short" else np.append(out, 0.0)
+        out[self.row] = float(self.fault)
+        return out
+
+
+@PROPS
+@given(cases(), st.data(), st.sampled_from([1, 3]), st.sampled_from(["short", "long", "nan", "inf", "-inf", "prior-inf"]))
+def test_a_bad_score_fails_its_simulation_before_on_draws(case, data, repeats, fault):
+    """A log density of the wrong count or non-finite at a drawn row, or an
+    infinite reference point, fails the simulation it hits, by one rule for
+    every test, before on_draws sees that simulation."""
+    dataset, _, kw = case
+    n, dim, bad = kw["n_post"], dataset.dim_theta, data.draw(st.integers(0, dataset.n_sims - 1))
+    hit = bad * repeats + data.draw(st.integers(0, repeats - 1)) if fault == "prior-inf" else -1
+    refs = itertools.count()  # the sampler path draws reference points in sim_id order, repeats in order
+    policy = PriorDraw(draw=lambda g: np.full(dim, np.inf) if next(refs) == hit else g.uniform(-6.0, 6.0, dim))
+    sampler = FaultyDensity(fault, dataset.observations[int(np.flatnonzero(dataset.sim_ids == bad)[0])],
+                            data.draw(st.integers(1, n)))
+    specs = data.draw(st.permutations([DrpSpec(policy, bounds=(-6.0, 6.0), repeats=repeats), HpdSpec()]))
+    seen = []
+    with pytest.raises(SimulationError) as err:
+        coverage_tests(dataset, sampler, specs, n_post=n, seed=kw["seed"], on_draws=lambda sid, _: seen.append(sid))
+    gave = {"prior-inf": "drp test gave non-finite scores", "short": f"hpd test gave {n} scores, expected {n + 1}",
+            "long": f"hpd test gave {n + 2} scores, expected {n + 1}"}.get(fault, "hpd test gave non-finite scores")
+    assert str(err.value) == f"simulation {bad}: {gave}"
+    assert err.value.sim_id == bad and seen == list(range(bad))
+
+
+class ColumnDensity(ShiftedGaussian):
+    """ShiftedGaussian with its log densities as a (rows, 1) column."""
+
+    def log_density(self, theta, x):
+        return super().log_density(theta, x)[:, None]
+
+
+@PROPS
+@given(cases())
+def test_a_log_density_column_ranks_as_its_vector(case):
+    dataset, sampler, kw = case
+    column = ColumnDensity(sampler.shift, sampler.scale)
+    assert same_table(hpd_test(dataset, column, **hpd_kw(kw)).ranks, hpd_test(dataset, sampler, **hpd_kw(kw)).ranks)
