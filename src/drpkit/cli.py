@@ -80,6 +80,12 @@ def _count(name, minimum=1):
     return _flag_type(lambda text: _check_int(int(text), name, minimum))
 
 
+def _out_dir(text):
+    if os.path.lexists(text) and not os.path.isdir(text):
+        raise ValueError(f"{text!r} exists and is not a directory")
+    return text
+
+
 _seed = _flag_type(lambda text: SeededRng(int(text)).seed)  # an integer that SeededRng accepts
 _kernel_scale = _flag_type(lambda text: _check_positive(float(text), "kernel_scale"))
 
@@ -99,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--methods", default="drp,hpd", help="comma list from {drp,hpd}")
     toy.add_argument("--ref-policy", choices=["hypercube", "prior"], default="hypercube")
     toy.add_argument("--repeats", type=_count("repeats"), default=1)
-    toy.add_argument("--out", required=True)
+    toy.add_argument("--out", type=_flag_type(_out_dir), required=True)
     toy.add_argument("--svg", action="store_true", help="also render coverage.svg")
     toy.add_argument("--dump-samples", action="store_true",
                      help="write the joint set and posterior draws as sample files")
@@ -109,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     uni.add_argument("--n-sims", type=_count("n_sims"), default=500)
     uni.add_argument("--n-post", type=_count("n_post"), default=500)
     uni.add_argument("--seed", type=_seed, default=0)
-    uni.add_argument("--out", required=True)
+    uni.add_argument("--out", type=_flag_type(_out_dir), required=True)
     uni.set_defaults(func=_run_uninformative)
 
     lens = sub.add_parser("lensing", help="linear-Gaussian reverse-SDE experiment")
@@ -122,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     lens.add_argument("--kernel-scale", type=_kernel_scale, default=0.3)
     lens.add_argument("--dump-grids", type=_count("dump_grids", 0), default=1,
                       help="write truth/mean/std/residual grids for the first K sims")
-    lens.add_argument("--out", required=True)
+    lens.add_argument("--out", type=_flag_type(_out_dir), required=True)
     lens.set_defaults(func=_run_lensing)
 
     cov = sub.add_parser("coverage", help="generic DRP test from sample files")
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--metric", default="euclidean", help="euclidean | weighted:FILE")
     cov.add_argument("--bounds", default="auto", help="auto | LO:HI | file:PATH")
     cov.add_argument("--seed", type=_seed, default=0)
-    cov.add_argument("--out", required=True)
+    cov.add_argument("--out", type=_flag_type(_out_dir), required=True)
     cov.set_defaults(func=_run_coverage)
 
     plot = sub.add_parser("plot", help="render coverage CSVs to one SVG")
@@ -275,11 +281,7 @@ def _parse_bounds(parser, spec, dataset):
 def _run_coverage(args, parser) -> int:
     sim_ids, thetas = read_joint_file(args.joint)
     n_sims, dim = thetas.shape
-    if args.obs is not None:
-        _, xs = read_observation_file(args.obs, n_sims=n_sims)
-        observations = tuple(xs)
-    else:
-        observations = tuple([None] * n_sims)
+    observations = (None,) * n_sims if args.obs is None else tuple(read_observation_file(args.obs, n_sims=n_sims)[1])
     dataset = JointSampleSet(theta_true=thetas, observations=observations, sim_ids=sim_ids)
     with _usage_errors(parser, "--ref-policy", args.ref_policy):
         policy = _parse_ref_policy(parser, args.ref_policy, dim, have_obs=args.obs is not None)
@@ -294,8 +296,8 @@ def _run_coverage(args, parser) -> int:
                 setattr(args, f"{flag}_sha256", hashlib.sha256(fh.read()).hexdigest())
 
     # each run of the posterior file is ranked as it is parsed, then dropped
-    runs = ((sid, block) for sid, _, block in read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim))
-    _write_curves(args, dataset, runs, {"drp.csv": (DrpSpec(policy, weights, bounds), args.ref_policy, args.metric)})
+    _write_curves(args, dataset, read_posterior_runs(args.posterior, n_sims=n_sims, dim=dim),
+                  {"drp.csv": (DrpSpec(policy, weights, bounds), args.ref_policy, args.metric)})
     return 0
 
 
@@ -313,8 +315,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args, parser)
     except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 2
+        return e.code if isinstance(e.code, int) else 2
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -274,12 +274,23 @@ class RankTable:
     """Ranks as arrays, one row per (simulation, repeat), in sim_id order with
     repeats in order: ``k`` of the ``n`` ranked draws fall strictly below the
     truth, and ``f = k / n``. ``theta_r`` (rows, D) holds the DRP reference
-    points and is None for HPD ranks."""
+    points and is None for HPD ranks. A table no engine makes raises ValueError."""
 
     sim_id: np.ndarray
     k: np.ndarray
     n: np.ndarray
     theta_r: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        sid, k, n = (np.asarray(a) for a in (self.sim_id, self.k, self.n))
+        rows = k.shape if self.theta_r is None else np.shape(self.theta_r)[:1]
+        if not (k.ndim == 1 and k.size and sid.shape == n.shape == k.shape == rows
+                and k.dtype.kind in "iu" and n.dtype.kind in "iu"):
+            raise ValueError(f"sim_id {sid.shape}, k {k.shape} {k.dtype}, n {n.shape} {n.dtype} and theta_r "
+                             f"{np.shape(self.theta_r)} are not one row per rank, >= 1, with integer counts")
+        bad = np.flatnonzero((n < 1) | (k < 0) | (k > n))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} has k {k[bad[0]]} of n {n[bad[0]]}, expected n >= 1 and 0 <= k <= n")
 
     @property
     def f(self) -> np.ndarray:
@@ -323,17 +334,14 @@ def ecp_curve(ranks: RankTable, levels=None) -> CoverageCurve:
     a 3-sigma binomial band over the n_sims distinct sim_ids (repeats pool their
     ranks but do not shrink the band), n_post the common draw count (0 when
     counts differ), and method "drp" when the table holds reference points, else "hpd"."""
-    if ranks.k.size == 0:
-        raise ValueError("ecp_curve requires at least one rank")
     levels = default_levels() if levels is None else np.asarray(levels, dtype=float).ravel()
     if levels.size == 0 or not ((levels >= 0) & (levels <= 1)).all():  # NaN fails too
         raise ValueError("levels must be a nonempty grid within [0, 1]")
     f = np.sort(ranks.f)
     ecp = np.searchsorted(f, levels, side="left") / f.size
     n_sims = 1 + np.count_nonzero(np.diff(np.sort(ranks.sim_id)))  # one plus the steps between sorted ids
-    n = ranks.n
     return CoverageCurve(levels=levels, ecp=ecp, band=binomial_band(levels, n_sims), n_sims=int(n_sims),
-                         n_post=int(n[0]) if (n == n[0]).all() else 0,
+                         n_post=int(ranks.n[0]) if (ranks.n == ranks.n[0]).all() else 0,
                          method="hpd" if ranks.theta_r is None else "drp", ranks=ranks)
 
 
@@ -388,9 +396,9 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     array} or an iterable of (sim_id, (rows, D) array) runs, pulled one at a
     time so it can stream a large file (``fileio.read_posterior_runs``). Those
     bring their own counts, so they take no n_post, and HPD needs a sampler's
-    log_density. A simulation may come in several runs, in any order; sim_ids
-    outside the dataset are skipped, and a key that is not an integer is
-    refused when its run is reached.
+    log_density. A simulation may come in several runs, in any order; a key
+    that is not an integer, or a sim_id outside the dataset, is refused when
+    its run is reached, before it is scored.
 
     Each run's draws are checked, stacked below the truth, scored by every test
     (DRP: distances to one reference point per repeat, from another substream,
@@ -429,7 +437,7 @@ def coverage_tests(dataset: JointSampleSet, source, tests, *, n_post: Optional[i
     for sid, block in runs.items() if isinstance(runs, Mapping) else runs:
         sid = _check_int(sid, "sim_id")
         if not 0 <= sid < n_sims:
-            continue
+            raise SimulationError(sid, f"not in the dataset of {n_sims} simulations")
         i = index[sid]
         x = dataset.observations[i]
         try:

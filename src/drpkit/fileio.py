@@ -24,7 +24,7 @@ one np.loadtxt call; a per-line reader, which alone defines the valid tokens
 value is not finite, to name the first invalid line. A joint or observation
 file's ids are checked once every row has parsed: a repeated id first, then one
 outside [0, N). A posterior file is read as runs of consecutive rows that share
-a sim_id, so a reader of the runs holds one chunk and one run, not the file.
+a sim_id within one chunk, so a reader of the runs holds one chunk, not the file.
 """
 
 from __future__ import annotations
@@ -345,36 +345,27 @@ def read_joint_file(path):
 
 
 def read_posterior_runs(path, n_sims: Optional[int] = None, dim: Optional[int] = None):
-    """Yields (sim_id, line, (rows, D) array) for each maximal run of
-    consecutive rows that share a sim_id, in file order; ``line`` is the line
-    of the run's first row. Memory holds one chunk of text and one run. Given
+    """Yields (sim_id, a slice of the chunk's (rows, D) values) for each run of
+    consecutive rows that share a sim_id within one parsed chunk, in file order,
+    so one simulation may come in several runs. Memory holds one chunk. Given
     ``dim``, a header with another D fails at line 1, before any row is read.
 
     Given ``n_sims``, a sim_id outside [0, n_sims) is reported at its run's
     line when the reader reaches it, and the first sim_id in [0, n_sims) with
     no rows at line 1, once the whole file is read."""
-    run = None  # (sim_id, line, [value blocks])
-    present = np.zeros(n_sims or 0, dtype=bool)
+    sid, present = None, np.zeros(n_sims or 0, dtype=bool)
     for ids, values, line_of in _table_chunks(path, ("sim_id", "sample_id"), "theta", dim):
         starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
         for a, b in zip(np.r_[0, starts], np.r_[starts, len(ids)]):
             sid = int(ids[a])
-            if run is not None and run[0] == sid:
-                run[2].append(values[a:b])
-                continue
-            if run is not None:
-                yield run[0], run[1], np.concatenate(run[2])
-            if n_sims is not None:
-                if not 0 <= sid < n_sims:
-                    raise SchemaError(path, line_of[a], f"sim_id {sid} not present in the joint file")
-                present[sid] = True
-            run = (sid, line_of[a], [values[a:b]])
-    if run is None:
+            if n_sims is not None and not 0 <= sid < n_sims:
+                raise SchemaError(path, line_of[a], f"sim_id {sid} not present in the joint file")
+            present[sid:sid + 1] = True  # an empty slice when n_sims is not given
+            yield sid, values[a:b]
+    if sid is None:
         raise SchemaError(path, 2, "file contains no samples")
-    yield run[0], run[1], np.concatenate(run[2])
     if not present.all():
-        raise SchemaError(path, 1, f"no posterior samples for sim_id {np.argmin(present)} "
-                                   f"(every sim needs >= 1 sample)")
+        raise SchemaError(path, 1, f"no posterior samples for sim_id {np.argmin(present)} (every sim needs >= 1 sample)")
 
 
 def read_observation_file(path, n_sims: Optional[int] = None):

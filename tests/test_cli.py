@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import drpkit
-from drpkit import benchmarks, cli
+from drpkit import benchmarks, cli, fileio, lensing
 from drpkit.coverage import DrpSpec, coverage_tests, drp_test, ecp_curve, fit_normalization, hpd_test
 from drpkit.fileio import (read_coverage_csv, read_resolved_config, write_coverage_csv,
                            write_joint_file, write_observation_file, write_posterior_file)
@@ -185,6 +185,17 @@ class TestRoundTrip:
                    "--seed", "11", "--out", str(cov_out))
         assert code == 0
         assert (out / "drp.csv").read_bytes() == (cov_out / "drp.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 40, 300])
+    def test_coverage_on_runs_split_by_chunks_reproduces_toy_drp(self, tmp_path, monkeypatch, chunk):
+        # a chunk of text that ends inside a simulation's rows splits it into two runs
+        out = tmp_path / "toy"
+        assert run(*toy_args(out, dim=3, n_sims=20, n_post=15, seed=11, extra=("--dump-samples",))) == 0
+        monkeypatch.setattr(fileio, "_CHUNK_CHARS", chunk)
+        assert len(list(fileio.read_posterior_runs(out / "toy_posterior.csv"))) > 20
+        assert run("coverage", "--joint", str(out / "toy_joint.csv"), "--posterior", str(out / "toy_posterior.csv"),
+                   "--bounds=-5:5", "--seed", "11", "--out", str(tmp_path / "cov")) == 0
+        assert (out / "drp.csv").read_bytes() == (tmp_path / "cov" / "drp.csv").read_bytes()
 
 
 class TestUninformativeCommand:
@@ -701,6 +712,27 @@ class TestExitCodes:
         assert run(command, *flags[command], "--seed", str(seed), "--out", str(out)) == 2
         assert "argument --seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["toy", "uninformative", "lensing", "coverage"])
+    def test_an_out_that_names_a_file_is_a_usage_error_before_any_sampling(self, tmp_path, capsys, monkeypatch,
+                                                                         command):
+        joint, post = TestCoverageCommand().make_files(tmp_path)
+        flags = {"toy": ["--case", "correct"], "uninformative": [], "lensing": ["--estimator", "exact"],
+                 "coverage": ["--joint", str(joint), "--posterior", str(post)]}
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before --out was checked")
+
+        for sampler in (benchmarks.DiagonalGaussianSampler, benchmarks.UninformativeSampler,
+                        lensing.DiffusionPosteriorSampler):
+            monkeypatch.setattr(sampler, "sample", never)
+        monkeypatch.setattr(cli, "read_posterior_runs", never)
+        out = tmp_path / "f"
+        out.write_text("kept\n")
+        assert run(command, *flags[command], "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --out: {str(out)!r} exists and is not a directory\n")
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "joint.csv", "post.csv"]
 
     def test_version_flag(self, capsys):
         code = run("--version")

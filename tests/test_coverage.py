@@ -349,6 +349,23 @@ class TestEcpCurve:
         with pytest.raises(ValueError):
             ecp_curve(ranks_from([], 10))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(sim_id=[0], k=[5], n=[2]), "row 0 has k 5 of n 2, expected n >= 1 and 0 <= k <= n"),
+        (dict(sim_id=[0, 1], k=[0, -1], n=[3, 3]), "row 1 has k -1 of n 3"),
+        (dict(sim_id=[0, 1], k=[0, 0], n=[3, 0]), "row 1 has k 0 of n 0"),
+        (dict(sim_id=[0, 1], k=[1], n=[2]), "sim_id (2,), k (1,) int64, n (1,) int64 and theta_r ()"),
+        (dict(sim_id=[0], k=[1], n=[2, 2]), "n (2,) int64"),
+        (dict(sim_id=[0], k=[1.0], n=[2]), "k (1,) float64"),
+        (dict(sim_id=[0], k=[1], n=[True]), "n (1,) bool"),
+        (dict(sim_id=[[0]], k=[[1]], n=[[2]]), "k (1, 1) int64"),
+        (dict(sim_id=0, k=1, n=2), "k () int64"),
+        (dict(sim_id=np.arange(0), k=np.arange(0), n=np.arange(0)), "k (0,) int64"),
+        (dict(sim_id=[0], k=[1], n=[2], theta_r=np.zeros((2, 3))), "theta_r (2, 3) are not one row per rank"),
+    ])
+    def test_tables_no_engine_makes_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RankTable(**fields)
+
     def test_default_grid(self):
         levels = default_levels()
         assert levels.size == 101
@@ -630,6 +647,17 @@ class TestDrawSources:
         with pytest.raises(ValueError, match=re.escape(f"sim_id must be an integer, got {key!r}")):
             drp_test(ds, runs, on_draws=lambda sid, draws: seen.append(sid))
         assert seen == [0]
+
+    @pytest.mark.parametrize("as_dict", [True, False])
+    @pytest.mark.parametrize("sid", [2, 5, -1])
+    def test_a_sim_id_outside_the_dataset_is_refused_before_it_is_scored(self, as_dict, sid):
+        ds = make_dataset([[0.2], [0.7]])
+        runs = [(sid, np.full((3, 1), np.nan)), (0, np.full((3, 1), 0.1)), (1, np.full((3, 1), 0.9))]
+        seen = []
+        with pytest.raises(SimulationError, match=rf"^simulation {sid}: not in the dataset of 2 simulations$"):
+            drp_test(ds, dict(runs) if as_dict else iter(runs), bounds=(0, 1),
+                     on_draws=lambda s, draws: seen.append(s))
+        assert seen == []
 
     def test_a_float_key_is_not_added_to_simulation_0(self):
         ds = optimal_gaussian_setup(4, seed=6)

@@ -10,6 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from drpkit import fileio
+from drpkit.benchmarks import ToyConfig, generate_toy
+from drpkit.coverage import PriorDraw, drp_test
 from drpkit.fileio import SchemaError
 
 # --- reference implementations: one ref_format call per value, one parse per line
@@ -207,7 +209,7 @@ def grouped_runs(path, n_sims=None):
     """The runs of read_posterior_runs joined per sim_id in file order, keyed
     in order of first appearance."""
     by_sim = {}
-    for sid, _, rows in fileio.read_posterior_runs(path, n_sims):
+    for sid, rows in fileio.read_posterior_runs(path, n_sims):
         by_sim.setdefault(sid, []).append(rows)
     return {sid: blocks[0] if len(blocks) == 1 else np.concatenate(blocks) for sid, blocks in by_sim.items()}
 
@@ -273,29 +275,42 @@ def test_grouping_matches_the_argsort_copy(tmp_path, draws, layout, chunk, data)
 
 
 def ref_runs(path, n_sims):
-    """(sim_id, line, rows) of each maximal run of one sim_id, in file order;
-    a sim_id outside [0, n_sims) fails at its run's line, a missing one at line 1."""
+    """(sim_id, rows) of each maximal run of one sim_id, in file order; a
+    sim_id outside [0, n_sims) fails at its run's first line, a missing one at line 1."""
     runs = []
     with open(path) as fh:
         for ln, raw in enumerate(fh.read().splitlines()[1:], start=2):
             if raw.strip():
                 sid, _, *vals = raw.split(",")
                 if runs and runs[-1][0] == int(sid):
-                    runs[-1][2].append(ref_floats(path, ln, vals))
+                    runs[-1][1].append(ref_floats(path, ln, vals))
                     continue
                 if not 0 <= int(sid) < n_sims:
                     raise SchemaError(path, ln, f"sim_id {sid} not present in the joint file")
-                runs.append((int(sid), ln, [ref_floats(path, ln, vals)]))
-    missing = sorted(set(range(n_sims)) - {sid for sid, _, _ in runs})
+                runs.append((int(sid), [ref_floats(path, ln, vals)]))
+    missing = sorted(set(range(n_sims)) - {sid for sid, _ in runs})
     if missing:
         raise SchemaError(path, 1, f"no posterior samples for sim_id {missing[0]} "
                                    f"(every sim needs >= 1 sample)")
-    return [(sid, ln, np.stack(rows)) for sid, ln, rows in runs]
+    return [(sid, np.stack(rows)) for sid, rows in runs]
+
+
+def joined_runs(runs):
+    """The (sim_id, rows) ``runs`` with each stretch of consecutive runs of one sim_id joined."""
+    joined = []
+    for sid, rows in runs:
+        if joined and joined[-1][0] == sid:
+            joined[-1] = (sid, np.concatenate([joined[-1][1], rows]))
+        else:
+            joined.append((sid, rows))
+    return joined
 
 
 @PROPS
 @given(ragged_draws(), LAYOUTS, chunk_sizes, st.data())
 def test_runs_are_the_maximal_blocks_in_file_order(tmp_path, draws, layout, chunk, data):
+    # runs split only where a chunk of text ends: joined, they are the file's
+    # maximal blocks, and a file of one chunk gives them unsplit
     rows, text = posterior_text(draws, layout, data)
     assume(rows)
     path = tmp_path / "post.csv"
@@ -307,9 +322,27 @@ def test_runs_are_the_maximal_blocks_in_file_order(tmp_path, draws, layout, chun
     assert new[0] == ref[0], (new, ref)
     if ref[0] == "error":
         assert new[1] == ref[1]
-    else:
-        assert [(sid, ln) for sid, ln, _ in new[1]] == [(sid, ln) for sid, ln, _ in ref[1]]
-        assert all(same_array(a, b) for (_, _, a), (_, _, b) in zip(new[1], ref[1]))
+        return
+    if chunk == fileio._CHUNK_CHARS:
+        assert len(new[1]) == len(ref[1])
+    joined = joined_runs(new[1])
+    assert [sid for sid, _ in joined] == [sid for sid, _ in ref[1]]
+    assert all(same_array(a, b) for (_, a), (_, b) in zip(joined, ref[1]))
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 300])
+def test_split_runs_give_the_sampler_curve_bit_for_bit(tmp_path, chunk):
+    dataset, sampler = generate_toy(ToyConfig(dim=3, n_sims=12, case="biased"), seed=4)
+    kw = dict(repeats=3, policy=PriorDraw(draw=lambda g: g.uniform(-5, 5, 3)), bounds=(-5, 5), seed=9)
+    path = tmp_path / "post.csv"
+    with fileio.posterior_writer(path) as write:
+        live = drp_test(dataset, sampler, n_post=15, on_draws=write, **kw)
+    with chunked(chunk):
+        assert len(list(fileio.read_posterior_runs(path, dataset.n_sims))) > dataset.n_sims  # runs were split
+        read = drp_test(dataset, fileio.read_posterior_runs(path, dataset.n_sims), **kw)
+    for field in ("k", "n", "theta_r"):
+        assert getattr(read.ranks, field).tobytes() == getattr(live.ranks, field).tobytes(), field
+    assert read.ecp.tobytes() == live.ecp.tobytes()
 
 
 def traced_peak(fn):
