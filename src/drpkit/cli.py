@@ -205,7 +205,7 @@ def _grid_csv(path, side, truth, mean, std):
     """Per pixel, its row and column, then truth, posterior mean and std, and residual."""
     cols = np.column_stack([np.tile(np.arange(side), side), truth, mean, std, truth - mean])
     _write_table(path, ["row", "col", "truth", "post_mean", "post_std", "residual"],
-                 enumerate(cols.reshape(side, side, 5)))
+                 np.repeat(np.arange(side), side), cols)
 
 
 def _run_lensing(args, parser) -> int:

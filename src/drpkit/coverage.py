@@ -283,6 +283,8 @@ class RankTable:
 
     def __post_init__(self):
         sid, k, n = (np.asarray(a) for a in (self.sim_id, self.k, self.n))
+        for name, value in (("sim_id", sid), ("k", k), ("n", n)):
+            object.__setattr__(self, name, value)  # the arrays checked here are the ones kept
         rows = k.shape if self.theta_r is None else np.shape(self.theta_r)[:1]
         if not (k.ndim == 1 and k.size and sid.shape == n.shape == k.shape == rows
                 and k.dtype.kind in "iu" and n.dtype.kind in "iu"):
@@ -369,17 +371,21 @@ class HpdSpec:
 def _drp_scorer(dataset: JointSampleSet, spec: DrpSpec, root: SeededRng):
     """``(score, refs)``: ``score(sid, x, rows)`` gives the (repeats, 1 + n)
     distances of the normalized ``rows`` to one reference point per repeat,
-    drawn from substream ("reference", r, sid) and kept at ``refs[sid]``."""
+    drawn from substream ("reference", r, sid) on the simulation's first run and
+    kept at ``refs[sid]``."""
     if not isinstance(spec.policy, ReferencePolicy):
         raise TypeError(f"unknown reference policy {type(spec.policy).__name__}")
     repeats = _check_int(spec.repeats, "repeats", 1)
     nmap = fit_normalization(dataset, spec.bounds, spec.weights)
     spec.policy.check(dataset)
-    refs = np.empty((dataset.n_sims, repeats, nmap.dim))
+    refs, drawn = np.empty((dataset.n_sims, repeats, nmap.dim)), np.zeros(dataset.n_sims, dtype=bool)
 
     def score(sid, x, rows):
         rows = nmap.apply(rows)
-        refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), x, nmap) for r in range(repeats)]
+        if not drawn[sid]:
+            refs[sid] = [spec.policy.point(root.substream(_REF_TAG, r, sid).generator(), x, nmap)
+                         for r in range(repeats)]
+            drawn[sid] = True
         return np.array([nmap.distances(rows, ref) for ref in refs[sid]])
 
     return score, refs

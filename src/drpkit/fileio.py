@@ -25,6 +25,12 @@ value is not finite, to name the first invalid line. A joint or observation
 file's ids are checked once every row has parsed: a repeated id first, then one
 outside [0, N). A posterior file is read as runs of consecutive rows that share
 a sim_id within one chunk, so a reader of the runs holds one chunk, not the file.
+
+Floats are printed byte for byte as "%.17g" prints them, a whole table (or a
+posterior file's simulation) per numpy pass. Each value "%.17g" prints in fixed
+notation (1e-4 <= |v| < 1e17, rounded) gets its 17 digits exactly: the Dekker
+two-product of |v| and a power of ten that is a double, rounded half-even. Every
+other value (zero, subnormals, exponent form, inf, NaN) goes through "%.17g" alone.
 """
 
 from __future__ import annotations
@@ -127,26 +133,135 @@ def _theta_header(dim: int, prefix: str = "theta") -> list:
     return [f"{prefix}_{d}" for d in range(dim)]
 
 
-def _rows(block, lead=""):
-    """Per row of the (n, C) float ``block``, a line of ``lead`` and C floats in "%.17g"."""
-    row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return row * block.shape[0] % tuple(block.ravel().tolist())
+_P10 = np.array([float(10 ** m) for m in range(23)])  # the powers of ten that are doubles
+_SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _id_rows(sim_id, block):
-    """The :func:`_rows` of the (n, C) float ``block`` led by ``sim_id``, refusing what the readers refuse."""
-    sim_id = _check_int(sim_id, "sim_id")
-    if not np.isfinite(block).all():
-        raise ValueError(f"values for sim_id {sim_id} are not finite")
-    return _rows(block, f"{sim_id},")
+def _split(a):
+    """(hi, lo) with hi + lo == a, each of at most 26 significant bits (Veltkamp)."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
-def _write_table(path, header, blocks):
-    """Stream the header, then the rows of each (sim_id, (n, C) array) block."""
-    with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for sid, block in blocks:
-            fh.write(_id_rows(sid, np.asarray(block, dtype=float)))
+def _least_double_at_least(k):
+    """The least double >= 10**k."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    f = num / den  # correctly rounded
+    n, d = f.as_integer_ratio()
+    return f if n * den >= num * d else float(np.nextafter(f, np.inf))
+
+
+def _digit_words():
+    """The 4 digit characters of 0..9999 as uint32 words; from 10000 on, trailing zeros as NUL."""
+    n = np.arange(10000, dtype=np.int32)[:, None]  # int32 scratch: less peak memory at import
+    chars = (n // np.int32([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    return np.concatenate([chars, chars * (n % np.int32([10000, 1000, 100, 10]) != 0)]).view(np.uint32).ravel()
+
+
+_P10_HI, _P10_LO = _split(_P10)
+_DECADES = np.array([_least_double_at_least(k) for k in range(-6, 19)])  # 10**k from k = -6
+_QUADS = _digit_words()
+_FRACTION_LEADS = {x: np.frombuffer(b"0.000"[:1 - x], np.uint8) for x in range(-4, 0)}
+_FIELD = 25  # a field's bytes: a sign, at most 24 more characters of text, then "," or "\n"
+
+
+def _digits(a):
+    """(D, X) of each a in [1e-5, 1e17): X = floor(log10 a), and D = a * 10**(16 - X)
+    rounded half-even, the 17 significant digits of a, from the exact product hi + lo."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    x += a >= _DECADES[x + 7]  # log10 may be off by one next to a power of ten
+    x -= a < _DECADES[x + 6]
+    m = 16 - x
+    p, p_hi, p_lo = _P10[m], _P10_HI[m], _P10_LO[m]
+    a_hi, a_lo = _split(a)
+    hi = a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo  # Dekker's two-product
+    # hi is an even integer >= 2**53, so rounding lo half-even rounds the sum half-even
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), x
+
+
+def _digit_chars(d):
+    """The (n, 17) uint8 digit characters of the (n,) ints in [1e16, 1e17), trailing zeros as NUL."""
+    top = d // 10 ** 8
+    hi, lo = top.astype(np.int32), (d - top * 10 ** 8).astype(np.int32)
+    g = np.empty((5, len(d)), np.int32)  # digit 1, then four groups of 4 digits
+    head = hi // 10 ** 4
+    g[0] = head // 10 ** 4
+    g[1] = head - g[0] * 10 ** 4
+    g[2] = hi - head * 10 ** 4
+    g[3] = lo // 10 ** 4
+    g[4] = lo - g[3] * 10 ** 4
+    tail = np.ones(len(d), dtype=bool)  # every later group is zero
+    for k in (4, 3, 2, 1, 0):
+        g[k] += 10000 * tail  # so this group takes its word with trailing zeros as NUL
+        tail &= g[k] == 10000
+    return np.ascontiguousarray(_QUADS[g].T).view(np.uint8)[:, 3:]
+
+
+def _rows(block, lead=None):
+    """Per row of the (n, C) float ``block``, a line of C floats as "%.17g" prints them,
+    after "<id>," when ``lead`` gives an int id for every row or a sequence of one per row."""
+    block = np.asarray(block, dtype=float)
+    n, c = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    d, x = _digits(np.where(fixed, a, 1.0))
+    # no double from 1e-5 to 1e17 rounds up to 10**(X + 1) at 17 digits, so X is the exponent
+    # "%.17g" prints, and it prints fixed notation for X in [-4, 16]
+    fixed &= (x >= -4) & (x <= 16)
+    order = np.argsort(np.where(fixed, x, 17).astype(np.int8), kind="stable")[:np.count_nonzero(fixed)]
+    xs, chars = x[order], _digit_chars(d[order])
+    if lead is not None:
+        lead = np.array([f"{int(i)}," for i in ([lead] if isinstance(lead, int) else lead)], dtype=bytes)
+    width = _FIELD if lead is None else max(_FIELD, lead.itemsize)
+    # the fixed-notation fields, sorted by exponent, with NUL where a field has no character
+    fields = np.zeros((len(order), width), np.uint8)
+    fields[:, 0] = (v[order] < 0) * np.uint8(ord("-"))
+    bounds = np.searchsorted(xs, np.arange(-4, 18))
+    for e, start, stop in zip(range(-4, 17), bounds, bounds[1:]):
+        if start == stop:
+            continue
+        f, dig = fields[start:stop], chars[start:stop]
+        if e < 0:  # "0.", zeros, then the digits
+            f[:, 1:2 - e] = _FRACTION_LEADS[e]
+            f[:, 2 - e:19 - e] = dig
+        else:  # e + 1 integer digits, then "." and the fraction digits, if any
+            np.maximum(dig[:, :e + 1], ord("0"), out=f[:, 1:e + 2])
+            if e < 16:
+                np.minimum(dig[:, e + 1], ord("."), out=f[:, e + 2])
+                f[:, e + 3:19] = dig[:, e + 1:]
+    skip = lead is not None  # the lead takes the first field of each row
+    grid = np.zeros((n, skip + c, width), np.uint8)
+    flat = grid.reshape(-1, width)
+    flat.view(f"V{width}")[order + skip * (order // c + 1)] = fields.view(f"V{width}")
+    for i in np.flatnonzero(~fixed).tolist():
+        text = ("%.17g" % v[i]).encode()
+        flat[i + skip * (i // c + 1), :len(text)] = np.frombuffer(text, np.uint8)
+    grid[:, skip:-1, -1] = ord(",")
+    grid[:, -1, -1] = ord("\n")
+    if skip:
+        grid[:, 0, :lead.itemsize] = lead.view(np.uint8).reshape(len(lead), -1)
+    return grid[grid != 0].tobytes().decode("ascii")
+
+
+def _checked_ids(sim_ids, values):
+    """The ``sim_ids`` as ints, one per row of the (N, C) float ``values``, refusing row by row
+    what the readers refuse: a sim_id that is not an integer, then values that are not finite."""
+    ids = []
+    for sid, finite in zip(sim_ids, np.isfinite(values).all(axis=1)):
+        ids.append(_check_int(sid, "sim_id"))
+        if not finite:
+            raise ValueError(f"values for sim_id {ids[-1]} are not finite")
+    return ids
+
+
+def _write_table(path, header, sim_ids, values):
+    """The header, then a row per sim_id of the (N,) ``sim_ids`` and the (N, C) float ``values``,
+    each table in one :func:`_rows` call, whose cost is mostly per call at a few rows."""
+    ids = _checked_ids(sim_ids, values)
+    atomic_write_text(path, ",".join(header) + "\n" + _rows(values, ids))
 
 
 def _write_id_file(path, sim_ids, values, prefix):
@@ -154,7 +269,7 @@ def _write_id_file(path, sim_ids, values, prefix):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or not values.size or np.shape(sim_ids) != values.shape[:1]:
         raise ValueError(f"sim_ids {np.shape(sim_ids)} and values {values.shape} are not (N,) and (N, D), N, D >= 1")
-    _write_table(path, ["sim_id"] + _theta_header(values.shape[1], prefix), zip(sim_ids, values[:, None]))
+    _write_table(path, ["sim_id"] + _theta_header(values.shape[1], prefix), sim_ids, values)
 
 
 def write_joint_file(path, sim_ids, thetas):
@@ -183,7 +298,8 @@ def posterior_writer(path):
             elif draws.shape[1] != first[1]:
                 raise ValueError(f"samples for sim_id {sim_id} have dimension {draws.shape[1]}, "
                                  f"sim_id {first[0]} has {first[1]}")
-            fh.write(_id_rows(sim_id, np.column_stack([np.arange(len(draws)), draws])))
+            (sid,) = _checked_ids([sim_id], draws.reshape(1, -1))
+            fh.write(_rows(np.column_stack([np.arange(len(draws)), draws]), sid))
 
         yield write
         if first is None:

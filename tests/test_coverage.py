@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from drpkit import fileio
 from drpkit.benchmarks import ToySimulation
 from drpkit.coverage import (
     DataShift,
@@ -397,6 +398,15 @@ class TestEcpCurve:
         f = g.uniform(size=100_000)
         assert np.array_equal(ranks_from(f * 2**53, 2**53).f, f)
 
+    def test_list_fields_are_kept_as_the_arrays_checked(self):
+        lists = RankTable(sim_id=[1, 0, 1], k=[1, 2, 3], n=[5, 5, 6])
+        arrays = RankTable(sim_id=np.array([1, 0, 1]), k=np.array([1, 2, 3]), n=np.array([5, 5, 6]))
+        assert all(isinstance(getattr(lists, name), np.ndarray) for name in ("sim_id", "k", "n"))
+        assert np.array_equal(lists.f, arrays.f)
+        a, b = ecp_curve(lists), ecp_curve(arrays)
+        assert np.array_equal(a.ecp, b.ecp) and np.array_equal(a.band, b.band)
+        assert (a.n_sims, a.n_post, a.method) == (b.n_sims, b.n_post, b.method)
+
     def test_table_gives_n_sims_n_post_and_method(self):
         hpd = ecp_curve(ranks_from([2, 6, 9], 10))
         assert (hpd.n_sims, hpd.n_post, hpd.method) == (3, 10, "hpd")
@@ -423,6 +433,27 @@ def optimal_gaussian_setup(n_sims, seed):
 
 
 class TestDrpTest:
+    def test_reference_points_are_drawn_once_per_simulation(self, tmp_path, monkeypatch):
+        # a chunk of 40 characters splits each simulation's rows into several runs
+        ds, n_post, repeats = optimal_gaussian_setup(6, seed=5), 9, 2
+        calls = []
+
+        def prior(g):
+            calls.append(1)
+            return g.normal(size=1)
+
+        spec = DrpSpec(PriorDraw(draw=prior), bounds=(-5.0, 5.0), repeats=repeats)
+        with fileio.posterior_writer(tmp_path / "post.csv") as write:
+            sampled = coverage_tests(ds, GaussianSampler(), [spec], n_post=n_post, seed=3, on_draws=write)[0]
+        monkeypatch.setattr(fileio, "_CHUNK_CHARS", 40)
+        runs = list(fileio.read_posterior_runs(tmp_path / "post.csv"))
+        assert len(runs) > 2 * ds.n_sims
+        calls.clear()
+        read = coverage_tests(ds, iter(runs), [spec], seed=3)[0]
+        assert len(calls) == ds.n_sims * repeats
+        assert np.array_equal(read.ranks.theta_r, sampled.ranks.theta_r)
+        assert np.array_equal(read.ranks.k, sampled.ranks.k)
+
     def test_point_mass_estimator(self):
         truths = np.linspace(-1, 1, 20)[:, None]
         ds = make_dataset(truths, observations=tuple(truths))

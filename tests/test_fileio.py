@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from drpkit import cli, fileio
 from drpkit.coverage import RankTable, default_levels, ecp_curve
 from drpkit.fileio import (
     SchemaError,
@@ -23,6 +24,7 @@ from drpkit.fileio import (
     write_resolved_config,
 )
 from drpkit.numerics import SeededRng
+from test_fileio_properties import ref_format
 
 
 def sample_curve(n=40, seed=5):
@@ -315,3 +317,48 @@ class TestMisc:
         write_resolved_config(tmp_path, {"seed": 7, "out": "dir/sub", "case": "biased"})
         back = read_resolved_config(tmp_path / "resolved_config.txt")
         assert back == {"seed": "7", "out": "dir/sub", "case": "biased"}
+
+
+class TestOneFormatterCallPerTable:
+    """The formatter's cost is mostly per call at a few rows, so a table goes to it whole."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, rows = [], fileio._rows
+
+        def counting(block, lead=None):
+            calls.append(np.shape(block))
+            return rows(block, lead)
+
+        monkeypatch.setattr(fileio, "_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("writer", [write_joint_file, write_observation_file])
+    def test_id_files(self, tmp_path, calls, writer):
+        writer(tmp_path / "f.csv", np.arange(50), SeededRng(1).generator().standard_normal((50, 3)))
+        assert calls == [(50, 3)]
+
+    def test_coverage_csv(self, tmp_path, calls):
+        write_coverage_csv(tmp_path / "c.csv", sample_curve(), seed=0)
+        assert calls == [(101, 5)]
+
+    def test_grid_csv(self, tmp_path, calls):
+        g = SeededRng(2).generator()
+        cli._grid_csv(tmp_path / "g.csv", 8, *g.standard_normal((3, 64)))
+        assert calls == [(64, 5)]
+
+    def test_posterior_writer_calls_once_per_simulation(self, tmp_path, calls):
+        write_posterior_file(tmp_path / "p.csv", {sid: np.ones((sid + 2, 2)) for sid in range(4)})
+        assert calls == [(2, 3), (3, 3), (4, 3), (5, 3)]
+
+
+def test_grid_csv_prints_each_value_as_the_reference(tmp_path):
+    g = SeededRng(3).generator()
+    side = 6
+    truth, mean, std = g.standard_normal((3, side * side)) * np.array([[1.0], [1e-5], [1e17]])
+    cli._grid_csv(tmp_path / "g.csv", side, truth, mean, std)
+    lines = ["row,col,truth,post_mean,post_std,residual"]
+    for p in range(side * side):
+        values = [p % side, truth[p], mean[p], std[p], truth[p] - mean[p]]
+        lines.append(",".join([str(p // side)] + [ref_format(v) for v in values]))
+    assert (tmp_path / "g.csv").read_text() == "\n".join(lines) + "\n"

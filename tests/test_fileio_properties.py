@@ -203,6 +203,66 @@ def test_joint_and_observation_writers_match_reference(tmp_path, dim, n, data):
     assert (tmp_path / "o.csv").read_text() == ref_dense_text(ids, xs, "x")
 
 
+# --- the float formatter ------------------------------------------------------------
+
+def steps_from(v, n):
+    """The double ``n`` steps above ``v`` (below for n < 0)."""
+    for _ in range(abs(n)):
+        v = float(np.nextafter(v, np.inf if n > 0 else -np.inf))
+    return v
+
+
+@st.composite
+def exact_ties(draw):
+    """M * 2**-s, M odd: its decimal expansion ends in 5 at the 18th significant digit."""
+    s = draw(st.integers(2, 25))
+    lo, hi = -(-10 ** 17 // 5 ** s), min(10 ** 18 // 5 ** s, 2 ** 53)
+    m = draw(st.integers(lo, hi - 1)) | 1
+    m = m if m < hi else m - 2
+    assert len(str(m * 5 ** s)) == 18
+    return m * 2.0 ** -s
+
+
+near_powers = st.builds(lambda k, n: steps_from(float(f"1e{k}"), n), st.integers(-7, 18), st.integers(-3, 3))
+format_edges = st.builds(lambda v, sign: sign * v, st.one_of(
+    near_powers,
+    exact_ties(),
+    st.integers(0, 2 ** 53).map(float),
+    st.floats(9e-5, 1e-4), st.floats(9e-7, 1e-6), st.floats(1e16, 2e16), st.floats(1e17, 2e17),
+    st.floats(0.0, 2.2250738585072014e-308),  # zero and the subnormals
+    st.floats(),  # any double, infinities and NaN too
+), st.sampled_from([1.0, -1.0]))
+
+
+def assert_rows_match_reference(block, lead):
+    leads = ([""] * len(block) if lead is None else [f"{lead},"] * len(block) if isinstance(lead, int)
+             else [f"{i}," for i in lead])
+    lines = fileio._rows(block, lead).split("\n")
+    assert lines.pop() == "" and len(lines) == len(block)
+    for line, head, row in zip(lines, leads, block.tolist()):
+        assert line.startswith(head)
+        assert line[len(head):].split(",") == [ref_format(v) for v in row]
+
+
+@PROPS
+@given(st.integers(1, 6), st.integers(1, 12), st.sampled_from(["C", "F"]),
+       st.sampled_from(["none", "one", "per-row"]), st.data())
+def test_rows_print_each_value_as_the_reference(n_rows, n_cols, order, lead, data):
+    block = np.array(data.draw(st.lists(format_edges, min_size=n_rows * n_cols, max_size=n_rows * n_cols)))
+    block = np.asarray(block.reshape(n_rows, n_cols), order=order)
+    ids = st.integers(-2 ** 70, 2 ** 70)
+    lead = None if lead == "none" else data.draw(
+        ids if lead == "one" else st.lists(ids, min_size=n_rows, max_size=n_rows))
+    assert_rows_match_reference(block, lead)
+
+
+@pytest.mark.parametrize("k", range(-7, 19))
+def test_rows_print_the_neighbours_of_each_power_of_ten(k):
+    near = [steps_from(float(f"1e{k}"), n) for n in range(-4, 5)]
+    assert_rows_match_reference(np.array([near, [-v for v in near]]), None)
+    assert_rows_match_reference(np.array([near]).T, 7)
+
+
 # --- the reader ----------------------------------------------------------------------
 
 def grouped_runs(path, n_sims=None):
